@@ -13,8 +13,8 @@ from .kernels import (ContourPath, FiniteKernelParams, PearceyPQ, airy_ai,
                       finite_n_diagonal, finite_n_kernel, pearcey_kernel,
                       pearcey_kernel_pq_form, pearcey_pq)
 from .fredholm import (GapResult, IntervalUnion, ResolventData, airy_gap_on_ray,
-                       airy_kernel_handle, gap_probability, multitime_gap,
-                       pearcey_kernel_handle, resolvent_quantities)
+                       gap_probability, multitime_gap, pearcey_kernel_handle,
+                       resolvent_quantities)
 from .scaling import (ActionDerivatives, ScalingCoefficients, ScalingExponents,
                       action_F, contour_descent_check, convergence_study,
                       conjugation_factor, critical_exponents, remainder_bound_check,

@@ -62,10 +62,17 @@ def _parse_interval_union(text):
     return fh.IntervalUnion(tuple(eps))
 
 
+def _bridge_time(text):
+    t = float(text)
+    if not 0.0 < t < 1.0:
+        raise argparse.ArgumentTypeError(f"bridge time must lie in (0, 1), got {text}")
+    return t
+
+
 def _config_from(args):
     return sp.TargetConfig(targets=_parse_floats(args.targets),
                            fractions=_parse_floats(args.fractions),
-                           time=getattr(args, "t", 0.5) or 0.5)
+                           time=getattr(args, "t", 0.5))
 
 
 def _quad_spec(args):
@@ -116,8 +123,6 @@ def _cmd_kernel(args):
     if args.form == "double":
         vals = kn.pearcey_kernel_grid(args.s, args.t, xs, ys, spec)
     else:
-        if args.s != args.t:
-            raise ValueError("pq form requires s == t")
         vals = kn.pearcey_kernel_matrix(args.t, xs, ys, spec)
     return kn.kernel_grid_csv_lines(args.s, args.t, xs, ys, vals, spec)
 
@@ -277,7 +282,7 @@ def build_parser():
     p = new("density")
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_bridge_time, required=True)
     p.add_argument("--zmin", type=float, required=True)
     p.add_argument("--zmax", type=float, required=True)
     p.add_argument("--num", type=int, default=201)
@@ -340,7 +345,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_bridge_time, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p = new("sample-paths")
@@ -353,7 +358,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_bridge_time, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=200)
     return ap
@@ -364,6 +369,8 @@ def dispatch(argv):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.cmd == "kernel" and args.form == "pq" and args.s != args.t:
+            ap.error("kernel --form pq requires --s equal to --t")
     except SystemExit as e:
         return int(e.code or 0)
     started = time.time()

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import QuadratureError, QuadratureSpec, _gl
-from .kernels import (airy_kernel_matrix, finite_n_kernel, pearcey_kernel_grid,
-                      pearcey_kernel_matrix, pq_tables)
+from .kernels import (_pearcey_kernel_from_tables, airy_kernel, airy_kernel_matrix,
+                      pearcey_kernel_grid, pearcey_kernel_matrix, pq_tables)
 
 __all__ = [
     "IntervalUnion", "NystromGrid", "GapResult", "ResolventData",
-    "pearcey_kernel_handle", "airy_kernel_handle", "finite_n_kernel_handle",
+    "pearcey_kernel_handle",
     "gap_probability", "multitime_gap", "resolvent_quantities",
     "airy_gap_on_ray", "endpoint_identity_check", "gap_csv_lines",
 ]
@@ -123,42 +123,25 @@ def pearcey_kernel_handle(t: float, spec: QuadratureSpec | None = None):
     return handle
 
 
-def airy_kernel_handle():
-    def handle(xs, ys):
-        return airy_kernel_matrix(xs, ys)
-
-    return handle
-
-
-def finite_n_kernel_handle(params, spec: QuadratureSpec | None = None,
-                           contours: str = "auto"):
-    """Pointwise finite-n kernel handle (adaptive contours; slow for large m)."""
-
-    def handle(xs, ys):
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = finite_n_kernel(params, float(x), float(y), spec, contours)
-        return out
-
-    return handle
-
-
 # ---------------------------------------------------------------------------
 # determinants
 
 
-def _det_at(kernel, E, m):
-    grid = NystromGrid.build(E, m)
-    if grid.nodes.size == 0:
-        return 1.0, 0.0, grid
-    K = np.asarray(kernel(grid.nodes, grid.nodes), dtype=float)
-    sw = np.sqrt(grid.weights)
-    M = sw[:, None] * K * sw[None, :]
-    sign, logdet = np.linalg.slogdet(np.eye(len(M)) - M)
+def _nystrom_logdet(K, weights):
+    """log det(I - K W) for the Nystrom matrix K on nodes with weights W,
+    through the similar matrix I - W^{1/2} K W^{1/2} (square-root-weight
+    symmetrization); a non-positive determinant means a kernel or grid failure."""
+    sw = np.sqrt(weights)
+    sign, logdet = np.linalg.slogdet(np.eye(len(sw)) - sw[:, None] * K * sw[None, :])
     if sign <= 0:
         raise ArithmeticError("Fredholm determinant non-positive: kernel or grid failure")
-    return math.exp(logdet), logdet, grid
+    return logdet
+
+
+def _gap_logdet(kernel, E, m):
+    grid = NystromGrid.build(E, m)
+    return _nystrom_logdet(np.asarray(kernel(grid.nodes, grid.nodes), dtype=float),
+                           grid.weights)
 
 
 def gap_probability(kernel, E: IntervalUnion, m: int = 40) -> GapResult:
@@ -172,8 +155,8 @@ def gap_probability(kernel, E: IntervalUnion, m: int = 40) -> GapResult:
         return GapResult(value=1.0, log_value=0.0, error_estimate=0.0)
     if m < 8:
         raise ValueError("m must be >= 8")
-    v1, l1, _ = _det_at(kernel, E, m)
-    v2, l2, _ = _det_at(kernel, E, 2 * m)
+    l1 = _gap_logdet(kernel, E, m)
+    v1, v2 = math.exp(l1), math.exp(_gap_logdet(kernel, E, 2 * m))
     err = abs(v1 - v2)
     if err > 1e-6:
         raise QuadratureError(
@@ -216,29 +199,23 @@ def multitime_gap(times, sets, m: int = 40, spec: QuadratureSpec | None = None,
     if all(E.empty for E in sets):
         return GapResult(value=1.0, log_value=0.0, error_estimate=0.0)
 
-    def block_det(order):
+    def block_logdet(order):
         grids = [NystromGrid.build(E, order) for E in sets]
-        sw = [np.sqrt(g.weights) for g in grids]
         sizes = [g.nodes.size for g in grids]
-        total = sum(sizes)
-        B = np.zeros((total, total))
         offs = np.concatenate([[0], np.cumsum(sizes)])
+        K = np.zeros((offs[-1], offs[-1]))
         for i in range(len(times)):
             if sizes[i] == 0:
                 continue
             for j in range(len(times)):
                 if sizes[j] == 0:
                     continue
-                Kij = kernel_family(times[i], times[j], grids[i].nodes, grids[j].nodes)
-                B[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                    sw[i][:, None] * Kij * sw[j][None, :]
-        sign, logdet = np.linalg.slogdet(np.eye(total) - B)
-        if sign <= 0:
-            raise ArithmeticError("multi-time Fredholm determinant non-positive")
-        return math.exp(logdet), logdet
+                K[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
+                    kernel_family(times[i], times[j], grids[i].nodes, grids[j].nodes)
+        return _nystrom_logdet(K, np.concatenate([g.weights for g in grids]))
 
-    v1, l1 = block_det(m)
-    v2, _ = block_det(2 * m)
+    l1 = block_logdet(m)
+    v1, v2 = math.exp(l1), math.exp(block_logdet(2 * m))
     err = abs(v1 - v2)
     if err > 1e-6:
         raise QuadratureError(f"multi-time Nystrom disagreement {err:.2e}", achieved=err)
@@ -258,14 +235,14 @@ def resolvent_quantities(t: float, E: IntervalUnion, m: int = 40,
     grid = NystromGrid.build(E, m)
     x = grid.nodes
     w = grid.weights
-    K = pearcey_kernel_matrix(t, x, x, spec)
+    P, Q = pq_tables(t, x, spec)
+    K = _pearcey_kernel_from_tables(t, x, P, x, Q)
     KW = K * w[None, :]
     A = np.eye(len(x)) - KW
     sign, logdet = np.linalg.slogdet(A)
     if sign <= 0 or math.exp(logdet) <= 1e-12:
         raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
     cond = float(np.linalg.cond(A))
-    P, Q = pq_tables(t, x, spec)
     p_vec, q_vec = P[0], Q[0]
     p_hat = np.linalg.solve(A, p_vec)
     AT = np.eye(len(x)) - (w[:, None] * K).T
@@ -277,9 +254,9 @@ def resolvent_quantities(t: float, E: IntervalUnion, m: int = 40,
         raise ArithmeticError(f"resolvent identity residual {resid:.2e} exceeds 1e-10")
     ends = np.asarray(E.endpoints)
     Pe, Qe = pq_tables(t, ends, spec)
-    K_end_rows = pearcey_kernel_matrix(t, ends, x, spec)
+    K_end_rows = _pearcey_kernel_from_tables(t, ends, Pe, x, Q)
     p_hat_end = Pe[0] + K_end_rows @ (w * p_hat)
-    K_end_cols = pearcey_kernel_matrix(t, x, ends, spec)
+    K_end_cols = _pearcey_kernel_from_tables(t, x, P, ends, Qe)
     q_hat_end = Qe[0] + K_end_cols.T @ (w * q_hat)
     u = float(np.sum(w * p_hat * q_vec))
     return ResolventData(grid=grid, p_hat=p_hat, q_hat=q_hat,
@@ -298,15 +275,7 @@ def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64, h: float = 
     """
     spec = spec or QuadratureSpec()
     handle = pearcey_kernel_handle(t, spec)
-
-    def logdet(eps):
-        g = NystromGrid.build(E.shifted(eps), m)
-        K = handle(g.nodes, g.nodes)
-        sw = np.sqrt(g.weights)
-        sign, ld = np.linalg.slogdet(np.eye(len(g.nodes)) - sw[:, None] * K * sw[None, :])
-        return ld
-
-    vals = [logdet(k * h) for k in (-2, -1, 0, 1, 2)]
+    vals = [_gap_logdet(handle, E.shifted(k * h), m) for k in (-2, -1, 0, 1, 2)]
     lhs = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
 
     def u_of(eps):
@@ -323,11 +292,10 @@ def airy_gap_on_ray(s: float, m: int = 48, diag_floor: float = 1e-16) -> GapResu
     """det(I - Airy kernel) on (s, infinity), truncated where the kernel
     diagonal drops below diag_floor; the truncation tail bound is folded into
     the error estimate."""
-    from .kernels import airy_kernel
     hi = max(s + 2.0, 2.0)
     while airy_kernel(hi, hi) > diag_floor:
         hi += 1.0
-    res = gap_probability(airy_kernel_handle(), IntervalUnion((s, hi)), m)
+    res = gap_probability(airy_kernel_matrix, IntervalUnion((s, hi)), m)
     return GapResult(value=res.value, log_value=res.log_value,
                      error_estimate=res.error_estimate + airy_kernel(hi, hi) * (hi - s))
 

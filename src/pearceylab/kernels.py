@@ -186,19 +186,18 @@ def _uline_rule(center, L, spec, inner_scale=None):
 
 @dataclass(frozen=True)
 class PearceyPQ:
-    """p, q and first three derivatives at (t, x); values carry tiny imaginary
-    parts from quadrature which are checked against 1e-10 * scale."""
+    """p, q and first three derivatives at (t, x), as checked by pq_tables."""
 
     t: float
     x: float
-    p: complex
-    dp: complex
-    d2p: complex
-    d3p: complex
-    q: complex
-    dq: complex
-    d2q: complex
-    d3q: complex
+    p: float
+    dp: float
+    d2p: float
+    d3p: float
+    q: float
+    dq: float
+    d2q: float
+    d3q: float
 
     def p_values(self):
         return np.array([self.p, self.dp, self.d2p, self.d3p])
@@ -225,85 +224,70 @@ def _pq_panels(t, x, L, spec):
     return max(spec.panels, -(-need // spec.nodes_per_panel))
 
 
-def _pq_families(t, x, spec, orders=4):
-    """Raw quadrature of p^{(k)}, q^{(k)}, k < orders, at (t, x)."""
-    L = _pq_L(t, x, spec)
-    panels = _pq_panels(t, x, L, spec)
-    v, wv = panel_rule(-L, L, 2 * panels, spec.nodes_per_panel)
-    base_q = np.exp(-v**4 / 4.0 - t * v**2 / 2.0 - 1j * v * x)
-    qs = np.array([-((-1j) ** k) / (2.0 * math.pi) * np.sum(wv * v**k * base_q)
-                   for k in range(orders)])
-    e = np.exp(1j * math.pi / 4.0)
-    s_neg, w_neg = panel_rule(-L, 0.0, panels, spec.nodes_per_panel)
-    s_pos, w_pos = panel_rule(0.0, L, panels, spec.nodes_per_panel)
-    g_neg = np.exp(-s_neg**4 / 4.0 - 1j * t * s_neg**2 / 2.0 + x * s_neg * e)
-    g_pos = np.exp(-s_pos**4 / 4.0 - 1j * t * s_pos**2 / 2.0 + x * s_pos * e)
-    ps = []
-    for k in range(orders):
-        Dk = (e ** k) * (np.sum(w_neg * s_neg**k * g_neg) - np.sum(w_pos * s_pos**k * g_pos))
-        ps.append(complex(np.imag(e * Dk) / math.pi))
-    return np.array(ps), qs
-
-
-def pearcey_pq(t: float, x: float, spec: QuadratureSpec | None = None) -> PearceyPQ:
-    """p, q and derivatives to third order by contour quadrature.
-
-    Derivatives come from inserting powers of the integration variable; the
-    two defining third-order ODEs are checked as an internal residual, and a
-    panel-doubling comparison guards quadrature convergence.
-    """
-    spec = spec or QuadratureSpec()
-    if abs(t) > 50.0 or abs(x) > 50.0:
-        raise ValueError("pearcey_pq envelope is |t|, |x| <= 50")
-    ps, qs = _pq_families(t, x, spec)
-    ps2, qs2 = _pq_families(t, x, spec.refined())
-    err = max(np.abs(ps - ps2).max(), np.abs(qs - qs2).max())
-    scale = max(1.0, np.abs(ps2).max(), np.abs(qs2).max())
-    if err > 1e-8 * scale:
-        raise QuadratureError(
-            f"pearcey_pq did not converge at (t={t}, x={x})", achieved=err)
-    out = PearceyPQ(t=t, x=x, p=ps2[0], dp=ps2[1], d2p=ps2[2], d3p=ps2[3],
-                    q=qs2[0], dq=qs2[1], d2q=qs2[2], d3q=qs2[3])
-    rp, rq = out.ode_residuals()
-    if max(rp, rq) > 1e-8 * scale:
-        raise QuadratureError(
-            f"Pearcey ODE residual {max(rp, rq):.2e} at (t={t}, x={x})",
-            achieved=max(rp, rq))
-    if max(abs(v.imag) for v in (out.p, out.dp, out.d2p, out.d3p,
-                                 out.q, out.dq, out.d2q, out.d3q)) > 1e-10 * scale:
-        raise QuadratureError(f"pearcey_pq imaginary part exceeds tolerance at (t={t}, x={x})")
-    return out
-
-
-def pq_tables(t, xs, spec=None, orders=4):
-    """Vectorized p^{(k)}(x), q^{(k)}(x) tables over an array of x values.
-
-    Returns (P, Q) with shape (orders, len(xs)); used for Nystrom assembly.
-    """
-    spec = spec or QuadratureSpec()
-    xs = np.asarray(xs, dtype=float)
+def _pq_quadrature(t, xs, spec):
+    """Raw quadrature of p^{(k)}(x), q^{(k)}(x), k < 4, over the array xs, on
+    rules whose truncation length and panel count are set by max |x|.
+    Derivatives insert powers of the integration variable; P is real, Q keeps
+    the imaginary part the quadrature leaves."""
     xmax = float(np.abs(xs).max(initial=0.0))
     L = _pq_L(t, xmax, spec)
     panels = _pq_panels(t, xmax, L, spec)
+    k = np.arange(4)[:, None]
     v, wv = panel_rule(-L, L, 2 * panels, spec.nodes_per_panel)
     base = np.exp(-v**4 / 4.0 - t * v**2 / 2.0)
-    phase = np.exp(-1j * np.outer(v, xs))
-    Q = np.empty((orders, len(xs)), dtype=float)
-    for k in range(orders):
-        vals = -((-1j) ** k) / (2.0 * math.pi) * ((wv * v**k * base) @ phase)
-        Q[k] = vals.real
+    Q = -((-1j) ** k) / (2.0 * math.pi) * ((v**k * (wv * base)) @ np.exp(-1j * np.outer(v, xs)))
     e = np.exp(1j * math.pi / 4.0)
     s_neg, w_neg = panel_rule(-L, 0.0, panels, spec.nodes_per_panel)
     s_pos, w_pos = panel_rule(0.0, L, panels, spec.nodes_per_panel)
-    s_all = np.concatenate([s_neg, s_pos])
-    w_all = np.concatenate([w_neg, -w_pos])
-    gbase = np.exp(-s_all**4 / 4.0 - 1j * t * s_all**2 / 2.0)
-    gph = np.exp(np.outer(s_all * e, xs))
-    P = np.empty((orders, len(xs)), dtype=float)
-    for k in range(orders):
-        Dk = (e ** k) * ((w_all * s_all**k * gbase) @ gph)
-        P[k] = np.imag(e * Dk) / math.pi
+    s = np.concatenate([s_neg, s_pos])
+    ws = np.concatenate([w_neg, -w_pos])
+    gbase = np.exp(-s**4 / 4.0 - 1j * t * s**2 / 2.0)
+    D = (s**k * (ws * gbase)) @ np.exp(np.outer(s * e, xs))
+    P = np.imag(e ** (k + 1) * D) / math.pi
     return P, Q
+
+
+def pq_tables(t, xs, spec=None):
+    """Checked p^{(k)}(x), q^{(k)}(x), k = 0..3, tabulated over an array of x.
+
+    Returns real (P, Q) of shape (4, len(xs)); used for Nystrom assembly.
+    Every node must satisfy both third-order ODEs and carry a negligible
+    imaginary part of q; the smallest and largest node must agree with the
+    table at spec.refined().  Checking the extremes suffices because the
+    truncation length and panel count are set by max |x|.  Tolerances scale
+    with max(1, |p^{(k)}|, |q^{(k)}|) at each node.
+    """
+    spec = spec or QuadratureSpec()
+    xs = np.asarray(xs, dtype=float)
+    if not (abs(t) <= 50.0 and np.abs(xs).max(initial=0.0) <= 50.0):
+        raise ValueError("p/q envelope is |t|, |x| <= 50")
+    P, Q = _pq_quadrature(t, xs, spec)
+    scale = np.maximum(1.0, np.maximum(np.abs(P).max(axis=0), np.abs(Q).max(axis=0)))
+    if xs.size:
+        ends = [int(xs.argmin()), int(xs.argmax())]
+        P2, Q2 = _pq_quadrature(t, xs[ends], spec.refined())
+        err = np.maximum(np.abs(P[:, ends] - P2).max(axis=0), np.abs(Q[:, ends] - Q2).max(axis=0))
+        if not (err <= 1e-8 * scale[ends]).all():
+            raise QuadratureError(
+                f"p/q quadrature did not converge at t={t}, x in [{xs.min()}, {xs.max()}]",
+                achieved=float(err.max()))
+    resid = np.maximum(np.abs(P[3] - t * P[1] + xs * P[0]), np.abs(Q[3] - t * Q[1] - xs * Q[0]))
+    if not (resid <= 1e-8 * scale).all():
+        raise QuadratureError(f"Pearcey ODE residual {resid.max():.2e} at t={t}",
+                              achieved=float(resid.max()))
+    imag = np.abs(Q.imag).max(axis=0)
+    if not (imag <= 1e-10 * scale).all():
+        raise QuadratureError(f"p/q imaginary part {imag.max():.2e} exceeds tolerance at t={t}",
+                              achieved=float(imag.max()))
+    return P, Q.real
+
+
+def pearcey_pq(t: float, x: float, spec: QuadratureSpec | None = None) -> PearceyPQ:
+    """p, q and derivatives to third order at one point: the pq_tables table
+    at the single node x, so it carries the refinement, ODE-residual,
+    imaginary-part and envelope checks."""
+    P, Q = pq_tables(t, [x], spec)
+    return PearceyPQ(t, x, *P[:, 0], *Q[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,40 +344,36 @@ def pearcey_kernel_pq_form(t: float, x: float, y: float,
     K(x,y) = (p(x)q''(y) - p'(x)q'(y) + p''(x)q(y) - t p(x)q(y)) / (y - x);
     on the diagonal the limit p q''' - p' q'' + p'' q' - t p q' is used.
     """
-    spec = spec or QuadratureSpec()
-    fx = pearcey_pq(t, x, spec)
-    fy = fx if y == x else pearcey_pq(t, y, spec)
-    p, dp, d2p = fx.p.real, fx.dp.real, fx.d2p.real
-    if x == y:
-        qv, dq, d2q, d3q = fy.q.real, fy.dq.real, fy.d2q.real, fy.d3q.real
-        return p * d3q - dp * d2q + d2p * dq - t * p * dq
-    qv, dq, d2q = fy.q.real, fy.dq.real, fy.d2q.real
-    num = p * d2q - dp * dq + d2p * qv - t * p * qv
-    return num / (y - x)
+    return float(pearcey_kernel_matrix(t, [x], [y], spec)[0, 0])
+
+
+def _pearcey_kernel_from_tables(t, xs, P, ys, Q):
+    """Equal-time kernel matrix from the p-table at xs and the q-table at ys;
+    entries with x == y use the diagonal limit p q''' - p' q'' + p'' q' - t p q'."""
+    num = (np.outer(P[0], Q[2]) - np.outer(P[1], Q[1]) + np.outer(P[2], Q[0])
+           - t * np.outer(P[0], Q[0]))
+    den = ys[None, :] - xs[:, None]
+    same = np.abs(den) < 1e-13 * (1.0 + np.abs(xs)[:, None])
+    out = np.where(same, 0.0, num / np.where(same, 1.0, den))
+    ii, jj = np.nonzero(same)
+    out[ii, jj] = (P[0][ii] * Q[3][jj] - P[1][ii] * Q[2][jj]
+                   + P[2][ii] * Q[1][jj] - t * P[0][ii] * Q[1][jj])
+    return out
 
 
 def pearcey_kernel_matrix(t, xs, ys, spec=None):
-    """Equal-time kernel matrix via tabulated p/q families (fast Nystrom fill).
+    """Equal-time kernel matrix via tabulated p/q families (fast Nystrom fill);
+    each distinct node set is tabulated once.
 
     Entries with x == y use the analytic diagonal limit.
     """
     spec = spec or QuadratureSpec()
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    P, _ = pq_tables(t, xs, spec)
-    _, Q = pq_tables(t, ys, spec)
-    num = (np.outer(P[0], Q[2]) - np.outer(P[1], Q[1]) + np.outer(P[2], Q[0])
-           - t * np.outer(P[0], Q[0]))
-    den = ys[None, :] - xs[:, None]
-    same = np.abs(den) < 1e-13 * (1.0 + np.abs(xs)[:, None])
-    out = np.where(same, 0.0, num / np.where(same, 1.0, den))
-    if same.any():
-        _, Q3 = pq_tables(t, ys, spec, orders=4)
-        ii, jj = np.nonzero(same)
-        diag = (P[0][ii] * Q3[3][jj] - P[1][ii] * Q3[2][jj]
-                + P[2][ii] * Q3[1][jj] - t * P[0][ii] * Q3[1][jj])
-        out[ii, jj] = diag
-    return out
+    P, Q = pq_tables(t, xs, spec)
+    if not np.array_equal(xs, ys):
+        _, Q = pq_tables(t, ys, spec)
+    return _pearcey_kernel_from_tables(t, xs, P, ys, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +481,6 @@ class FiniteKernelParams:
 
 
 def _descent_checked(q, spec):
-    from .scaling import contour_descent_check
     report = _descent_checked_cached(round(q, 12), spec.truncation_radius)
     if not report.passed:
         raise ArithmeticError(f"steepest-descent check failed for q={q}: {report.worst}")

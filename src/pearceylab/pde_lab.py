@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import QuadratureSpec, thread_map
-from .fredholm import IntervalUnion, NystromGrid
-from .kernels import pq_tables, pearcey_pq
+from .fredholm import IntervalUnion, NystromGrid, _nystrom_logdet
+from .kernels import _pearcey_kernel_from_tables, pq_tables, pearcey_pq
 
 __all__ = [
     "QSurface", "ResidualReport", "q_surface", "pearcey_pde_residual",
@@ -68,22 +68,10 @@ def _log_gap_batch(t, intervals, m, spec):
     out = []
     off = 0
     for g in grids:
-        n = g.nodes.size
-        sl = slice(off, off + n)
-        off += n
-        x = g.nodes
-        num = (np.outer(P[0][sl], Q[2][sl]) - np.outer(P[1][sl], Q[1][sl])
-               + np.outer(P[2][sl], Q[0][sl]) - t * np.outer(P[0][sl], Q[0][sl]))
-        den = x[None, :] - x[:, None]
-        K = np.where(np.eye(n, dtype=bool), 0.0, num / np.where(den == 0, 1.0, den))
-        diag = (P[0][sl] * Q[3][sl] - P[1][sl] * Q[2][sl]
-                + P[2][sl] * Q[1][sl] - t * P[0][sl] * Q[1][sl])
-        K[np.arange(n), np.arange(n)] = diag
-        sw = np.sqrt(g.weights)
-        sign, ld = np.linalg.slogdet(np.eye(n) - sw[:, None] * K * sw[None, :])
-        if sign <= 0:
-            raise ArithmeticError("non-positive determinant while tabulating Q surface")
-        out.append(ld)
+        sl = slice(off, off + g.nodes.size)
+        off += g.nodes.size
+        K = _pearcey_kernel_from_tables(t, g.nodes, P[:, sl], g.nodes, Q[:, sl])
+        out.append(_nystrom_logdet(K, g.weights))
     return out
 
 
@@ -187,8 +175,8 @@ def small_interval_checks(t: float, x: float, h_list, m: int = 48,
     from .fredholm import resolvent_quantities
     spec = spec or QuadratureSpec()
     f = pearcey_pq(t, x, spec)
-    p, dp, d2p = f.p.real, f.dp.real, f.d2p.real
-    qv, dq, d2q = f.q.real, f.dq.real, f.d2q.real
+    p, dp, d2p = f.p, f.dp, f.d2p
+    qv, dq, d2q = f.q, f.dq, f.d2q
     target_dE = dp * qv + p * dq          # (pq)'(x)
     target_dt = 0.5 * (p * d2q - d2p * qv)
     rows = []
@@ -206,16 +194,14 @@ def small_interval_checks(t: float, x: float, h_list, m: int = 48,
     return rows, target_dE, target_dt
 
 
-def wronskian_coefficient(t: float, x: float, m: int = 0,
+def wronskian_coefficient(t: float, x: float,
                           spec: QuadratureSpec | None = None) -> float:
     """The non-vanishing coefficient 2pq(pq)'' - 3(p'q')'(p'q'' - p''q')
-    at (t, x), expanded through the product rule on tabulated derivatives.
-    (m is accepted for interface uniformity; the evaluation is pure
-    quadrature of p, q.)"""
+    at (t, x), expanded through the product rule on tabulated derivatives."""
     spec = spec or QuadratureSpec()
     f = pearcey_pq(t, x, spec)
-    p, dp, d2p = f.p.real, f.dp.real, f.d2p.real
-    qv, dq, d2q = f.q.real, f.dq.real, f.d2q.real
+    p, dp, d2p = f.p, f.dp, f.d2p
+    qv, dq, d2q = f.q, f.dq, f.d2q
     pq_dd = d2p * qv + 2 * dp * dq + p * d2q    # (pq)''
     pdqd_d = d2p * dq + dp * d2q                # (p'q')'
     return 2 * p * qv * pq_dd - 3 * pdqd_d * (dp * d2q - d2p * dq)

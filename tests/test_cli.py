@@ -25,6 +25,10 @@ class TestDispatch:
     def test_usage_error_exit_2(self):
         assert dispatch(["cusp", "--a", "1"]) == 2
         assert dispatch(["no-such-command"]) == 2
+        assert dispatch(["density", "--targets=-1,1", "--fractions", "0.5,0.5",
+                         "--t", "0", "--zmin", "-1", "--zmax", "1"]) == 2
+        assert dispatch(["kernel", "--form", "pq", "--s", "0", "--t", "1",
+                         "--xgrid=-1,1,3", "--ygrid=-1,1,3"]) == 2
 
     def test_numerical_error_exit_1(self, tmp_path):
         code, _ = run(tmp_path, ["cusp", "--a", "1", "--b", "1", "--p", "0.5"])

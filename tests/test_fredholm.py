@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate as si
 
 from pearceylab.fredholm import (IntervalUnion, NystromGrid, airy_gap_on_ray,
-                                 airy_kernel_handle, gap_csv_lines,
+                                 gap_csv_lines,
                                  endpoint_identity_check, gap_probability, multitime_gap,
                                  pearcey_kernel_handle, resolvent_quantities)
 from pearceylab.kernels import pearcey_kernel_matrix, pearcey_pq

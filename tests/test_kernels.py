@@ -57,6 +57,8 @@ class TestPearceyPQ:
     def test_envelope_enforced(self, spec):
         with pytest.raises(ValueError):
             pearcey_pq(60.0, 0.0, spec)
+        with pytest.raises(ValueError):
+            pq_tables(0.0, [200.0], spec)
 
     def test_tables_match_pointwise(self, spec):
         xs = np.array([-1.0, 0.3, 2.0])
@@ -65,6 +67,9 @@ class TestPearceyPQ:
             f = pearcey_pq(0.7, float(x), spec)
             assert P[0][i] == pytest.approx(f.p.real, abs=1e-10)
             assert Q[2][i] == pytest.approx(f.d2q.real, abs=1e-10)
+        P, Q = pq_tables(0.0, [40.0], spec)
+        f = pearcey_pq(0.0, 40.0, spec)
+        assert (P[:, 0] == f.p_values()).all() and (Q[:, 0] == f.q_values()).all()
 
 
 class TestPearceyKernel:
