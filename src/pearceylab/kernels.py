@@ -640,8 +640,10 @@ def _finite_adaptive(params, x, y, spec):
     one.  Everything is evaluated relative to a common log magnitude.
     """
     n, n1, n2 = params.n, params.n1, params.n2
-    cU, kapU, alU, beU, zU, gU = _adaptive_side(params, params.t_l, y)
-    cV, kapV, alV, beV, zV, gV = _adaptive_side(params, params.t_k, x)
+    sideU = _adaptive_side(params, params.t_l, y)
+    sideV = sideU if (params.t_k, x) == (params.t_l, y) else _adaptive_side(params, params.t_k, x)
+    cU, kapU, alU, beU, zU, gU = sideU
+    cV, kapV, alV, beV, zV, gV = sideV
     sig = gU.real
     sig_v = sig * kapU / kapV   # U-line abscissa mapped to the V variable
     ysad = abs(gV.imag)

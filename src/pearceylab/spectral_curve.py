@@ -14,6 +14,16 @@ and the density is |Im g(z)| / pi.  For two targets the equation is a cubic in
 g whose discriminant is a quartic in z with leading coefficient (alpha-beta)^2;
 its real roots are the support endpoints.  All root finding goes through
 companion-matrix eigenvalues polished by Newton steps.
+
+The physical branch g(z) = z - int rho(s)/(z - s) ds is analytic off the
+support, and for Im z > 0 it is the only root of the equation in the upper
+half-plane: no root crosses the real axis while Im z > 0, and for large z
+the other k roots sit near the bt_i, below it.  On the real axis g is the
+limit of that root as z + i0 comes down onto z, which the roots at z itself
+identify, so no continuation path is walked: on the support it is the +Im
+member of the complex pair; off it, the one real root that moves into the
+upper half-plane with z, i.e. the one with f'(g) > 0, f(g) = g + sum_i
+eps_i/(g - bt_i).  One batched solve serves any number of z.
 """
 
 from __future__ import annotations
@@ -120,17 +130,23 @@ class MergeEvent:
 # polynomial helpers
 
 
-def _polish_roots(coeffs, roots, iters=4):
-    """Newton-polish roots of the polynomial with ascending coeffs."""
-    c = np.asarray(coeffs, dtype=complex)
-    dc = c[1:] * np.arange(1, len(c))
-    r = np.asarray(roots, dtype=complex)
+def _horner(c, x):
+    """Ascending coefficients c (last axis; one row per leading index of x)
+    evaluated at x by Horner's rule, the operation order of polyval."""
+    out = c[..., -1, None] + x * 0
+    for j in range(c.shape[-1] - 2, -1, -1):
+        out = c[..., j, None] + out * x
+    return out
+
+
+def _polish(rows, roots, iters):
+    """Newton-polish roots (last axis) of the polynomials with ascending
+    coefficient rows; one row may serve all roots, or one row per root set."""
+    drows = rows[..., 1:] * np.arange(1, rows.shape[-1])
     for _ in range(iters):
-        pv = np.polynomial.polynomial.polyval(r, c)
-        dv = np.polynomial.polynomial.polyval(r, dc)
-        step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
-        r = r - step
-    return r
+        pv, dv = _horner(rows, roots), _horner(drows, roots)
+        roots = roots - np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
+    return roots
 
 
 def _roots_ascending(coeffs):
@@ -140,24 +156,7 @@ def _roots_ascending(coeffs):
     if len(nz) == 0 or nz[-1] == 0:
         return np.array([], dtype=complex)
     c = c[: nz[-1] + 1]
-    r = np.polynomial.polynomial.polyroots(c)
-    return _polish_roots(c, r)
-
-
-def _stieltjes_coeffs(z, bt, eps):
-    """Ascending coefficients in g of (g-z)*prod(g-bt_i) + sum_i eps_i*prod_{j!=i}(g-bt_j)."""
-    poly = np.polynomial.polynomial
-    full = np.array([1.0])
-    for b in bt:
-        full = poly.polymul(full, np.array([-b, 1.0]))
-    out = poly.polymul(full, np.array([-z, 1.0]))
-    for i, e in enumerate(eps):
-        part = np.array([1.0])
-        for j, b in enumerate(bt):
-            if j != i:
-                part = poly.polymul(part, np.array([-b, 1.0]))
-        out = poly.polyadd(out, e * part)
-    return out
+    return _polish(c, np.polynomial.polynomial.polyroots(c), 4)
 
 
 def _companion_batch(coeff_rows):
@@ -171,41 +170,39 @@ def _companion_batch(coeff_rows):
     return C
 
 
-def _pick_branch(rr, g_prev, k):
-    """Nearest-root continuation with an upper-half-plane preference; for the
-    two-target cubic, a complex pair exists exactly when z lies in the
-    support, where the physical branch is the +Im member of the pair."""
-    scale = 1.0 + np.abs(rr).max()
-    i = int(np.argmin(np.abs(rr - g_prev)))
-    gi = rr[i]
-    if abs(gi.imag) > 1e-13 * scale and gi.imag < 0:
-        j = int(np.argmin(np.abs(rr - np.conj(gi))))
-        gi = rr[j] if rr[j].imag > 0 else np.conj(gi)
-    if k == 2 and abs(gi.imag) <= 1e-11 * scale:
-        cplx = rr[rr.imag > 1e-11 * scale]
-        if len(cplx):
-            gi = cplx[int(np.argmin(np.abs(cplx - g_prev)))]
-    return complex(gi)
+def _stieltjes_branch(config, zs):
+    """Stieltjes branch g at every real z of zs, from one batched root solve.
 
-
-def _branch_walk(config, z, steps=160):
-    """Continue the large-|z| Stieltjes branch g ~ z - 1/z to the target z.
-
-    The walk runs along the real axis from the nearer far side; nearest-root
-    matching with an upper-half-plane preference resolves conjugate splits.
+    The ascending g-coefficients of the equation times prod(g - bt_i),
+    (g - z) prod(g - bt_i) + sum_i eps_i prod_{j!=i}(g - bt_j), are affine
+    in z, so the rows R0 + z R1 share R0 and R1.
     """
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    if not np.isfinite(zs).all():
+        raise ValueError("z must be finite")
+    poly = np.polynomial.polynomial
     bt = config.scaled_targets()
-    eps = config.fractions
-    mid = 0.5 * (bt[0] + bt[-1])
-    far = z + (12.0 + abs(z - mid) + max(abs(b - mid) for b in bt)) * (1 if z >= mid else -1)
-    path = np.linspace(far, z, steps)
-    rows = np.array([_stieltjes_coeffs(zz, bt, eps) for zz in path])
-    roots = np.linalg.eigvals(_companion_batch(rows))
-    g = far - 1.0 / (far - mid)
-    for k, rr in enumerate(roots):
-        rr = _polish_roots(rows[k], rr, iters=2)
-        g = _pick_branch(rr, g, config.k)
-    return complex(g)
+    eps = np.array(config.fractions)
+    full = poly.polyfromroots(bt)
+    R0 = poly.polymulx(full)
+    for i, e in enumerate(eps):
+        R0[:config.k] += e * poly.polyfromroots(bt[:i] + bt[i + 1:])
+    rows = R0 + zs[:, None] * np.append(-full, 0.0)
+    roots = _polish(rows, np.linalg.eigvals(_companion_batch(rows)), 2)
+    at = np.arange(len(zs))
+    upper = roots[at, np.argmax(roots.imag, axis=1)]
+    # off the support: the real root with f'(g) > 0 (see the module docstring)
+    slope = (1.0 - (eps / (roots[..., None] - np.array(bt)) ** 2).sum(axis=-1)).real
+    real = roots[at, np.argmax(slope, axis=1)].real
+    pair = upper.imag > 1e-11 * (1.0 + np.abs(roots).max(axis=1))
+    g = np.where(pair, upper, real + 0j)
+    resid = np.abs(_horner(rows, g[:, None])[:, 0])
+    bad = np.nonzero(resid > 1e-8 * (1.0 + np.abs(zs) ** (config.k + 1)))[0]
+    if len(bad):
+        i = bad[0]
+        raise ArithmeticError(f"stieltjes root did not converge at z={zs[i]!r}: "
+                              f"residual {resid[i]:.3e}")
+    return np.where(np.abs(g.imag) <= _REAL_TOL, g.real + 0j, g)
 
 
 # ---------------------------------------------------------------------------
@@ -215,43 +212,26 @@ def _branch_walk(config, z, steps=160):
 def solve_stieltjes(config: TargetConfig, z: float) -> DensitySample:
     """Physical Stieltjes branch at real z and the equilibrium density |Im g|/pi.
 
-    The branch is selected by continuation from the asymptotic g ~ z - 1/z
-    along the real axis; at an isolated support endpoint the limiting (real)
-    root is returned with density 0.
+    g is the limit from z + i0 (module docstring): the +Im member of the
+    complex pair on the support, the real root with f'(g) > 0 off it; at an
+    isolated support endpoint the limiting (real) root is returned with
+    density 0.  Raises ValueError for a non-finite z and ArithmeticError
+    when the root's residual exceeds 1e-8 (1 + |z|^(k+1)).
     """
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
-    g = _branch_walk(config, float(z))
-    bt = config.scaled_targets()
-    coeffs = _stieltjes_coeffs(z, bt, config.fractions)
-    resid = abs(np.polynomial.polynomial.polyval(g, coeffs.astype(complex)))
-    scale = 1.0 + abs(z) ** (config.k + 1)
-    if resid > 1e-8 * scale:
-        raise ArithmeticError(f"stieltjes root did not converge: residual {resid:.3e}")
-    if abs(g.imag) <= _REAL_TOL:
-        g = complex(g.real, 0.0)
+    g = complex(_stieltjes_branch(config, z)[0])
     return DensitySample(z=float(z), g=g, density=abs(g.imag) / math.pi)
 
 
 def sweep_density(config: TargetConfig, z_grid) -> list:
-    """Density samples along an increasing z grid, sharing one continuation."""
-    z_grid = np.asarray(z_grid, dtype=float)
-    out = []
-    bt = config.scaled_targets()
-    eps = config.fractions
-    g = None
-    for z in z_grid:
-        if g is None:
-            s = solve_stieltjes(config, z)
-            g = s.g
-        else:
-            rr = _roots_ascending(_stieltjes_coeffs(z, bt, eps))
-            g = _pick_branch(rr, g, config.k)
-            if abs(g.imag) <= _REAL_TOL:
-                g = complex(g.real, 0.0)
-            s = DensitySample(z=float(z), g=g, density=abs(g.imag) / math.pi)
-        out.append(s)
-    return out
+    """Density samples at every z of a grid, all from one batched root solve.
+
+    Each sample is `solve_stieltjes` at its z (same branch, same checks): a
+    non-finite z anywhere raises ValueError, a residual above 1e-8 (1 +
+    |z|^(k+1)) at any point raises ArithmeticError.
+    """
+    zs = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    return [DensitySample(z=float(z), g=complex(g), density=abs(g.imag) / math.pi)
+            for z, g in zip(zs, _stieltjes_branch(config, zs))]
 
 
 def discriminant_quartic(alpha: float, beta: float, p: float):
@@ -343,22 +323,14 @@ def time_from_rescaled(T: float) -> float:
     return T / (2.0 + T)
 
 
-def _branch_point_coeffs(targets, eps, T):
-    """Ascending coefficients of T*prod(z-a_i)^2 - sum_i eps_i prod_{j!=i}(z-a_j)^2."""
+def _branch_point_polys(targets, eps):
+    """Ascending coefficients of A = prod_i (z-a_i)^2 and
+    B = sum_i eps_i prod_{j!=i} (z-a_j)^2; branch points solve T*A = B."""
     poly = np.polynomial.polynomial
-    full = np.array([1.0])
-    for a_ in targets:
-        lin = np.array([-a_, 1.0])
-        full = poly.polymul(full, poly.polymul(lin, lin))
-    out = T * full
-    for i, e in enumerate(eps):
-        part = np.array([1.0])
-        for j, a_ in enumerate(targets):
-            if j != i:
-                lin = np.array([-a_, 1.0])
-                part = poly.polymul(part, poly.polymul(lin, lin))
-        out = poly.polyadd(out, -e * part)
-    return out
+    A = poly.polyfromroots(np.repeat(targets, 2))
+    B = sum(e * poly.polyfromroots(np.repeat(targets[:i] + targets[i + 1:], 2))
+            for i, e in enumerate(eps))
+    return A, B
 
 
 def branch_points(config: TargetConfig, T: float):
@@ -368,8 +340,8 @@ def branch_points(config: TargetConfig, T: float):
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    coeffs = _branch_point_coeffs(config.targets, config.fractions, T)
-    roots = _roots_ascending(coeffs)
+    A, B = _branch_point_polys(config.targets, config.fractions)
+    roots = _roots_ascending(np.polynomial.polynomial.polysub(T * A, B))
     if len(roots) != 2 * config.k:
         raise AssertionError("branch-point polynomial degree mismatch")
     order = np.argsort(roots.real)
@@ -388,19 +360,7 @@ def _real_count(config, T):
 def _newton_double_root(config, z0_, T0):
     """2D Newton for a simultaneous root of (P_T(z), P_T'(z))."""
     poly = np.polynomial.polynomial
-    targets, eps = config.targets, config.fractions
-    A = np.array([1.0])
-    for a_ in targets:
-        lin = np.array([-a_, 1.0])
-        A = poly.polymul(A, poly.polymul(lin, lin))
-    B = np.zeros(1)
-    for i, e in enumerate(eps):
-        part = np.array([1.0])
-        for j, a_ in enumerate(targets):
-            if j != i:
-                lin = np.array([-a_, 1.0])
-                part = poly.polymul(part, poly.polymul(lin, lin))
-        B = poly.polyadd(B, e * part)
+    A, B = _branch_point_polys(config.targets, config.fractions)
     dA, dB = poly.polyder(A), poly.polyder(B)
     d2A, d2B = poly.polyder(dA), poly.polyder(dB)
     z, T = float(z0_), float(T0)

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate as si
 
 from conftest import random_abp
+from pearceylab import spectral_curve
 from pearceylab.spectral_curve import (TargetConfig, branch_points,
                                        density_csv_lines, discriminant_quartic,
                                        find_cusp, solve_stieltjes,
@@ -12,6 +13,27 @@ from pearceylab.spectral_curve import (TargetConfig, branch_points,
                                        time_from_rescaled, track_merges)
 
 SYM = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=1.0 / 3.0)
+
+
+def _cubic_density(cfg, s):
+    """Im of the upper root of the branch equation at real s over pi, from
+    numpy's roots of (g - s) prod(g - bt_i) + sum_i eps_i prod_{j!=i}(g - bt_j)."""
+    poly = np.polynomial.polynomial
+    bt = cfg.scaled_targets()
+    coeffs = poly.polymul(poly.polyfromroots(bt), [-s, 1.0])
+    for i, e in enumerate(cfg.fractions):
+        coeffs[:cfg.k] += e * poly.polyfromroots(bt[:i] + bt[i + 1:])
+    return max(np.roots(coeffs[::-1]).imag.max(), 0.0) / math.pi
+
+
+def _cauchy_branch(cfg, z):
+    """Stieltjes branch z - int rho(s)/(z - s) ds off the support of a
+    two-target problem, by quad over each support interval."""
+    bt = cfg.scaled_targets()
+    sup = support_endpoints(bt[1], bt[0], cfg.fractions[1])
+    return z - sum(si.quad(lambda s: _cubic_density(cfg, s) / (z - s), a_, b_,
+                           limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+                   for a_, b_ in sup.intervals)
 
 
 class TestTargetConfig:
@@ -65,6 +87,42 @@ class TestSolveStieltjes:
             mask &= np.abs(mids - e) > 0.15
         dz = zg[1] - zg[0]
         assert jumps[mask].max() < 4.0 * dz
+
+    @pytest.mark.parametrize("targets, fractions, t, z", [
+        ((-1.0, 1.0), (0.5, 0.5), 0.5, 0.0),          # gap; the branch is 0
+        ((0.0, 1.0), (8 / 9, 1 / 9), 0.7, 1.89),      # gap; about 1.404
+        ((-1.0, 1.0), (0.5, 0.5), 0.2, 3.0),          # right of the support; about 2.581
+    ])
+    def test_branch_off_support(self, targets, fractions, t, z):
+        cfg = TargetConfig(targets=targets, fractions=fractions, time=t)
+        want = _cauchy_branch(cfg, z)
+        assert solve_stieltjes(cfg, z).g == pytest.approx(want, abs=1e-10)
+        # a sweep that reaches z after crossing the support from the left
+        assert sweep_density(cfg, np.linspace(-3.5, z, 71))[-1].g == pytest.approx(
+            want, abs=1e-10)
+
+    @pytest.mark.parametrize("targets, fractions, t, grid", [
+        ((-1.0, 1.0), (0.5, 0.5), 0.2, np.linspace(-3.5, 3.5, 141)),     # one interval
+        ((-1.0, 1.0), (0.5, 0.5), 0.5, np.linspace(-3.5, 3.5, 141)),     # two intervals
+        ((0.0, 1.0), (8 / 9, 1 / 9), 0.7, np.linspace(-3.0, 4.0, 141)),  # asymmetric gap
+    ])
+    def test_sweep_matches_pointwise(self, targets, fractions, t, grid):
+        cfg = TargetConfig(targets=targets, fractions=fractions, time=t)
+        sweep = np.array([s.g for s in sweep_density(cfg, grid)])
+        point = np.array([solve_stieltjes(cfg, z).g for z in grid])
+        assert np.abs(sweep - point).max() <= 1e-12
+        if targets == (-1.0, 1.0):
+            mirror = np.array([s.g for s in sweep_density(cfg, -grid)])
+            assert np.abs(mirror + np.conj(sweep)).max() <= 1e-12
+
+    def test_sweep_checks_every_point(self, monkeypatch):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_density(SYM, [0.0, 1.0, float("nan"), 2.0])
+        monkeypatch.setattr(spectral_curve, "_polish", lambda rows, roots, iters: roots + 1e-3)
+        for call in (lambda: sweep_density(SYM, [0.0, 1.0]),
+                     lambda: solve_stieltjes(SYM, 1.0)):
+            with pytest.raises(ArithmeticError, match="residual"):
+                call()
 
 
 class TestSupportEndpoints:
@@ -293,6 +351,15 @@ def test_mass_normalization():
             total += si.quad(lambda z: solve_stieltjes(cfg, z).density, a_, b_,
                              limit=200, epsabs=1e-9)[0]
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_mass_normalization_three_targets():
+    # the middle interval of the support sits between two poles of the
+    # equation, where a real root lies at every z
+    cfg = TargetConfig(targets=(-2.0, 0.0, 2.0), fractions=(1 / 3, 1 / 3, 1 / 3), time=0.5)
+    total = si.quad(lambda z: solve_stieltjes(cfg, z).density, -6.0, 6.0,
+                    limit=400, epsabs=1e-9)[0]
+    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_density_csv_format():
