@@ -270,10 +270,11 @@ def build_parser():
                     help="cap worker parallelism (results are thread-count independent)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def new(name, **kw):
+    def new(name, quad=False, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        _add_quad_flags(p)
+        if quad:
+            _add_quad_flags(p)
         return p
 
     p = new("cusp")
@@ -296,35 +297,35 @@ def build_parser():
     p.add_argument("--tmin", type=float, required=True)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, default=40)
-    p = new("kernel")
+    p = new("kernel", quad=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--xgrid", required=True, help="lo,hi,num")
     p.add_argument("--ygrid", required=True, help="lo,hi,num")
     p.add_argument("--form", choices=("double", "pq"), default="double")
-    p = new("gap")
+    p = new("gap", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
     p.add_argument("--m", type=int, default=40)
-    p = new("multigap")
+    p = new("multigap", quad=True)
     p.add_argument("--times", required=True)
     p.add_argument("--sets", required=True, help="interval unions separated by |")
     p.add_argument("--m", type=int, default=32)
-    p = new("resolvent")
+    p = new("resolvent", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
     p.add_argument("--m", type=int, default=48)
-    p = new("pde-residual")
+    p = new("pde-residual", quad=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--E", required=True, help="y1,y2 (one interval)")
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--m", type=int, default=48)
-    p = new("lemma-checks")
+    p = new("lemma-checks", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--m", type=int, default=48)
-    p = new("wronskian")
+    p = new("wronskian", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p = new("scaling-solve")
@@ -334,9 +335,10 @@ def build_parser():
     p = new("exponents")
     p.add_argument("--l", type=int, required=True)
     p = new("descent-check")
+    p.add_argument("--L", type=float, default=6.0)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--samples", type=int, default=200)
-    p = new("converge")
+    p = new("converge", quad=True)
     for f in ("a", "b", "p"):
         p.add_argument(f"--{f}", type=float, required=True)
     p.add_argument("--n", required=True, help="comma-separated sizes")

@@ -138,10 +138,30 @@ def _nystrom_logdet(K, weights):
     return logdet
 
 
-def _gap_logdet(kernel, E, m):
-    grid = NystromGrid.build(E, m)
-    return _nystrom_logdet(np.asarray(kernel(grid.nodes, grid.nodes), dtype=float),
-                           grid.weights)
+def _block_logdet(block, sets, order):
+    """log det(I - (chi_{E_i} K_ij chi_{E_j})_{i,j}) on Gauss-Legendre grids of
+    the given order per interval; block(i, j, xs, ys) is the K_ij matrix."""
+    grids = [NystromGrid.build(E, order) for E in sets]
+    offs = np.cumsum([0] + [g.nodes.size for g in grids])
+    K = np.zeros((offs[-1], offs[-1]))
+    for i, gi in enumerate(grids):
+        for j, gj in enumerate(grids):
+            if gi.nodes.size and gj.nodes.size:
+                K[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block(i, j, gi.nodes, gj.nodes)
+    return _nystrom_logdet(K, np.concatenate([g.weights for g in grids]))
+
+
+def _refined_gap(block, sets, m):
+    """Block determinant at order m, with |value(m) - value(2m)| as the error
+    estimate (Bornemann's m-versus-2m check for analytic kernels); a
+    disagreement beyond 1e-6 raises."""
+    l1 = _block_logdet(block, sets, m)
+    v1, v2 = math.exp(l1), math.exp(_block_logdet(block, sets, 2 * m))
+    err = abs(v1 - v2)
+    if err > 1e-6:
+        raise QuadratureError(
+            f"Nystrom refinement disagreement {err:.2e} between m={m} and 2m", achieved=err)
+    return GapResult(value=v1, log_value=l1, error_estimate=err)
 
 
 def gap_probability(kernel, E: IntervalUnion, m: int = 40) -> GapResult:
@@ -155,13 +175,7 @@ def gap_probability(kernel, E: IntervalUnion, m: int = 40) -> GapResult:
         return GapResult(value=1.0, log_value=0.0, error_estimate=0.0)
     if m < 8:
         raise ValueError("m must be >= 8")
-    l1 = _gap_logdet(kernel, E, m)
-    v1, v2 = math.exp(l1), math.exp(_gap_logdet(kernel, E, 2 * m))
-    err = abs(v1 - v2)
-    if err > 1e-6:
-        raise QuadratureError(
-            f"Nystrom refinement disagreement {err:.2e} between m={m} and 2m", achieved=err)
-    return GapResult(value=v1, log_value=l1, error_estimate=err)
+    return _refined_gap(lambda i, j, xs, ys: kernel(xs, ys), [E], m)
 
 
 def _merge_coincident(times, sets):
@@ -174,52 +188,31 @@ def _merge_coincident(times, sets):
     return [t for t, _ in merged], [E for _, E in merged]
 
 
-def multitime_gap(times, sets, m: int = 40, spec: QuadratureSpec | None = None,
-                  kernel_family=None) -> GapResult:
-    """Block Fredholm determinant of (chi_{E_i} K_{t_i t_j} chi_{E_j})_{i,j}.
+def multitime_gap(times, sets, m: int = 40,
+                  spec: QuadratureSpec | None = None) -> GapResult:
+    """Block Fredholm determinant of (chi_{E_i} K_{t_i t_j} chi_{E_j})_{i,j}
+    for the extended Pearcey kernel.
 
     Coincident times are merged (their sets unioned) before discretization:
     the extended kernel's Gaussian term becomes a delta as t_j -> t_i, and the
-    merged determinant is the analytic limit.  kernel_family(s, t, xs, ys)
-    defaults to the extended Pearcey kernel.
+    merged determinant is the analytic limit.
     """
     spec = spec or QuadratureSpec()
-    if kernel_family is None:
-        def kernel_family(s, t, xs, ys):
-            if s == t:
-                return pearcey_kernel_matrix(s, xs, ys, spec)
-            return pearcey_kernel_grid(s, t, xs, ys, spec)
     times = [float(t) for t in times]
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
     times, sets = _merge_coincident(times, list(sets))
     if len(times) > 4:
         raise ValueError("multi-time determinants are limited to 4 distinct times")
-    sets = [E for E in sets]
     if all(E.empty for E in sets):
         return GapResult(value=1.0, log_value=0.0, error_estimate=0.0)
 
-    def block_logdet(order):
-        grids = [NystromGrid.build(E, order) for E in sets]
-        sizes = [g.nodes.size for g in grids]
-        offs = np.concatenate([[0], np.cumsum(sizes)])
-        K = np.zeros((offs[-1], offs[-1]))
-        for i in range(len(times)):
-            if sizes[i] == 0:
-                continue
-            for j in range(len(times)):
-                if sizes[j] == 0:
-                    continue
-                K[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                    kernel_family(times[i], times[j], grids[i].nodes, grids[j].nodes)
-        return _nystrom_logdet(K, np.concatenate([g.weights for g in grids]))
+    def block(i, j, xs, ys):
+        if times[i] == times[j]:
+            return pearcey_kernel_matrix(times[i], xs, ys, spec)
+        return pearcey_kernel_grid(times[i], times[j], xs, ys, spec)
 
-    l1 = block_logdet(m)
-    v1, v2 = math.exp(l1), math.exp(block_logdet(2 * m))
-    err = abs(v1 - v2)
-    if err > 1e-6:
-        raise QuadratureError(f"multi-time Nystrom disagreement {err:.2e}", achieved=err)
-    return GapResult(value=v1, log_value=l1, error_estimate=err)
+    return _refined_gap(block, sets, m)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +267,8 @@ def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64, h: float = 
     under a uniform endpoint shift; returns (lhs, rhs, du_lhs, relative errors).
     """
     spec = spec or QuadratureSpec()
-    handle = pearcey_kernel_handle(t, spec)
-    vals = [_gap_logdet(handle, E.shifted(k * h), m) for k in (-2, -1, 0, 1, 2)]
+    vals = [_block_logdet(lambda i, j, xs, ys: pearcey_kernel_matrix(t, xs, ys, spec),
+                          [E.shifted(k * h)], m) for k in (-2, -1, 0, 1, 2)]
     lhs = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
 
     def u_of(eps):

@@ -86,21 +86,12 @@ class ContourPath:
                 yield a, b
 
 
-def _x_shape_nodes(center, L, d, s_corner, q):
-    """Branch node lists for the (possibly truncated) X through `center`,
-    indented by a vertical chord at distance d."""
-    diag = min(s_corner, L)           # diagonal half-extent measured in Re
-    c_hi = center + d * (1 + 1j)
-    c_lo = center + d * (1 - 1j)
-    H = L                              # horizontal continuation length
-    right = [center + diag * (1 + 1j), c_hi, c_lo, center + diag * (1 - 1j)]
-    left = [center - diag * (1 + 1j), center - d * (1 + 1j),
-            center - d * (1 - 1j), center - diag * (1 - 1j)]
-    if q > 1.0 and s_corner < L:
-        right = [right[0] + H] + right + [right[-1] + H]
-    if q < 1.0 and s_corner < L:
-        left = [left[0] - H] + left + [left[-1] - H]
-    return right, left
+def _corner(q):
+    """X-contour corner parameter s = q/(r|q-1|), r = sqrt(q^2 - q + 1);
+    infinite at q = 1, where the X has no horizontal continuations."""
+    if q == 1.0:
+        return math.inf
+    return q / (math.sqrt(q * q - q + 1.0) * abs(q - 1.0))
 
 
 def build_contours(q: float, spec: QuadratureSpec, center: complex = 0.0,
@@ -116,21 +107,18 @@ def build_contours(q: float, spec: QuadratureSpec, center: complex = 0.0,
     if q <= 0:
         raise ValueError("q must be positive")
     L = spec.truncation_radius
-    r = math.sqrt(q * q - q + 1.0)
-    s_corner = math.inf if q == 1.0 else q / (r * abs(q - 1.0))
-    d = min(pinch_gap, min(s_corner, L) / 2.0)
+    diag = min(_corner(q), L)          # diagonal half-extent measured in Re
+    d = min(pinch_gap, diag / 2.0)
     u = ContourPath(nodes=(center - 1j * L, center + 1j * L), rays=None,
                     label="imaginary-axis", center=center)
-    if d <= 0:
-        diag = min(s_corner, L)
-        right = [center + diag * (1 + 1j), center, center + diag * (1 - 1j)]
-        left = [center - diag * (1 + 1j), center, center - diag * (1 - 1j)]
-        if q > 1.0 and s_corner < L:
-            right = [right[0] + L] + right + [right[-1] + L]
-        if q < 1.0 and s_corner < L:
-            left = [left[0] - L] + left + [left[-1] - L]
-    else:
-        right, left = _x_shape_nodes(center, L, d, s_corner, q)
+    chord = [d * (1 + 1j), d * (1 - 1j)] if d > 0 else [0.0]
+    arm = [diag * (1 + 1j), *chord, diag * (1 - 1j)]   # corner, chord or centre, corner
+    right = [center + z for z in arm]
+    left = [center - z for z in arm]
+    if q > 1.0 and diag < L:
+        right = [right[0] + L] + right + [right[-1] + L]
+    if q < 1.0 and diag < L:
+        left = [left[0] - L] + left + [left[-1] - L]
     nodes = tuple(right) + tuple(left)
     label = "v-loop-q=1" if q == 1.0 else ("v-loop-q>1" if q > 1 else "v-loop-q<1")
     ein = (1 + 1j) / math.sqrt(2)
@@ -148,36 +136,39 @@ def pearcey_contours(spec: QuadratureSpec, pinch_gap: float = 1.0):
     return u, v
 
 
+def _legs_rule(legs, nodes_per_panel):
+    """Nodes and weights over directed legs (a, b, panels, grade, inner_frac),
+    concatenated in order; grade and inner_frac are segment_rule's."""
+    rules = [segment_rule(a, b, panels, nodes_per_panel, grade_toward=grade, inner_frac=frac)
+             for a, b, panels, grade, frac in legs]
+    return np.concatenate([z for z, _ in rules]), np.concatenate([w for _, w in rules])
+
+
 def _contour_rule(path: ContourPath, spec: QuadratureSpec, inner_scale=None):
     """Quadrature nodes/weights for a ContourPath; segments whose near end is
     close to the centre get geometric grading toward that end."""
     L = spec.truncation_radius
     inner = inner_scale if inner_scale is not None else L * 2.0 ** (1 - spec.panels)
-    zs, ws = [], []
+    legs = []
     for a, b in path.segments():
         da, db = abs(a - path.center), abs(b - path.center)
-        seg_len = abs(b - a)
         if min(da, db) < 0.35 * L and max(da, db) > 3.0 * min(da, db) + 1e-12:
-            toward = "start" if da < db else "end"
-            z, w = segment_rule(a, b, spec.panels, spec.nodes_per_panel,
-                                grade_toward=toward,
-                                inner_frac=min(0.5, inner / seg_len))
+            legs.append((a, b, spec.panels, "start" if da < db else "end",
+                         min(0.5, inner / abs(b - a))))
         else:
-            z, w = segment_rule(a, b, max(2, spec.panels // 2), spec.nodes_per_panel)
-        zs.append(z)
-        ws.append(w)
-    return np.concatenate(zs), np.concatenate(ws)
+            legs.append((a, b, max(2, spec.panels // 2), None, None))
+    return _legs_rule(legs, spec.nodes_per_panel)
 
 
-def _uline_rule(center, L, spec, inner_scale=None):
+def _uline_rule(center, spec, inner_scale=None):
+    """Upward line through `center` of half-length spec.truncation_radius,
+    graded toward the centre from both halves."""
+    L = spec.truncation_radius
     inner = inner_scale if inner_scale is not None else L * 2.0 ** (1 - spec.panels)
-    z1, w1 = segment_rule(center - 1j * L, center, spec.panels,
-                          spec.nodes_per_panel, grade_toward="end",
-                          inner_frac=min(0.5, inner / L))
-    z2, w2 = segment_rule(center, center + 1j * L, spec.panels,
-                          spec.nodes_per_panel, grade_toward="start",
-                          inner_frac=min(0.5, inner / L))
-    return np.concatenate([z1, z2]), np.concatenate([w1, w2])
+    frac = min(0.5, inner / L)
+    return _legs_rule([(center - 1j * L, center, spec.panels, "end", frac),
+                       (center, center + 1j * L, spec.panels, "start", frac)],
+                      spec.nodes_per_panel)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +285,6 @@ def pearcey_pq(t: float, x: float, spec: QuadratureSpec | None = None) -> Pearce
 # Pearcey kernel, both representations
 
 
-def _pearcey_uv_rules(s, t, x_abs, y_abs, spec):
-    L = max(_pq_L(t, y_abs, spec), _pq_L(s, x_abs, spec))
-    wide = QuadratureSpec(L, spec.panels, spec.nodes_per_panel)
-    d = min(1.0, L / 6.0)
-    _, v_path = pearcey_contours(wide, pinch_gap=d)
-    U, WU = _uline_rule(0.0, L, wide)
-    V, WV = _contour_rule(v_path, wide)
-    return U, WU, V, WV
-
-
 def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None = None):
     """Extended Pearcey kernel K_{s,t}(x, y) on a grid, double-contour form.
 
@@ -316,7 +297,11 @@ def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None 
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     xm = float(np.abs(xs).max()) if xs.size else 0.0
     ym = float(np.abs(ys).max()) if ys.size else 0.0
-    U, WU, V, WV = _pearcey_uv_rules(s, t, xm, ym, spec)
+    L = max(_pq_L(t, ym, spec), _pq_L(s, xm, spec))
+    wide = QuadratureSpec(L, spec.panels, spec.nodes_per_panel)
+    _, v_path = pearcey_contours(wide, pinch_gap=min(1.0, L / 6.0))
+    U, WU = _uline_rule(0.0, wide)
+    V, WV = _contour_rule(v_path, wide)
     EU = np.exp(-U**4 / 4.0 + t * U**2 / 2.0)[:, None] * np.exp(-np.outer(U, ys))
     EV = np.exp(V**4 / 4.0 - s * V**2 / 2.0)[:, None] * np.exp(np.outer(V, xs))
     M = (WV[:, None] * WU[None, :]) / (U[None, :] - V[:, None])
@@ -411,22 +396,21 @@ def airy_ai_prime(x):
 
 
 def airy_kernel(x: float, y: float) -> float:
-    """Airy kernel (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y), diagonal by limit."""
-    if x == y:
-        ai, aip = airy_ai(x), airy_ai_prime(x)
-        return aip * aip - x * ai * ai
-    ax, apx = airy_ai(x), airy_ai_prime(x)
-    ay, apy = airy_ai(y), airy_ai_prime(y)
-    return (ax * apy - apx * ay) / (x - y)
+    """Airy kernel (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y), diagonal by limit:
+    airy_kernel_matrix at one point."""
+    return float(airy_kernel_matrix([x], [y])[0, 0])
 
 
 def airy_kernel_matrix(xs, ys):
+    """Airy kernel matrix over xs x ys; Ai and Ai' are evaluated once when
+    ys equals xs, and entries with x == y use the limit Ai'(x)^2 - x Ai(x)^2."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ax, apx = airy_ai(xs), airy_ai_prime(xs)
-    ay, apy = airy_ai(ys), airy_ai_prime(ys)
-    ax, apx = np.atleast_1d(ax), np.atleast_1d(apx)
-    ay, apy = np.atleast_1d(ay), np.atleast_1d(apy)
+    ax, apx = np.atleast_1d(airy_ai(xs)), np.atleast_1d(airy_ai_prime(xs))
+    if np.array_equal(xs, ys):
+        ay, apy = ax, apx
+    else:
+        ay, apy = np.atleast_1d(airy_ai(ys)), np.atleast_1d(airy_ai_prime(ys))
     den = xs[:, None] - ys[None, :]
     num = np.outer(ax, apy) - np.outer(apx, ay)
     same = np.abs(den) < 1e-13 * (1.0 + np.abs(xs)[:, None])
@@ -480,17 +464,14 @@ class FiniteKernelParams:
         return find_cusp(self.a, self.b, self.p_eff)
 
 
-def _descent_checked(q, spec):
-    report = _descent_checked_cached(round(q, 12), spec.truncation_radius)
-    if not report.passed:
-        raise ArithmeticError(f"steepest-descent check failed for q={q}: {report.worst}")
-
-
 @lru_cache(maxsize=64)
-def _descent_checked_cached(q, L):
+def _descent_checked(q, L):
+    """Steepest-descent check of the contours for q at radius L, once per pair."""
     from .scaling import contour_descent_check
     u, v = build_contours(q, QuadratureSpec(truncation_radius=L), center=0.0)
-    return contour_descent_check(q, v, samples=64, u_contour=u)
+    report = contour_descent_check(q, v, samples=64, u_contour=u)
+    if not report.passed:
+        raise ArithmeticError(f"steepest-descent check failed for q={q}: {report.worst}")
 
 
 def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
@@ -504,15 +485,10 @@ def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
         L = min(L, max(2.2, 1.0 / dz_max))
     work = QuadratureSpec(max(L, 4.0), spec.panels, spec.nodes_per_panel)
     L = work.truncation_radius
-    d = min(0.5, 0.8 / (mu * max(n, 2) ** 0.25))
-    r = math.sqrt(q * q - q + 1.0)
-    s_corner = math.inf if q == 1.0 else q / (r * abs(q - 1.0))
-    d = min(d, min(s_corner, L) / 3.0)
+    d = min(0.5, 0.8 / (mu * max(n, 2) ** 0.25), min(_corner(q), L) / 3.0)
     inner = min(d / 6.0, 0.02)
     _, v_path = build_contours(q, work, center=u0, pinch_gap=d)
-    U, WU = _uline_rule(u0, L, work, inner_scale=inner)
-    V, WV = _contour_rule(v_path, work, inner_scale=inner)
-    return U, WU, V, WV
+    return _uline_rule(u0, work, inner_scale=inner), _contour_rule(v_path, work, inner_scale=inner)
 
 
 def _psi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
@@ -521,84 +497,111 @@ def _psi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
         + n1 * np.log(u - alpha) + n2 * np.log(u - beta)
 
 
+def _finite_prefactor(params):
+    return -1.0 / (2.0 * math.pi**2 * math.sqrt((1.0 - params.t_k) * (1.0 - params.t_l)))
+
+
+def _finite_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
+    """Double-contour part of the finite-n kernel on the xs x ys grid plus the
+    t_k < t_l Gaussian term; returns (mantissas, log_scale, mass).
+
+    rule_u is the U-line rule (time t_l, coordinate y), rule_v the V-loop rule
+    (time t_k, coordinate x); each side is (kappa, alpha, beta) of its action.
+    The coupling is M = W_V W_U kappa_U kappa_V / (kappa_U U - kappa_V V), and
+    the x- and y-dependence enters through one exponential per node and
+    coordinate, so the grid costs two matrix products.  `mass` is the same
+    contraction over absolute values (without the prefactor): the scale of
+    the rounding noise in each mantissa.
+    """
+    (U, WU), (V, WV) = rule_u, rule_v
+    (kap_u, al_u, be_u), (kap_v, al_v, be_v) = side_u, side_v
+    t_k, t_l = params.t_k, params.t_l
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    psi_u = _psi_cusp(U, kap_u, t_l, 0.0, params.n1, params.n2, al_u, be_u)
+    psi_v = _psi_cusp(V, kap_v, t_k, 0.0, params.n1, params.n2, al_v, be_v)
+    tilt_u = 2.0 * kap_u * U / (1.0 - t_l)
+    tilt_v = 2.0 * kap_v * V / (1.0 - t_k)
+    # common log magnitude taken at the mean coordinate of each side
+    cu = (psi_u.real - float(ys.mean()) * tilt_u.real).max()
+    cv = (-psi_v.real + float(xs.mean()) * tilt_v.real).max()
+    EU = np.exp(psi_u[:, None] - np.outer(tilt_u, ys) - cu)
+    EV = np.exp(-psi_v[:, None] + np.outer(tilt_v, xs) - cv)
+    M = np.outer(WV * kap_v, WU * kap_u) / (kap_u * U[None, :] - kap_v * V[:, None])
+    vals = _finite_prefactor(params) * (EV.T @ M @ EU)
+    mass = np.abs(EV).T @ np.abs(M) @ np.abs(EU)
+    ls = cu + cv
+    if t_k < t_l:
+        dt = t_l - t_k
+        logext = (-0.5 * math.log(math.pi * dt)
+                  - (xs[:, None] - ys[None, :]) ** 2 / dt
+                  + xs[:, None] ** 2 / (1.0 - t_k)
+                  - ys[None, :] ** 2 / (1.0 - t_l))
+        vals = vals - np.exp(np.minimum(logext - ls, 700.0))
+    return vals, ls, mass
+
+
+def _check_mantissas(vals, mass, ls, tier):
+    """Raise QuadratureError, carrying the achieved error, where a mantissa is
+    within 30 rounding units (1e-14 of its absolute mass) of zero while its
+    value still matters, or keeps a non-negligible imaginary part."""
+    noise = 1e-14 * mass
+    scale = math.exp(min(ls, 700.0))
+    lost = (np.abs(vals) < 30 * noise) & (np.abs(vals) * scale > 1e-10)
+    if lost.any():
+        raise QuadratureError(f"{tier} finite-n kernel lost all significant digits",
+                              achieved=float(mass[lost].max() * 1e-16 * scale))
+    imag = np.abs(vals.imag)
+    bad = imag > np.maximum(2e-7 * (1.0 + np.abs(vals.real)), 30 * noise)
+    if bad.any():
+        raise QuadratureError(f"{tier} finite-n kernel has non-negligible imaginary part",
+                              achieved=float(imag[bad].max()))
+
+
 def _finite_cusp_grid(params, xs, ys, spec):
     """Cusp-tier finite-n kernel on a grid; returns (values, log_scale)."""
     crit = params.critical()
-    _descent_checked(crit.q, spec)
-    n, n1, n2 = params.n, params.n1, params.n2
-    sqn = math.sqrt(n)
-    alpha, beta = crit.alpha, crit.beta
-    kap = crit.c0 * sqn / crit.t0
+    _descent_checked(round(crit.q, 12), spec.truncation_radius)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    sqn = math.sqrt(params.n)
     dz_max = 0.0
     for t, coords in ((params.t_k, xs), (params.t_l, ys)):
         c = math.sqrt(t * (1.0 - t) / 2.0)
-        for coord in np.atleast_1d(coords):
-            dz_max = max(dz_max, abs(coord / (sqn * c) - crit.z0))
-    U, WU, V, WV = _cusp_rules(crit, n, spec, dz_max)
+        dz_max = max(dz_max, float(np.abs(coords / (sqn * c) - crit.z0).max()))
+    rule_u, rule_v = _cusp_rules(crit, params.n, spec, dz_max)
     # geometric enclosure check: poles must lie strictly inside the V wedges
-    r = math.sqrt(crit.q ** 2 - crit.q + 1.0)
-    s_corner = math.inf if crit.q == 1.0 else crit.q / (r * abs(crit.q - 1.0))
-    reach = min(s_corner, spec.truncation_radius)
-    if not (0 < alpha - crit.u0 < reach + spec.truncation_radius
-            and 0 < crit.u0 - beta < reach + spec.truncation_radius):
+    reach = min(_corner(crit.q), spec.truncation_radius) + spec.truncation_radius
+    if not (0 < crit.alpha - crit.u0 < reach and 0 < crit.u0 - crit.beta < reach):
         raise ArithmeticError("v-loop does not enclose the rescaled targets")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    PsiU0 = _psi_cusp(U, kap, params.t_l, 0.0, n1, n2, alpha, beta)
-    PsiV0 = _psi_cusp(V, kap, params.t_k, 0.0, n1, n2, alpha, beta)
-    yc, xc = float(ys.mean()), float(xs.mean())
-    CU = (PsiU0.real - 2.0 * yc * (kap * U).real / (1.0 - params.t_l)).max()
-    CV = (-PsiV0.real + 2.0 * xc * (kap * V).real / (1.0 - params.t_k)).max()
-    EU = np.exp(PsiU0[:, None] - np.outer(2.0 * kap * U / (1.0 - params.t_l), ys) - CU)
-    EV = np.exp(-PsiV0[:, None] + np.outer(2.0 * kap * V / (1.0 - params.t_k), xs) - CV)
-    M = (WV[:, None] * WU[None, :]) / (U[None, :] - V[:, None]) * kap
-    pref = -1.0 / (2.0 * math.pi**2 * math.sqrt((1.0 - params.t_k) * (1.0 - params.t_l)))
-    vals = pref * (EV.T @ M @ EU)
-    if params.t_k < params.t_l:
-        dt = params.t_l - params.t_k
-        logext = (-0.5 * math.log(math.pi * dt)
-                  - (xs[:, None] - ys[None, :]) ** 2 / dt
-                  + xs[:, None] ** 2 / (1.0 - params.t_k)
-                  - ys[None, :] ** 2 / (1.0 - params.t_l))
-        vals = vals - np.exp(logext - (CU + CV))
-    return vals, CU + CV
+    side = (crit.c0 * sqn / crit.t0, crit.alpha, crit.beta)
+    vals, ls, mass = _finite_contraction(params, rule_u, side, rule_v, side, xs, ys)
+    _check_mantissas(vals, mass, ls, "cusp-tier")
+    return vals, ls
 
 
-def _rect_lobe_nodes(x0, x1, h, spec, cross_at=None, inner=None):
-    """CCW rectangle [x0,x1] x [-h,h]; top/bottom edges graded toward a
-    crossing abscissa when the U-line pierces the lobe."""
-    panels, npp = spec.panels, spec.nodes_per_panel
-    segs = []
-    segs.append((x1 - 1j * h, x1 + 1j * h, None))
-    if cross_at is not None and x0 < cross_at < x1:
-        segs.append((x1 + 1j * h, cross_at + 1j * h, "end"))
-        segs.append((cross_at + 1j * h, x0 + 1j * h, "start"))
-        segs.append((x0 + 1j * h, x0 - 1j * h, None))
-        segs.append((x0 - 1j * h, cross_at - 1j * h, "end"))
-        segs.append((cross_at - 1j * h, x1 - 1j * h, "start"))
+def _rect_lobe_legs(x0, x1, h, panels, cross_at, inner):
+    """CCW rectangle [x0,x1] x [-h,h] from its lower right corner; when the
+    U-line pierces the lobe at cross_at, top and bottom edges are split there
+    and graded toward it; `inner` is the innermost graded panel width."""
+    if cross_at is None:
+        pts = [x1 - 1j * h, x1 + 1j * h, x0 + 1j * h, x0 - 1j * h, x1 - 1j * h]
+        grades = (None,) * 4
     else:
-        segs.append((x1 + 1j * h, x0 + 1j * h, None))
-        segs.append((x0 + 1j * h, x0 - 1j * h, None))
-        segs.append((x0 - 1j * h, x1 - 1j * h, None))
-    Z, W = [], []
-    for a_, b_, grade in segs:
-        frac = None if inner is None else min(0.4, inner / abs(b_ - a_))
-        z, w = segment_rule(a_, b_, panels, npp, grade_toward=grade, inner_frac=frac)
-        Z.append(z)
-        W.append(w)
-    return np.concatenate(Z), np.concatenate(W)
+        pts = [x1 - 1j * h, x1 + 1j * h, cross_at + 1j * h, x0 + 1j * h,
+               x0 - 1j * h, cross_at - 1j * h, x1 - 1j * h]
+        grades = (None, "end", "start", None, "end", "start")
+    return [(a, b, panels, grade, min(0.4, inner / abs(b - a)))
+            for a, b, grade in zip(pts[:-1], pts[1:], grades)]
 
 
 def _adaptive_side(params, t, coord):
+    """(kappa, alpha, beta) of one side's action and its Stieltjes branch g."""
     c = math.sqrt(t * (1.0 - t) / 2.0)
-    kap = c * math.sqrt(params.n) / t
-    alpha = params.a * t / c
-    beta = params.b * t / c
-    z = coord / (math.sqrt(params.n) * c)
     cfg = TargetConfig(targets=(params.b, params.a),
                        fractions=(1.0 - params.p_eff, params.p_eff), time=t)
-    g = solve_stieltjes(cfg, z).g
-    return c, kap, alpha, beta, z, g
+    g = solve_stieltjes(cfg, coord / (math.sqrt(params.n) * c)).g
+    return (c * math.sqrt(params.n) / t, params.a * t / c, params.b * t / c), g
 
 
 def _crossing_uline(sig, L, h, d, spec, inner, ysad=0.0):
@@ -608,9 +611,9 @@ def _crossing_uline(sig, L, h, d, spec, inner, ysad=0.0):
     b_lo = max(1e-3, min(h, ysad if ysad > 1e-6 else h) - 4 * d)
     b_hi = min(max(h, ysad) + 4 * d, L - 1e-9)
     casc = int(math.ceil(math.log2(max(b_lo / inner, 2.0)))) + 2
-    Z, W = [], []
     hx = min(max(h, b_lo + 1e-3), b_hi - 1e-3)  # crossing height inside the band
     cross_inner = 1e-4
+    legs = []
     for (a_, b_, panels, grade, fr) in (
             (-L, -b_hi, max(3, spec.panels // 2), None, None),
             (-b_hi, -hx, spec.panels, "end", cross_inner),
@@ -620,13 +623,9 @@ def _crossing_uline(sig, L, h, d, spec, inner, ysad=0.0):
             (b_lo, hx, spec.panels, "end", cross_inner),
             (hx, b_hi, spec.panels, "start", cross_inner),
             (b_hi, L, max(3, spec.panels // 2), None, None)):
-        frac = None if fr is None else min(0.4, fr / abs(b_ - a_))
-        z, w = segment_rule(sig + 1j * a_, sig + 1j * b_, panels,
-                            spec.nodes_per_panel, grade_toward=grade,
-                            inner_frac=frac)
-        Z.append(z)
-        W.append(w)
-    return np.concatenate(Z), np.concatenate(W)
+        legs.append((sig + 1j * a_, sig + 1j * b_, panels, grade,
+                     None if fr is None else min(0.4, fr / abs(b_ - a_))))
+    return _legs_rule(legs, spec.nodes_per_panel)
 
 
 def _finite_adaptive(params, x, y, spec):
@@ -640,10 +639,11 @@ def _finite_adaptive(params, x, y, spec):
     one.  Everything is evaluated relative to a common log magnitude.
     """
     n, n1, n2 = params.n, params.n1, params.n2
-    sideU = _adaptive_side(params, params.t_l, y)
-    sideV = sideU if (params.t_k, x) == (params.t_l, y) else _adaptive_side(params, params.t_k, x)
-    cU, kapU, alU, beU, zU, gU = sideU
-    cV, kapV, alV, beV, zV, gV = sideV
+    sideU, gU = _adaptive_side(params, params.t_l, y)
+    sideV, gV = (sideU, gU) if (params.t_k, x) == (params.t_l, y) \
+        else _adaptive_side(params, params.t_k, x)
+    kapU, alU, beU = sideU
+    kapV, alV, beV = sideV
     sig = gU.real
     sig_v = sig * kapU / kapV   # U-line abscissa mapped to the V variable
     ysad = abs(gV.imag)
@@ -671,7 +671,9 @@ def _finite_adaptive(params, x, y, spec):
 
     # candidate V-loop geometries: one lobe around both poles (pierced by the
     # line when it falls inside), or two lobes split at the line; extents hug
-    # the poles, heights trade the y^2/2 growth against the pole logarithm
+    # the poles, heights trade the y^2/2 growth against the pole logarithm.
+    # A lobe beside the line keeps the split lobes' clearance d from it:
+    # closer, 1/(U-V) is not resolved on the rules.
     h_opts = sorted({round(h, 6), 0.45, 0.7, 1.0})
     margins = (0.45, 1.0)
     split_ok = beV + split_clear < sig_v < alV - split_clear
@@ -680,54 +682,33 @@ def _finite_adaptive(params, x, y, spec):
     # its exponent excess stays within the cancellation headroom, hence the
     # penalty of ~ln(1e10) exponent units
     pierced_penalty = 22.0
-    candidates = []
+    candidates = []     # (lobes [(x0, x1, height)], pierced by the line)
     for hh in h_opts:
         for mL in margins:
             for mR in margins:
                 x0_, x1_ = beV - mL, alV + mR
                 if split_ok:
-                    candidates.append(
-                        (coarse_excess([(x0_, sig_v - d, hh), (sig_v + d, x1_, hh)]),
-                         ("split", x0_, x1_, hh)))
+                    candidates.append(([(x0_, sig_v - d, hh), (sig_v + d, x1_, hh)], False))
                 if x0_ < sig_v < x1_:
-                    candidates.append(
-                        (coarse_excess([(x0_, x1_, hh)]) + pierced_penalty,
-                         ("pierced", x0_, x1_, hh)))
+                    candidates.append(([(x0_, x1_, hh)], True))
+                elif sig_v <= x0_:
+                    candidates.append(([(max(x0_, sig_v + d), x1_, hh)], False))
                 else:
-                    candidates.append(
-                        (coarse_excess([(x0_, x1_, hh)]), ("plain", x0_, x1_, hh)))
-    _, (mode, x_left, x_right, h) = min(candidates, key=lambda c: c[0])
-
-    lobes = []
-    crossing = None
-    if mode == "split":
-        lobes.append(_rect_lobe_nodes(x_left, sig_v - d, h, spec, inner=inner))
-        lobes.append(_rect_lobe_nodes(sig_v + d, x_right, h, spec, inner=inner))
-    elif mode == "plain":
-        lobes.append(_rect_lobe_nodes(x_left, x_right, h, spec, inner=inner))
+                    candidates.append(([(x0_, min(x1_, sig_v - d), hh)], False))
+    lobes, pierced = min(candidates,
+                         key=lambda c: coarse_excess(c[0]) + pierced_penalty * c[1])
+    _, x_right, h = lobes[0]
+    cross_at, lobe_inner = (sig_v, 1e-4) if pierced else (None, inner)
+    legs = [leg for x0_, x1_, hh in lobes
+            for leg in _rect_lobe_legs(x0_, x1_, hh, spec.panels, cross_at, lobe_inner)]
+    rule_v = _legs_rule(legs, spec.nodes_per_panel)
+    if pierced:
+        rule_u = _crossing_uline(sig, L, h * kapV / kapU, d, spec, inner, ysad=abs(gU.imag))
     else:
-        lobes.append(_rect_lobe_nodes(x_left, x_right, h, spec, cross_at=sig_v,
-                                      inner=1e-4))
-        crossing = (x_left, x_right, h)
-    V = np.concatenate([l[0] for l in lobes])
-    WV = np.concatenate([l[1] for l in lobes])
-    if crossing is None:
-        U, WU = _uline_rule(sig, L, spec, inner_scale=inner)
-    else:
-        U, WU = _crossing_uline(sig, L, h * kapV / kapU, d, spec, inner,
-                                ysad=abs(gU.imag))
-    PsiU = psiU(U)
-    PsiV = psiV(V)
-    CU = PsiU.real.max()
-    CV = (-PsiV.real).max()
-    EU = np.exp(PsiU - CU)
-    EV = np.exp(-PsiV - CV)
-    M = (WV[:, None] * WU[None, :]) * kapU * kapV / (kapU * U[None, :] - kapV * V[:, None])
-    S = np.einsum("v,vu,u->", EV, M, EU)
-    pref = -1.0 / (2.0 * math.pi**2 * math.sqrt((1.0 - params.t_k) * (1.0 - params.t_l)))
-    val = pref * S
-    absmass0 = np.einsum("v,vu,u->", np.abs(EV), np.abs(M), np.abs(EU))
-    if abs(pref) * absmass0 * math.exp(min(CU + CV, 700.0)) < 1e-9:
+        rule_u = _uline_rule(sig, spec, inner_scale=inner)
+    vals, ls, mass = _finite_contraction(params, rule_u, sideU, rule_v, sideV, [x], [y])
+    pref = _finite_prefactor(params)
+    if abs(pref) * mass[0, 0] * math.exp(min(ls, 700.0)) < 1e-9:
         # rigorous bound: the whole configuration is negligibly small
         return 0.0, 0.0
     # residue sweep for a pierced lobe: relative to the line placed fully to
@@ -735,33 +716,14 @@ def _finite_adaptive(params, x, y, spec):
     # of the line shifts the U-integral by -2*pi*i exp(PsiU at the image); the
     # compensating arc runs along the lobe's own CCW restriction to the right
     # of the line, i.e. from the bottom crossing to the top crossing.
-    if crossing is not None:
-        x0_, x1_, hh = crossing
-        pts = [sig_v - 1j * hh, x1_ - 1j * hh, x1_ + 1j * hh, sig_v + 1j * hh]
-        Zc, Wc = [], []
-        for a_, b_ in zip(pts[:-1], pts[1:]):
-            zc, wc = segment_rule(a_, b_, max(4, spec.panels // 2), spec.nodes_per_panel)
-            Zc.append(zc)
-            Wc.append(wc)
-        Zc = np.concatenate(Zc)
-        Wc = np.concatenate(Wc)
-        arc = np.sum(Wc * np.exp(psiU(Zc * kapV / kapU) - psiV(Zc) - CU - CV))
-        val = val + pref * 2j * math.pi * kapV * arc
-    if params.t_k < params.t_l:
-        dt = params.t_l - params.t_k
-        logext = (-0.5 * math.log(math.pi * dt) - (x - y) ** 2 / dt
-                  + x * x / (1.0 - params.t_k) - y * y / (1.0 - params.t_l))
-        val = val - math.exp(min(logext - (CU + CV), 700.0))
-    noise = 1e-14 * absmass0
-    if abs(val) < 30 * noise and abs(val) * math.exp(min(CU + CV, 700)) > 1e-10:
-        raise QuadratureError(
-            "adaptive finite-n kernel lost all significant digits",
-            achieved=float(absmass0 * 1e-16 * math.exp(min(CU + CV, 700))))
-    if abs(val.imag) > max(2e-7 * (1.0 + abs(val.real)), 30 * noise):
-        raise QuadratureError(
-            "adaptive finite-n kernel has non-negligible imaginary part",
-            achieved=float(abs(val.imag)))
-    return complex(val.real), CU + CV
+    if pierced:
+        pts = [sig_v - 1j * h, x_right - 1j * h, x_right + 1j * h, sig_v + 1j * h]
+        Zc, Wc = _legs_rule([(a_, b_, max(4, spec.panels // 2), None, None)
+                             for a_, b_ in zip(pts[:-1], pts[1:])], spec.nodes_per_panel)
+        arc = np.sum(Wc * np.exp(psiU(Zc * kapV / kapU) - psiV(Zc) - ls))
+        vals = vals + pref * 2j * math.pi * kapV * arc
+    _check_mantissas(vals, mass, ls, "adaptive")
+    return complex(vals[0, 0].real), ls
 
 
 def _in_cusp_window(params, x, y):
@@ -800,8 +762,7 @@ def finite_n_kernel_scaled(params: FiniteKernelParams, x: float, y: float,
     if use_cusp:
         vals, ls = _finite_cusp_grid(params, [x], [y], spec)
         return complex(vals[0, 0]), ls
-    val, ls = _finite_adaptive(params, x, y, spec)
-    return val, ls
+    return _finite_adaptive(params, x, y, spec)
 
 
 def finite_n_kernel(params: FiniteKernelParams, x: float, y: float,
@@ -819,7 +780,8 @@ def finite_n_kernel(params: FiniteKernelParams, x: float, y: float,
 
 def finite_n_kernel_grid(params: FiniteKernelParams, xs, ys,
                          spec: QuadratureSpec | None = None):
-    """Cusp-tier kernel values on a grid; returns (values, log_scale)."""
+    """Cusp-tier kernel values on a grid; returns (values, log_scale).  The
+    mantissas carry the adaptive tier's digit-loss and imaginary-part checks."""
     spec = spec or QuadratureSpec()
     vals, ls = _finite_cusp_grid(params, xs, ys, spec)
     return vals.real, ls

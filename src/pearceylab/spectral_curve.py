@@ -36,7 +36,7 @@ import numpy as np
 __all__ = [
     "TargetConfig", "DensitySample", "SupportSet", "CriticalData", "MergeEvent",
     "solve_stieltjes", "sweep_density", "support_endpoints", "find_cusp",
-    "branch_points", "track_merges", "rescaled_time", "time_from_rescaled",
+    "branch_points", "track_merges", "time_from_rescaled",
     "density_csv_lines",
 ]
 
@@ -311,11 +311,6 @@ def find_cusp(a: float, b: float, p: float) -> CriticalData:
     u0 = (a * q + b) / ((a - b) * r)
     return CriticalData(q=q, r=r, p=p, t0=t0, x0=x0, z0=z0, u0=u0, g0=u0,
                         c0=c0, mu=mu, bigA=bigA, alpha=alpha, beta=beta)
-
-
-def rescaled_time(t: float) -> float:
-    """T = 2t/(1-t)."""
-    return 2.0 * t / (1.0 - t)
 
 
 def time_from_rescaled(T: float) -> float:

@@ -29,6 +29,7 @@ class TestDispatch:
                          "--t", "0", "--zmin", "-1", "--zmax", "1"]) == 2
         assert dispatch(["kernel", "--form", "pq", "--s", "0", "--t", "1",
                          "--xgrid=-1,1,3", "--ygrid=-1,1,3"]) == 2
+        assert dispatch(["cusp", "--a", "1", "--b", "-1", "--p", "0.5", "--L", "8"]) == 2
 
     def test_numerical_error_exit_1(self, tmp_path):
         code, _ = run(tmp_path, ["cusp", "--a", "1", "--b", "1", "--p", "0.5"])

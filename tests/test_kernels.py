@@ -5,10 +5,12 @@ import pytest
 import scipy.integrate as si
 import scipy.special
 
-from pearceylab._quad import QuadratureSpec
+from pearceylab import kernels
+from pearceylab._quad import QuadratureError, QuadratureSpec
 from pearceylab.kernels import (ContourPath, FiniteKernelParams, airy_ai,
                                 airy_ai_prime, airy_kernel, build_contours,
-                                finite_n_kernel, finite_n_kernel_scaled,
+                                finite_n_diagonal, finite_n_kernel,
+                                finite_n_kernel_grid, finite_n_kernel_scaled,
                                 kernel_grid_csv_lines, pearcey_contours,
                                 pearcey_kernel, pearcey_kernel_grid,
                                 pearcey_kernel_matrix, pearcey_kernel_pq_form,
@@ -294,3 +296,36 @@ class TestFiniteN:
         lam = crit.x0 * math.sqrt(16)
         val = finite_n_kernel(params, lam, lam, contours="cusp")
         assert np.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("n, a, b, p, t, lam", [
+        (8, 1.0, -1.0, 0.5, 1.0 / 3.0, 1.94132),
+        (9, 1.0, 0.0, 1.0 / 9.0, 0.5, 1.0 / 6.0 - 1.2)])
+    def test_adaptive_plain_lobe_clears_line(self, n, a, b, p, t, lam):
+        # here the U-line falls just outside the cheapest plain V-lobe, where
+        # 1/(U - V) is not resolved unless the lobe keeps its distance d; the
+        # value must not depend on the resolution
+        val = finite_n_diagonal(n, a, b, p, t, [lam])[0]
+        ref = finite_n_diagonal(n, a, b, p, t, [lam], QuadratureSpec(8.0, 12, 64))[0]
+        assert val == pytest.approx(ref, rel=1e-6)
+
+    def test_cusp_tier_self_checks(self, monkeypatch):
+        params = FiniteKernelParams(n=50, a=1.0, b=-1.0, p=0.5,
+                                    t_k=1.0 / 3.0, t_l=1.0 / 3.0)
+        xs = [-0.2, 0.0, 0.2]
+        contraction = kernels._finite_contraction
+
+        def imaginary(*args):
+            vals, ls, mass = contraction(*args)
+            return vals + 1e-3j * np.abs(vals), ls, mass
+
+        def cancelled(*args):
+            vals, ls, mass = contraction(*args)
+            return vals, ls, mass * 1e14
+
+        for corrupt, what in ((imaginary, "imaginary part"), (cancelled, "significant digits")):
+            monkeypatch.setattr(kernels, "_finite_contraction", corrupt)
+            with pytest.raises(QuadratureError, match=what) as exc:
+                finite_n_kernel_grid(params, xs, xs)
+            assert exc.value.achieved > 0
+            with pytest.raises(QuadratureError, match=what):
+                finite_n_kernel_scaled(params, 0.1, 0.1, contours="cusp")
