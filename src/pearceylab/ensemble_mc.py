@@ -15,6 +15,12 @@ variance t/2; at any fixed time the eigenvalue law then matches sqrt(n) c(t)
 times the spectrum of A_t + H, which is the marginal-consistency invariant
 tested against sample_spectrum.
 
+A bridge bundle is built in two passes over the same random stream: the
+first sums every Gaussian increment into B(1), the second accumulates B(t)
+step by step and diagonalizes B(t) - t B(1) + t T at each stored time.  No
+snapshot of B is kept, so a bundle needs O(n^2) memory whatever the number
+of steps, and the paths are those of the one-pass construction bit for bit.
+
 All randomness is drawn from numpy SeedSequence substreams keyed by
 (seed, sample_index), so parallel generation is deterministic and
 order-independent.
@@ -72,12 +78,20 @@ def _rng(seed, index=0):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 
-def _gue_like(n, rng):
-    """Hermitian H with the exp(-(n/2) Tr H^2) convention: diagonal variance
-    1/n, off-diagonal re/im variance 1/(2n) each."""
+def _gue_parts(n, rng):
+    """The normals behind one _gue_like draw, in drawing order: the real and
+    imaginary parts of the upper triangle (variance 1/(2n) each; only the
+    strict upper triangle is used) and the diagonal (variance 1/n)."""
     x = rng.normal(0.0, math.sqrt(0.5 / n), (n, n))
     y = rng.normal(0.0, math.sqrt(0.5 / n), (n, n))
     d = rng.normal(0.0, 1.0 / math.sqrt(n), n)
+    return x, y, d
+
+
+def _gue_like(n, rng):
+    """Hermitian H with the exp(-(n/2) Tr H^2) convention: diagonal variance
+    1/n, off-diagonal re/im variance 1/(2n) each."""
+    x, y, d = _gue_parts(n, rng)
     iu = np.triu_indices(n, 1)
     H = np.zeros((n, n), dtype=complex)
     H[iu] = x[iu] + 1j * y[iu]
@@ -146,31 +160,48 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
     """Eigenvalue trajectories of a Hermitian Brownian bridge pinned at the
     scaled target matrix diag(b_i sqrt(n)).
 
-    The bridge is built from entrywise Gaussian increments with the variance-
-    t/2 convention; eigenvalue ordering is asserted at every stored time.
+    The bridge B(t) - t B(1) + t T is built from entrywise Gaussian
+    increments with the variance-t/2 convention, in two passes over the same
+    (seed, index) stream: the first sums every increment into B(1), the
+    second accumulates B(t) and diagonalizes at each stored time, so memory
+    is O(n^2) whatever the number of steps.  Eigenvalue ordering is asserted
+    at every stored time.
     """
     if steps < 10:
         raise ValueError("steps must be >= 10")
-    rng = _rng(seed, index)
     t_max = t_max if t_max is not None else steps / (steps + 1.0)
     times = np.linspace(0.0, t_max, steps + 1)[1:]
-    T = np.diag(np.repeat(np.asarray(config.targets) * math.sqrt(n),
-                          group_sizes(n, config.fractions)).astype(complex))
-    full = np.concatenate([[0.0], times, [1.0]])
-    incs = np.diff(full)
-    B = np.zeros((n, n), dtype=complex)
-    snaps = []
-    for dt in incs[:-1]:
-        G = _gue_like(n, rng) * math.sqrt(dt / 2.0) * math.sqrt(n)
-        # _gue_like has Tr-normalized variance 1/n; rescale to variance dt/2
-        B = B + G
-        snaps.append(B.copy())
-    G = _gue_like(n, rng) * math.sqrt(incs[-1] / 2.0) * math.sqrt(n)
-    B1 = B + G
+    T = np.repeat(np.asarray(config.targets) * math.sqrt(n),
+                  group_sizes(n, config.fractions))
+    incs = np.diff(np.concatenate([[0.0], times, [1.0]]))
+
+    def running_sums(dts):
+        # sums of the increments _gue_like(n, rng) * sqrt(dt / 2) * sqrt(n)
+        # (_gue_like has Tr-normalized variance 1/n; this rescales it to
+        # variance dt/2), kept as the real parts that _gue_parts draws: real
+        # scalings act on real and imaginary parts alone, so these are the
+        # sums of the complex increments to the last bit
+        rng = _rng(seed, index)
+        sums = (np.zeros((n, n)), np.zeros((n, n)), np.zeros(n))
+        for dt in dts:
+            for acc, part in zip(sums, _gue_parts(n, rng)):
+                part *= math.sqrt(dt / 2.0)
+                part *= math.sqrt(n)
+                acc += part
+            yield sums
+
+    for X1, Y1, D1 in running_sums(incs):
+        pass    # B(1): the sum of all steps + 1 increments
+    M = np.empty((n, n), dtype=complex)
     paths = np.empty((n, len(times)))
-    for j, t in enumerate(times):
-        M = snaps[j] - t * B1 + t * T
-        eig = np.linalg.eigvalsh(M)
+    for j, (t, (X, Y, D)) in enumerate(zip(times, running_sums(incs[:-1]))):
+        # eigvalsh reads only the lower triangle of B(t) - t B(1) + t T, whose
+        # entries are conj(X + iY) - t conj(X1 + iY1) from the upper-triangle
+        # sums: M holds them transposed, and M.T is diagonalized
+        np.subtract(X, t * X1, out=M.real)
+        np.subtract(t * Y1, Y, out=M.imag)
+        np.fill_diagonal(M, (D - t * D1) + t * T)
+        eig = np.linalg.eigvalsh(M.T)
         if np.any(np.diff(eig) <= 0):
             raise ArithmeticError(
                 f"eigenvalue ordering violated at t={t}: refine the time step")

@@ -210,6 +210,7 @@ def test_criterion_09_wronskian_nonvanishing():
     report(9, abs(val) > 1e-6, f"|2pq(pq)'' - 3(p'q')'(p'q''-p''q')| = {abs(val):.6f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_monte_carlo():
     ok = True
     details = []

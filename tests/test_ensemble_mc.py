@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pearceylab.ensemble_mc import (density_compare, endpoint_fractions,
-                                    fit_cusp_exponent, group_sizes,
+from pearceylab.ensemble_mc import (_gue_like, _rng, density_compare,
+                                    endpoint_fractions, fit_cusp_exponent,
+                                    group_sizes,
                                     paths_csv_lines, predicted_density_fn,
                                     sample_bridge_paths, sample_bundles,
                                     sample_spectra, sample_spectrum,
@@ -134,6 +135,7 @@ class TestBridgePaths:
         assert abs(fr[1] - p) <= 3 * 2 / math.sqrt(n)
         assert fr.sum() == pytest.approx(1.0)
 
+    @pytest.mark.slow
     def test_cusp_exponent_machinery(self):
         # light version: the strict 1.5 +- 0.2 fit runs in the acceptance
         # suite with a larger bundle count
@@ -143,6 +145,48 @@ class TestBridgePaths:
         slope, ts, w = fit_cusp_exponent(bundles, a, b, p, n)
         assert (np.diff(w) > 0).all()
         assert 1.0 < slope < 2.0
+
+    @staticmethod
+    def _snapshot_paths(n, config, steps, seed, index=0, t_max=None):
+        """The bridge with every snapshot B(t) kept: the oracle for the
+        two-pass sampler, which must reproduce it to the last bit."""
+        rng = _rng(seed, index)
+        t_max = t_max if t_max is not None else steps / (steps + 1.0)
+        times = np.linspace(0.0, t_max, steps + 1)[1:]
+        T = np.diag(np.repeat(np.asarray(config.targets) * math.sqrt(n),
+                              group_sizes(n, config.fractions)).astype(complex))
+        incs = np.diff(np.concatenate([[0.0], times, [1.0]]))
+        B = np.zeros((n, n), dtype=complex)
+        snaps = []
+        for dt in incs[:-1]:
+            B = B + _gue_like(n, rng) * math.sqrt(dt / 2.0) * math.sqrt(n)
+            snaps.append(B.copy())
+        B1 = B + _gue_like(n, rng) * math.sqrt(incs[-1] / 2.0) * math.sqrt(n)
+        return times, np.stack([np.linalg.eigvalsh(S - t * B1 + t * T)
+                                for S, t in zip(snaps, times)], axis=1)
+
+    @pytest.mark.parametrize("n, config, steps, seed, index, t_max", [
+        (12, SYM02, 15, 3, 0, None),
+        (20, TargetConfig(targets=(0.0, 1.0), fractions=(0.75, 0.25), time=0.5),
+         12, 5, 2, 0.95)])
+    def test_two_pass_matches_snapshots(self, n, config, steps, seed, index, t_max):
+        b = sample_bridge_paths(n, config, steps, seed, index=index, t_max=t_max)
+        times, paths = self._snapshot_paths(n, config, steps, seed, index, t_max)
+        assert np.array_equal(b.times, times)
+        assert np.array_equal(b.paths, paths)
+
+    def test_memory_independent_of_steps(self):
+        # one n x n complex snapshot per step would triple the peak here
+        import tracemalloc
+        peaks = []
+        for steps in (20, 80):
+            tracemalloc.start()
+            try:
+                sample_bridge_paths(160, SYM02, steps, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_csv_formats():

@@ -250,6 +250,7 @@ class TestFiniteN:
             v = (va * np.exp(la)).real
             assert abs(u - v) < 5e-5 * abs(u)
 
+    @pytest.mark.slow
     def test_normalization_n8(self):
         # (1/n) integral of the diagonal = 1 within 1e-4 (symmetric, t = t0)
         from pearceylab._quad import panel_rule
@@ -329,3 +330,135 @@ class TestFiniteN:
             assert exc.value.achieved > 0
             with pytest.raises(QuadratureError, match=what):
                 finite_n_kernel_scaled(params, 0.1, 0.1, contours="cusp")
+
+
+def _dense_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
+    """The finite-n contraction with the dense coupling matrix
+    M = W_V W_U kappa_U kappa_V / (kappa_U U - kappa_V V) and |M| formed:
+    the oracle for the blocked kernels._finite_contraction."""
+    (U, WU), (V, WV) = rule_u, rule_v
+    (kap_u, al_u, be_u), (kap_v, al_v, be_v) = side_u, side_v
+    t_k, t_l = params.t_k, params.t_l
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    psi_u = kernels._psi_cusp(U, kap_u, t_l, 0.0, params.n1, params.n2, al_u, be_u)
+    psi_v = kernels._psi_cusp(V, kap_v, t_k, 0.0, params.n1, params.n2, al_v, be_v)
+    tilt_u = 2.0 * kap_u * U / (1.0 - t_l)
+    tilt_v = 2.0 * kap_v * V / (1.0 - t_k)
+    cu = (psi_u.real - float(ys.mean()) * tilt_u.real).max()
+    cv = (-psi_v.real + float(xs.mean()) * tilt_v.real).max()
+    EU = np.exp(psi_u[:, None] - np.outer(tilt_u, ys) - cu)
+    EV = np.exp(-psi_v[:, None] + np.outer(tilt_v, xs) - cv)
+    M = np.outer(WV * kap_v, WU * kap_u) / (kap_u * U[None, :] - kap_v * V[:, None])
+    vals = kernels._finite_prefactor(params) * (EV.T @ M @ EU)
+    mass = np.abs(EV).T @ np.abs(M) @ np.abs(EU)
+    ls = cu + cv
+    if t_k < t_l:
+        dt = t_l - t_k
+        logext = (-0.5 * math.log(math.pi * dt)
+                  - (xs[:, None] - ys[None, :]) ** 2 / dt
+                  + xs[:, None] ** 2 / (1.0 - t_k)
+                  - ys[None, :] ** 2 / (1.0 - t_l))
+        vals = vals - np.exp(np.minimum(logext - ls, 700.0))
+    return vals, ls, mass
+
+
+SYM8 = FiniteKernelParams(n=8, a=1.0, b=-1.0, p=0.5, t_k=1.0 / 3.0, t_l=1.0 / 3.0)
+SYM50 = FiniteKernelParams(n=50, a=1.0, b=-1.0, p=0.5, t_k=1.0 / 3.0, t_l=1.0 / 3.0)
+ORDERED12 = FiniteKernelParams(n=12, a=1.0, b=-1.0, p=0.5,
+                               t_k=1.0 / 3.0 - 4e-3, t_l=1.0 / 3.0 + 4e-3)
+
+
+class TestFiniteContraction:
+    @staticmethod
+    def _contractions(monkeypatch, call, watch=None):
+        """Arguments and results of every contraction that `call` makes, and
+        how often it called the kernels function named `watch`."""
+        seen, watched = [], []
+        blocked = kernels._finite_contraction
+
+        def record(*args):
+            out = blocked(*args)
+            seen.append((args, out))
+            return out
+        monkeypatch.setattr(kernels, "_finite_contraction", record)
+        if watch is not None:
+            fn = getattr(kernels, watch)
+            monkeypatch.setattr(kernels, watch,
+                                lambda *a, **k: watched.append(1) or fn(*a, **k))
+        call()
+        monkeypatch.undo()
+        return seen, len(watched)
+
+    @pytest.mark.parametrize("case", ["plain", "pierced", "cusp grid", "ordered adaptive",
+                                      "ordered cusp"])
+    def test_matches_dense_coupling(self, monkeypatch, case):
+        spec25 = QuadratureSpec(nodes_per_panel=25)
+        call, watch = {
+            "plain": (lambda: finite_n_kernel_scaled(SYM8, 3.0, 3.0), "_uline_rule"),
+            "pierced": (lambda: finite_n_kernel_scaled(SYM8, 0.54132, 0.54132),
+                        "_crossing_uline"),
+            "cusp grid": (lambda: finite_n_kernel_grid(SYM50, [-0.2, 0.0, 0.2],
+                                                       [-0.1, 0.1], spec25), None),
+            "ordered adaptive": (lambda: finite_n_kernel_scaled(
+                ORDERED12, 0.15, 0.15, contours="adaptive"), None),
+            "ordered cusp": (lambda: finite_n_kernel_scaled(
+                ORDERED12, 0.15, 0.15, contours="cusp"), None),
+        }[case]
+        seen, watched = self._contractions(monkeypatch, call, watch)
+        assert len(seen) == 1
+        if watch is not None:
+            assert watched == 1     # the geometry this case is about
+        args, (vals, ls, mass) = seen[0]
+        (U, _), (V, _) = args[1], args[3]
+        if case == "cusp grid":
+            assert vals.shape == (3, 2)
+            rows = kernels._CAUCHY_BLOCK // len(U)
+            assert len(V) > rows and len(V) % rows != 0
+        dvals, dls, dmass = _dense_contraction(*args)
+        assert ls == dls
+        assert (np.abs(vals - dvals) <= 1e-13 * dmass).all()
+        assert (np.abs(mass - dmass) <= 1e-12 * dmass).all()
+
+    def test_benchmark_profiles_keep_their_geometry(self, monkeypatch):
+        # the V-lobes chosen on both benchmark profiles: per point, o for one
+        # lobe beside the U-line, s for two lobes split at it, p for a lobe it
+        # pierces and - for the cusp tier, plus a checksum of every lobe's
+        # (x0, x1, height)
+        expected = {
+            (8, 1.0, -1.0, 0.5, 1.0 / 3.0, 1.94132, 34, 16):
+                ("ooooooooooooooopppppppps-sppppppppoooooooooooooooo", 191.03255356413268),
+            (9, 1.0, 0.0, 1.0 / 9.0, 0.5, 1.5 / 9.0, 25, 26):
+                ("ooooooooooooooooooooppppppppppssspppppooooooooooooo", 303.07518673841776),
+        }
+        lobes = []
+        legs = kernels._rect_lobe_legs
+
+        def record(x0, x1, h, panels, cross_at, inner):
+            lobes.append((x0, x1, h, cross_at))
+            return legs(x0, x1, h, panels, cross_at, inner)
+        monkeypatch.setattr(kernels, "_rect_lobe_legs", record)
+        for (n, a, b, p, t, lam0, below, above), (kinds, checksum) in expected.items():
+            got, total = "", 0.0
+            for lam in lam0 + 0.2 * np.arange(-below, above):
+                lobes.clear()
+                finite_n_diagonal(n, a, b, p, t, [lam])
+                got += ("-" if not lobes else "p" if lobes[0][3] is not None
+                        else "s" if len(lobes) == 2 else "o")
+                total += sum(x0 + 2 * x1 + 3 * h for x0, x1, h, _ in lobes)
+            assert got == kinds
+            assert total == pytest.approx(checksum, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [3.0, 0.54132])
+    def test_no_dense_coupling_temporary(self, lam):
+        # a dense complex V x U coupling alone is 8 MB at the plain point
+        # (1024 x 512 nodes) and 36 MB at the pierced one (1536 x 1472)
+        import tracemalloc
+        finite_n_kernel_scaled(SYM8, lam, lam)     # fill the lazy caches
+        tracemalloc.start()
+        try:
+            finite_n_kernel_scaled(SYM8, lam, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
