@@ -8,10 +8,9 @@ from .spectral_curve import (CriticalData, DensitySample, MergeEvent, SupportSet
                              TargetConfig, branch_points, find_cusp,
                              solve_stieltjes, support_endpoints, sweep_density,
                              track_merges)
-from .kernels import (ContourPath, FiniteKernelParams, PearceyPQ, airy_ai,
-                      airy_ai_prime, airy_kernel, build_contours,
-                      finite_n_diagonal, finite_n_kernel, pearcey_kernel,
-                      pearcey_kernel_pq_form, pearcey_pq)
+from .kernels import (ContourPath, FiniteKernelParams, PearceyPQ, airy_kernel,
+                      build_contours, finite_n_diagonal, finite_n_kernel,
+                      pearcey_kernel, pearcey_kernel_pq_form, pearcey_pq)
 from .fredholm import (GapResult, IntervalUnion, ResolventData, airy_gap_on_ray,
                        gap_probability, multitime_gap, pearcey_kernel_handle,
                        resolvent_quantities)

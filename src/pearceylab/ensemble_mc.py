@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import thread_map
-from .spectral_curve import TargetConfig, find_cusp, sweep_density
+from .spectral_curve import TargetConfig, find_cusp, group_sizes, sweep_density
 
 __all__ = [
     "SpectrumSample", "PathBundle", "group_sizes", "sample_spectrum",
@@ -60,18 +60,6 @@ class PathBundle:
     times: np.ndarray
     paths: np.ndarray
     seed: int
-
-
-def group_sizes(n, fractions):
-    """Largest-remainder rounding of eps_i * n to integers summing to n."""
-    raw = np.asarray(fractions) * n
-    base = np.floor(raw).astype(int)
-    rem = n - base.sum()
-    order = np.argsort(-(raw - base))
-    base[order[:rem]] += 1
-    if base.sum() != n or (base <= 0).any():
-        raise ValueError("fractions incompatible with n")
-    return tuple(int(v) for v in base)
 
 
 def _rng(seed, index=0):

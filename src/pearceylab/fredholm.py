@@ -230,11 +230,10 @@ def resolvent_quantities(t: float, E: IntervalUnion, m: int = 40,
     w = grid.weights
     P, Q = pq_tables(t, x, spec)
     K = _pearcey_kernel_from_tables(t, x, P, x, Q)
+    if math.exp(_nystrom_logdet(K, w)) <= 1e-12:
+        raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
     KW = K * w[None, :]
     A = np.eye(len(x)) - KW
-    sign, logdet = np.linalg.slogdet(A)
-    if sign <= 0 or math.exp(logdet) <= 1e-12:
-        raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
     cond = float(np.linalg.cond(A))
     p_vec, q_vec = P[0], Q[0]
     p_hat = np.linalg.solve(A, p_vec)

@@ -30,18 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.special import airy
 
 from ._quad import QuadratureError, QuadratureSpec, panel_rule, segment_rule
-from .spectral_curve import CriticalData, find_cusp, solve_stieltjes, TargetConfig
+from .spectral_curve import (CriticalData, find_cusp, group_sizes, solve_stieltjes,
+                             TargetConfig)
 
 __all__ = [
     "ContourPath", "PearceyPQ", "FiniteKernelParams",
-    "build_contours", "pearcey_contours", "pearcey_pq",
+    "build_contours", "pearcey_pq",
     "pearcey_kernel", "pearcey_kernel_grid", "pearcey_kernel_pq_form",
-    "airy_ai", "airy_ai_prime", "airy_kernel",
+    "airy_kernel",
     "finite_n_kernel", "finite_n_kernel_scaled", "finite_n_kernel_grid",
     "finite_n_diagonal", "kernel_grid_csv_lines",
 ]
@@ -57,7 +59,6 @@ class ContourPath:
     disconnected branch begins in `nodes`."""
 
     nodes: tuple
-    rays: tuple | None
     label: str
     center: complex = 0.0
     branch_breaks: tuple = ()
@@ -66,14 +67,6 @@ class ContourPath:
         for a, b in self.segments():
             if a == b:
                 raise ValueError("consecutive contour nodes must be distinct")
-        if self.rays is not None:
-            for d in self.rays:
-                if abs(abs(d) - 1.0) > 1e-12:
-                    raise ValueError("ray directions must be unit complex numbers")
-        if self.label == "X-contour":
-            for d in self.rays or ():
-                if abs(abs(d.real) - abs(d.imag)) > 1e-12:
-                    raise ValueError("X-contour rays must make angles of pi/4")
 
     def branches(self):
         marks = (0,) + tuple(self.branch_breaks) + (len(self.nodes),)
@@ -109,8 +102,8 @@ def build_contours(q: float, spec: QuadratureSpec, center: complex = 0.0,
     L = spec.truncation_radius
     diag = min(_corner(q), L)          # diagonal half-extent measured in Re
     d = min(pinch_gap, diag / 2.0)
-    u = ContourPath(nodes=(center - 1j * L, center + 1j * L), rays=None,
-                    label="imaginary-axis", center=center)
+    u = ContourPath(nodes=(center - 1j * L, center + 1j * L), label="imaginary-axis",
+                    center=center)
     chord = [d * (1 + 1j), d * (1 - 1j)] if d > 0 else [0.0]
     arm = [diag * (1 + 1j), *chord, diag * (1 - 1j)]   # corner, chord or centre, corner
     right = [center + z for z in arm]
@@ -121,18 +114,7 @@ def build_contours(q: float, spec: QuadratureSpec, center: complex = 0.0,
         left = [left[0] - L] + left + [left[-1] - L]
     nodes = tuple(right) + tuple(left)
     label = "v-loop-q=1" if q == 1.0 else ("v-loop-q>1" if q > 1 else "v-loop-q<1")
-    ein = (1 + 1j) / math.sqrt(2)
-    rays = (ein, np.conj(ein), -ein, -np.conj(ein))
-    v = ContourPath(nodes=nodes, rays=rays, label=label, center=center,
-                    branch_breaks=(len(right),))
-    return u, v
-
-
-def pearcey_contours(spec: QuadratureSpec, pinch_gap: float = 1.0):
-    """U on the upward vertical line through 0, V on the indented X through 0."""
-    u, v = build_contours(1.0, spec, center=0.0, pinch_gap=min(pinch_gap, spec.truncation_radius / 4))
-    v = ContourPath(nodes=v.nodes, rays=v.rays, label="X-contour",
-                    center=0.0, branch_breaks=v.branch_breaks)
+    v = ContourPath(nodes=nodes, label=label, center=center, branch_breaks=(len(right),))
     return u, v
 
 
@@ -169,6 +151,61 @@ def _uline_rule(center, spec, inner_scale=None):
     return _legs_rule([(center - 1j * L, center, spec.panels, "end", frac),
                        (center, center + 1j * L, spec.panels, "start", frac)],
                       spec.nodes_per_panel)
+
+
+# entries (V rows x U nodes) per block of the Cauchy contraction: its four
+# real block buffers then stay in a core's L2 cache (64 rows at 512 U nodes)
+_CAUCHY_BLOCK = 1 << 15
+
+
+def _cauchy_contract(A, kV, kU, B):
+    """(A^T C B, |A|^T |C| |B|) for the Cauchy coupling C = 1/(kU - kV)
+    between V nodes kV (the rows of A) and U nodes kU (the rows of B): the
+    double-contour sum behind the Pearcey and both finite-n kernels, with the
+    quadrature weights folded into A and B.  The second term, the absolute
+    mass, scales the rounding noise in each entry of the first.
+
+    C is never formed: blocks of V nodes (_CAUCHY_BLOCK coupling entries at a
+    time) stream through real buffers holding D = kU - kV as dr + i di and
+    1/|D|^2, so that 1/D = (dr - i di)/|D|^2 costs one real GEMM against
+    [Re B, Im B] per block, and |C| |B| is |D|^-1 |B|.
+    """
+    ny = B.shape[1]
+    B_ri = np.concatenate([B.real, B.imag], axis=1)
+    B_abs = np.abs(B)
+    # [Re D; Im D] by one K=4 GEMM: rows (1, 0, -Re kV, 0) and (0, 1, 0, -Im kV)
+    # of left against right = [Re kU; Im kU; 1; 1], so each entry is the same
+    # single rounded subtraction; BLAS writes it about 2.4x faster than a
+    # broadcast np.subtract, a fifth of a finite-n point's time
+    right = np.stack([kU.real, kU.imag, np.ones(len(kU)), np.ones(len(kU))])
+    left = np.zeros((2, len(kV), 4))
+    left[0, :, 0] = left[1, :, 1] = 1.0
+    left[0, :, 2], left[1, :, 3] = -kV.real, -kV.imag
+    rows = max(1, min(len(kV), _CAUCHY_BLOCK // len(kU)))
+    d_buf = np.empty((2 * rows, len(kU)))
+    inv_buf = np.empty((rows, len(kU)))
+    sq_buf = np.empty((rows, len(kU)))
+    CB = np.empty((len(kV), ny), dtype=complex)    # (1/D) B, a row per V node
+    CB_abs = np.empty((len(kV), ny))               # |1/D| |B|
+    for i0 in range(0, len(kV), rows):
+        m = min(rows, len(kV) - i0)
+        blk = slice(i0, i0 + m)
+        d = d_buf[:2 * m]
+        dr, di, inv, sq = d[:m], d[m:], inv_buf[:m], sq_buf[:m]
+        np.matmul(left[:, blk].reshape(2 * m, 4), right, out=d)
+        np.multiply(dr, dr, out=inv)
+        np.multiply(di, di, out=sq)
+        inv += sq
+        np.reciprocal(inv, out=inv)
+        dr *= inv
+        di *= inv
+        # 1/D = dr - i di now, and (dr - i di)(Br + i Bi) takes one real GEMM
+        P = d @ B_ri
+        CB.real[blk] = P[:m, :ny] + P[m:, ny:]
+        CB.imag[blk] = P[:m, ny:] - P[m:, :ny]
+        np.sqrt(inv, out=inv)
+        CB_abs[blk] = inv @ B_abs
+    return A.T @ CB, np.abs(A).T @ CB_abs
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +325,11 @@ def pearcey_pq(t: float, x: float, spec: QuadratureSpec | None = None) -> Pearce
 def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None = None):
     """Extended Pearcey kernel K_{s,t}(x, y) on a grid, double-contour form.
 
-    The 1/(U-V) coupling is evaluated once and contracted against the x- and
-    y-dependent exponentials, so a full grid costs little more than a point.
-    Includes the Gaussian correction term when s < t.
+    The x- and y-dependent exponentials, weights folded in, go through one
+    Cauchy contraction, so a full grid costs little more than a point.
+    Includes the Gaussian correction term when s < t.  Raises QuadratureError
+    where the contraction's rounding bound, 1e-16 of its absolute mass,
+    exceeds 1e-8 max(1, |K|), the tolerance pq_tables keeps.
     """
     spec = spec or QuadratureSpec()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -299,20 +338,26 @@ def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None 
     ym = float(np.abs(ys).max()) if ys.size else 0.0
     L = max(_pq_L(t, ym, spec), _pq_L(s, xm, spec))
     wide = QuadratureSpec(L, spec.panels, spec.nodes_per_panel)
-    _, v_path = pearcey_contours(wide, pinch_gap=min(1.0, L / 6.0))
+    _, v_path = build_contours(1.0, wide, pinch_gap=min(1.0, L / 6.0))
     U, WU = _uline_rule(0.0, wide)
     V, WV = _contour_rule(v_path, wide)
-    EU = np.exp(-U**4 / 4.0 + t * U**2 / 2.0)[:, None] * np.exp(-np.outer(U, ys))
-    EV = np.exp(V**4 / 4.0 - s * V**2 / 2.0)[:, None] * np.exp(np.outer(V, xs))
-    M = (WV[:, None] * WU[None, :]) / (U[None, :] - V[:, None])
-    out = -(EV.T @ M @ EU) / (4.0 * math.pi**2)
-    if np.abs(out.imag).max(initial=0.0) > 1e-9 * (1.0 + np.abs(out.real).max(initial=0.0)):
-        raise QuadratureError("pearcey kernel grid has non-negligible imaginary part")
-    out = out.real
+    A = (WV * np.exp(V**4 / 4.0 - s * V**2 / 2.0))[:, None] * np.exp(np.outer(V, xs))
+    B = (WU * np.exp(-U**4 / 4.0 + t * U**2 / 2.0))[:, None] * np.exp(-np.outer(U, ys))
+    contraction, mass = _cauchy_contract(A, V, U, B)
+    scale = 1.0 / (4.0 * math.pi**2)
+    out = -scale * contraction
+    gauss = 0.0
     if s < t:
         dx = xs[:, None] - ys[None, :]
-        out = out - np.exp(-dx * dx / (2.0 * (t - s))) / math.sqrt(2.0 * math.pi * (t - s))
-    return out
+        gauss = np.exp(-dx * dx / (2.0 * (t - s))) / math.sqrt(2.0 * math.pi * (t - s))
+    noise = 1e-16 * scale * mass
+    lost = noise > 1e-8 * np.maximum(1.0, np.abs(out.real - gauss))
+    if lost.any():
+        raise QuadratureError("pearcey kernel grid lost digits to cancellation",
+                              achieved=float(noise[lost].max()))
+    if np.abs(out.imag).max(initial=0.0) > 1e-9 * (1.0 + np.abs(out.real).max(initial=0.0)):
+        raise QuadratureError("pearcey kernel grid has non-negligible imaginary part")
+    return out.real - gauss
 
 
 def pearcey_kernel(s: float, t: float, x: float, y: float,
@@ -365,36 +410,6 @@ def pearcey_kernel_matrix(t, xs, ys, spec=None):
 # Airy function and kernel
 
 
-def _airy_family(z, prime):
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z)
-    for i, zz in enumerate(z):
-        shift = math.sqrt(zz) if zz > 0 else 0.0
-        L = math.sqrt(3.0 * max(-zz, 0.0)) + 8.0
-        s, w = panel_rule(0.0, L, 12, 32)
-        e = np.exp(1j * math.pi / 3.0)
-        wnod = shift + s * e
-        expo = wnod**3 / 3.0 - zz * wnod
-        base = np.exp(expo)
-        if prime:
-            val = e * np.sum(w * (-wnod) * base)
-        else:
-            val = e * np.sum(w * base)
-        out[i] = np.imag(val) / math.pi
-    return out if out.size > 1 else float(out[0])
-
-
-def airy_ai(x):
-    """Airy Ai by quadrature over the rays arg w = +-pi/3 (shifted through the
-    saddle sqrt(x) for x > 0)."""
-    return _airy_family(x, prime=False)
-
-
-def airy_ai_prime(x):
-    """Derivative of Airy Ai by the same contour quadrature."""
-    return _airy_family(x, prime=True)
-
-
 def airy_kernel(x: float, y: float) -> float:
     """Airy kernel (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y), diagonal by limit:
     airy_kernel_matrix at one point."""
@@ -402,15 +417,13 @@ def airy_kernel(x: float, y: float) -> float:
 
 
 def airy_kernel_matrix(xs, ys):
-    """Airy kernel matrix over xs x ys; Ai and Ai' are evaluated once when
-    ys equals xs, and entries with x == y use the limit Ai'(x)^2 - x Ai(x)^2."""
+    """Airy kernel matrix over xs x ys; Ai and Ai' come from
+    scipy.special.airy, once when ys equals xs, and entries with x == y use
+    the limit Ai'(x)^2 - x Ai(x)^2."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ax, apx = np.atleast_1d(airy_ai(xs)), np.atleast_1d(airy_ai_prime(xs))
-    if np.array_equal(xs, ys):
-        ay, apy = ax, apx
-    else:
-        ay, apy = np.atleast_1d(airy_ai(ys)), np.atleast_1d(airy_ai_prime(ys))
+    ax, apx, _, _ = airy(xs)
+    ay, apy = (ax, apx) if np.array_equal(xs, ys) else airy(ys)[:2]
     den = xs[:, None] - ys[None, :]
     num = np.outer(ax, apy) - np.outer(apx, ay)
     same = np.abs(den) < 1e-13 * (1.0 + np.abs(xs)[:, None])
@@ -428,7 +441,8 @@ def airy_kernel_matrix(xs, ys):
 @dataclass(frozen=True)
 class FiniteKernelParams:
     """Finite-n bridge kernel instance; fractions are rounded to integer group
-    sizes n1 + n2 = n and the critical data uses the effective p = n1/n."""
+    sizes n1 + n2 = n by group_sizes, as the Monte Carlo ensembles round them,
+    and the critical data uses the effective p = n1/n."""
 
     n: int
     a: float
@@ -447,10 +461,12 @@ class FiniteKernelParams:
                 raise ValueError("times must lie in (0,1)")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0,1)")
+        self.n1     # group_sizes raises ValueError on an empty group
 
-    @property
+    @cached_property
     def n1(self):
-        return int(round(self.p * self.n))
+        """Paths to the upper target a."""
+        return group_sizes(self.n, (1.0 - self.p, self.p))[1]
 
     @property
     def n2(self):
@@ -501,11 +517,6 @@ def _finite_prefactor(params):
     return -1.0 / (2.0 * math.pi**2 * math.sqrt((1.0 - params.t_k) * (1.0 - params.t_l)))
 
 
-# entries (V rows x U nodes) per block of the Cauchy contraction: its four
-# real block buffers then stay in a core's L2 cache (64 rows at 512 U nodes)
-_CAUCHY_BLOCK = 1 << 15
-
-
 def _finite_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
     """Double-contour part of the finite-n kernel on the xs x ys grid plus the
     t_k < t_l Gaussian term; returns (mantissas, log_scale, mass).
@@ -515,13 +526,9 @@ def _finite_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
     The x- and y-dependence enters through one exponential per node and
     coordinate (EU, EV), and the coupling is
     M = W_V W_U kappa_U kappa_V / (kappa_U U - kappa_V V), so the mantissas
-    are prefactor * EV^T M EU.  M is never formed: with the weights folded
-    into A = W_V kappa_V EV and B = W_U kappa_U EU, blocks of V nodes
-    (_CAUCHY_BLOCK coupling entries at a time) stream through real buffers
-    holding D = kappa_U U - kappa_V V as dr + i di and 1/|D|^2, so that
-    1/D = (dr - i di)/|D|^2 costs one real GEMM against [Re B, Im B] per
-    block.  `mass` is |EV|^T |M| |EU| (without the prefactor), computed as
-    |A|^T (|D|^-1 |B|): the scale of the rounding noise in each mantissa.
+    are prefactor * EV^T M EU: the Cauchy contraction of
+    A = W_V kappa_V EV and B = W_U kappa_U EU.  `mass` is |EV|^T |M| |EU|
+    (without the prefactor), the scale of the rounding noise in each mantissa.
     """
     (U, WU), (V, WV) = rule_u, rule_v
     (kap_u, al_u, be_u), (kap_v, al_v, be_v) = side_u, side_v
@@ -537,44 +544,8 @@ def _finite_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
     cv = (-psi_v.real + float(xs.mean()) * tilt_v.real).max()
     A = (WV * kap_v)[:, None] * np.exp(-psi_v[:, None] + np.outer(tilt_v, xs) - cv)
     B = (WU * kap_u)[:, None] * np.exp(psi_u[:, None] - np.outer(tilt_u, ys) - cu)
-    ny = len(ys)
-    B_ri = np.concatenate([B.real, B.imag], axis=1)
-    B_abs = np.abs(B)
-    # [Re D; Im D] by one K=4 GEMM: rows (1, 0, -Re kV, 0) and (0, 1, 0, -Im kV)
-    # of left against right = [Re kU; Im kU; 1; 1], so each entry is the same
-    # single rounded subtraction; BLAS writes it about 2.4x faster than a
-    # broadcast np.subtract, a fifth of a finite-n point's time
-    kU, kV = kap_u * U, kap_v * V
-    right = np.stack([kU.real, kU.imag, np.ones(len(U)), np.ones(len(U))])
-    left = np.zeros((2, len(V), 4))
-    left[0, :, 0] = left[1, :, 1] = 1.0
-    left[0, :, 2], left[1, :, 3] = -kV.real, -kV.imag
-    rows = max(1, min(len(V), _CAUCHY_BLOCK // len(U)))
-    d_buf = np.empty((2 * rows, len(U)))
-    inv_buf = np.empty((rows, len(U)))
-    sq_buf = np.empty((rows, len(U)))
-    CB = np.empty((len(V), ny), dtype=complex)     # (1/D) B, a row per V node
-    CB_abs = np.empty((len(V), ny))                # |1/D| |B|
-    for i0 in range(0, len(V), rows):
-        m = min(rows, len(V) - i0)
-        blk = slice(i0, i0 + m)
-        d = d_buf[:2 * m]
-        dr, di, inv, sq = d[:m], d[m:], inv_buf[:m], sq_buf[:m]
-        np.matmul(left[:, blk].reshape(2 * m, 4), right, out=d)
-        np.multiply(dr, dr, out=inv)
-        np.multiply(di, di, out=sq)
-        inv += sq
-        np.reciprocal(inv, out=inv)
-        dr *= inv
-        di *= inv
-        # 1/D = dr - i di now, and (dr - i di)(Br + i Bi) takes one real GEMM
-        P = d @ B_ri
-        CB.real[blk] = P[:m, :ny] + P[m:, ny:]
-        CB.imag[blk] = P[:m, ny:] - P[m:, :ny]
-        np.sqrt(inv, out=inv)
-        CB_abs[blk] = inv @ B_abs
-    vals = _finite_prefactor(params) * (A.T @ CB)
-    mass = np.abs(A).T @ CB_abs
+    contraction, mass = _cauchy_contract(A, kap_v * V, kap_u * U, B)
+    vals = _finite_prefactor(params) * contraction
     ls = cu + cv
     if t_k < t_l:
         dt = t_l - t_k

@@ -27,7 +27,7 @@ import numpy as np
 from ._quad import QuadratureSpec
 from .kernels import (FiniteKernelParams, build_contours, finite_n_kernel_grid,
                       pearcey_kernel_grid)
-from .spectral_curve import CriticalData, find_cusp
+from .spectral_curve import CriticalData, find_cusp, group_sizes
 
 __all__ = [
     "ActionDerivatives", "ScalingExponents", "ScalingCoefficients",
@@ -385,8 +385,8 @@ def convergence_study(a: float, b: float, p: float, n_list, probe=None,
     Pearcey kernel over a probe grid, for each n; least-squares slope of
     log(error) against log(n) over the last three rows.
 
-    Group sizes n1 = round(p n) are integers; each row uses the critical data
-    of its effective fraction n1/n, which converges to p.  The Pearcey target
+    Group sizes n1 + n2 = n are group_sizes' integers; each row uses the
+    critical data of its effective fraction n1/n, which converges to p.  The Pearcey target
     is fraction-independent (universality), so rows remain comparable.
     """
     spec = spec or QuadratureSpec()
@@ -399,7 +399,7 @@ def convergence_study(a: float, b: float, p: float, n_list, probe=None,
         raise ValueError("n_list must be ascending with every n >= 16")
     rows = []
     for n in n_list:
-        p_eff = int(round(p * n)) / n
+        p_eff = group_sizes(n, (1.0 - p, p))[1] / n
         crit = find_cusp(a, b, p_eff)
         err = 0.0
         for tau in taus:

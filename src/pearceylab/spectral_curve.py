@@ -35,7 +35,7 @@ import numpy as np
 
 __all__ = [
     "TargetConfig", "DensitySample", "SupportSet", "CriticalData", "MergeEvent",
-    "solve_stieltjes", "sweep_density", "support_endpoints", "find_cusp",
+    "group_sizes", "solve_stieltjes", "sweep_density", "support_endpoints", "find_cusp",
     "branch_points", "track_merges", "time_from_rescaled",
     "density_csv_lines",
 ]
@@ -78,6 +78,20 @@ class TargetConfig:
         t = self.time if t is None else t
         s = math.sqrt(2.0 * t / (1.0 - t))
         return tuple(b * s for b in self.targets)
+
+
+def group_sizes(n, fractions):
+    """Largest-remainder rounding of eps_i * n to integers summing to n: the
+    path counts per target that the finite-n kernels and the Monte Carlo
+    ensembles both use.  Raises ValueError when a group would be empty."""
+    raw = np.asarray(fractions) * n
+    base = np.floor(raw).astype(int)
+    rem = n - base.sum()
+    order = np.argsort(-(raw - base))
+    base[order[:rem]] += 1
+    if base.sum() != n or (base <= 0).any():
+        raise ValueError("fractions incompatible with n")
+    return tuple(int(v) for v in base)
 
 
 @dataclass(frozen=True)

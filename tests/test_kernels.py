@@ -6,15 +6,15 @@ import scipy.integrate as si
 import scipy.special
 
 from pearceylab import kernels
-from pearceylab._quad import QuadratureError, QuadratureSpec
-from pearceylab.kernels import (ContourPath, FiniteKernelParams, airy_ai,
-                                airy_ai_prime, airy_kernel, build_contours,
+from pearceylab._quad import QuadratureError, QuadratureSpec, panel_rule
+from pearceylab.ensemble_mc import group_sizes
+from pearceylab.kernels import (ContourPath, FiniteKernelParams, airy_kernel,
+                                airy_kernel_matrix, build_contours,
                                 finite_n_diagonal, finite_n_kernel,
                                 finite_n_kernel_grid, finite_n_kernel_scaled,
-                                kernel_grid_csv_lines, pearcey_contours,
-                                pearcey_kernel, pearcey_kernel_grid,
-                                pearcey_kernel_matrix, pearcey_kernel_pq_form,
-                                pearcey_pq, pq_tables)
+                                kernel_grid_csv_lines, pearcey_kernel,
+                                pearcey_kernel_grid, pearcey_kernel_matrix,
+                                pearcey_kernel_pq_form, pearcey_pq, pq_tables)
 
 
 class TestPearceyPQ:
@@ -142,6 +142,23 @@ class TestPearceyKernel:
                 assert K[i, j] == pytest.approx(
                     pearcey_kernel_pq_form(1.0, float(x), float(y), spec), abs=1e-10)
 
+    def test_large_x_rounding_gate(self, spec):
+        # t = 0 diagonal K(x, x) from the defining p/q integrals with mpmath
+        # 1.3.0 at 50 digits: p^(k)(x) = Im(e^{i(k+1)pi/4} [int_{-inf}^0 -
+        # int_0^inf] s^k e^{-s^4/4 + s x e^{i pi/4}} ds)/pi and q^(k)(x) =
+        # -Re((-i)^k int_R v^k e^{-v^4/4 - i v x} dv)/(2 pi), each by mp.quad
+        # over 199 equal panels of [0, 10] (the same digits over 399 panels
+        # of [0, 12]), then K = p q^(3) - p' q'' + p'' q'.  The same recipe
+        # gives 0.7477295981230685 at x = 20, where the p/q form is still off
+        # by about 1e-8 without raising.
+        ref15 = 0.68237973829432128
+        assert pearcey_kernel(0.0, 0.0, 15.0, 15.0, spec) == pytest.approx(ref15, rel=1e-9)
+        # at x = 20 the rounding bound of the contraction, 1e-16 of its
+        # absolute mass, passes 1e-8 |K|: the value is refused, not returned
+        with pytest.raises(QuadratureError, match="cancellation") as exc:
+            pearcey_kernel(0.0, 0.0, 20.0, 20.0, spec)
+        assert exc.value.achieved > 1e-8
+
     def test_csv_dump_format(self, spec):
         xs = np.array([0.0, 1.0])
         vals = pearcey_kernel_grid(0.0, 0.0, xs, xs, spec)
@@ -151,18 +168,39 @@ class TestPearceyKernel:
         assert len(lines) == 2 + 4
 
 
+def _airy_contour(x, prime):
+    """Ai(x) or Ai'(x) by Gauss-Legendre quadrature over the rays
+    arg w = +-pi/3, shifted through the saddle sqrt(x) for x > 0."""
+    shift = math.sqrt(x) if x > 0 else 0.0
+    s, w = panel_rule(0.0, math.sqrt(3.0 * max(-x, 0.0)) + 8.0, 12, 32)
+    e = np.exp(1j * math.pi / 3.0)
+    wnod = shift + s * e
+    base = np.exp(wnod**3 / 3.0 - x * wnod)
+    return float(np.imag(e * np.sum(w * (-wnod if prime else 1.0) * base)) / math.pi)
+
+
 class TestAiry:
     def test_values_against_gamma_forms(self):
         ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
         aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-        assert airy_ai(0.0) == pytest.approx(ai0, abs=1e-12)
-        assert airy_ai_prime(0.0) == pytest.approx(aip0, abs=1e-12)
+        assert _airy_contour(0.0, False) == pytest.approx(ai0, abs=1e-12)
+        assert _airy_contour(0.0, True) == pytest.approx(aip0, abs=1e-12)
 
     def test_against_scipy(self):
-        for x in (-3.0, -1.0, 0.5, 2.0, 5.0):
+        xs = np.array([-3.0, -1.0, 0.5, 2.0, 5.0])
+        for x in xs:
             ai, aip, _, _ = scipy.special.airy(x)
-            assert airy_ai(x) == pytest.approx(ai, abs=1e-10)
-            assert airy_ai_prime(x) == pytest.approx(aip, abs=1e-10)
+            assert _airy_contour(x, False) == pytest.approx(ai, abs=1e-10)
+            assert _airy_contour(x, True) == pytest.approx(aip, abs=1e-10)
+        # the kernel matrix built on scipy's Ai, Ai' against the same matrix
+        # from the contour values, off the diagonal and on it
+        ys = xs + 0.25
+        ai, aip = (np.array([_airy_contour(x, d) for x in xs]) for d in (False, True))
+        ai_y, aip_y = (np.array([_airy_contour(y, d) for y in ys]) for d in (False, True))
+        off = (np.outer(ai, aip_y) - np.outer(aip, ai_y)) / (xs[:, None] - ys[None, :])
+        assert np.abs(airy_kernel_matrix(xs, ys) - off).max() < 1e-10
+        diag = np.diag(airy_kernel_matrix(xs, xs))
+        assert np.abs(diag - (aip * aip - xs * ai * ai)).max() < 1e-10
 
     def test_kernel_diagonal_and_symmetry(self):
         v = airy_kernel(0.0, 0.0)
@@ -204,17 +242,16 @@ class TestContours:
 
     def test_contour_path_invariants(self):
         with pytest.raises(ValueError):
-            ContourPath(nodes=(0.0, 0.0), rays=None, label="imaginary-axis")
-        with pytest.raises(ValueError):
-            ContourPath(nodes=(0.0, 1.0), rays=(2.0,), label="imaginary-axis")
-        with pytest.raises(ValueError):
-            ContourPath(nodes=(0.0, 1.0), rays=(1.0,), label="X-contour")
+            ContourPath(nodes=(0.0, 0.0), label="imaginary-axis")
 
     def test_pearcey_contour_rays(self, spec):
-        _, v = pearcey_contours(spec)
-        assert v.label == "X-contour"
-        for d in v.rays:
-            assert abs(abs(d.real) - abs(d.imag)) < 1e-12
+        # the X that pearcey_kernel_grid integrates over: the right branch
+        # enters from e^{i pi/4} infinity and leaves to e^{-i pi/4} infinity,
+        # the left one enters from e^{-3i pi/4} and leaves to e^{3i pi/4}
+        _, v = build_contours(1.0, spec, pinch_gap=1.0)
+        outer = [z for branch in v.branches() for z in (branch[0], branch[-1])]
+        want = [math.pi / 4, -math.pi / 4, -3 * math.pi / 4, 3 * math.pi / 4]
+        assert np.abs(np.angle(outer) - want).max() < 1e-12
 
 
 class TestFiniteN:
@@ -222,6 +259,18 @@ class TestFiniteN:
         p = FiniteKernelParams(n=64, a=1.0, b=0.0, p=1.0 / 9.0, t_k=0.5, t_l=0.5)
         assert p.n1 + p.n2 == 64
         assert p.n1 == round(64 / 9)
+
+    def test_group_sizes_match_monte_carlo(self):
+        # at a half-integer p n the kernel rounds as the ensembles do:
+        # 5 paths (not 6) to the upper target at n = 11, p = 1/2, and one
+        # path per group (not an empty lower group) at n = 2, p = 3/4
+        for n, p, n1 in ((11, 0.5, 5), (2, 0.75, 1)):
+            params = FiniteKernelParams(n=n, a=1.0, b=-1.0, p=p, t_k=0.5, t_l=0.5)
+            assert (params.n2, params.n1) == group_sizes(n, (1.0 - p, p))
+            assert params.n1 == n1 and params.p_eff == n1 / n
+            assert params.critical().t0 > 0.0
+        with pytest.raises(ValueError):
+            FiniteKernelParams(n=2, a=1.0, b=-1.0, p=0.1, t_k=0.5, t_l=0.5)
 
     def test_time_order_extra_term(self):
         # t_k >= t_l branch has no Gaussian term: crossing the order jumps by it
@@ -253,7 +302,6 @@ class TestFiniteN:
     @pytest.mark.slow
     def test_normalization_n8(self):
         # (1/n) integral of the diagonal = 1 within 1e-4 (symmetric, t = t0)
-        from pearceylab._quad import panel_rule
         from pearceylab.kernels import finite_n_diagonal
         n, t = 8, 1.0 / 3.0
         c = math.sqrt(t * (1 - t) / 2)
@@ -361,6 +409,32 @@ def _dense_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
                   - ys[None, :] ** 2 / (1.0 - t_l))
         vals = vals - np.exp(np.minimum(logext - ls, 700.0))
     return vals, ls, mass
+
+
+def _dense_cauchy(A, kV, kU, B):
+    """A^T C B and |A|^T |C| |B| with the dense coupling C = 1/(kU - kV)
+    formed: the oracle for the blocked kernels._cauchy_contract."""
+    C = 1.0 / (kU[None, :] - kV[:, None])
+    return A.T @ C @ B, np.abs(A).T @ np.abs(C) @ np.abs(B)
+
+
+def test_cauchy_contract_matches_dense_coupling():
+    # 200 V rows against 512 U nodes: three full blocks of 64 rows and a
+    # partial fourth of 8
+    rng = np.random.default_rng(7)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    A, B = cplx(200, 3), cplx(512, 4)
+    kV = cplx(200) + 3.0
+    kU = 1j * np.linspace(-6.0, 6.0, 512) - 0.5
+    rows = kernels._CAUCHY_BLOCK // len(kU)
+    assert len(kV) > rows and len(kV) % rows != 0
+    vals, mass = kernels._cauchy_contract(A, kV, kU, B)
+    dvals, dmass = _dense_cauchy(A, kV, kU, B)
+    assert vals.shape == mass.shape == (3, 4)
+    assert (np.abs(vals - dvals) <= 1e-13 * dmass).all()
+    assert (np.abs(mass - dmass) <= 1e-12 * dmass).all()
 
 
 SYM8 = FiniteKernelParams(n=8, a=1.0, b=-1.0, p=0.5, t_k=1.0 / 3.0, t_l=1.0 / 3.0)

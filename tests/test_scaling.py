@@ -257,7 +257,7 @@ class TestDescentCheck:
     def test_bad_contour_fails(self, spec):
         # a wedge of horizontal lines at the wrong height violates descent
         bad = ContourPath(nodes=(6 + 0.05j, 0.05j, 6 + 0.0499j),
-                          rays=None, label="v-loop-q=1", center=0.0)
+                          label="v-loop-q=1", center=0.0)
         rep = contour_descent_check(1.0, bad, samples=100)
         assert not rep.passed
 
@@ -267,7 +267,7 @@ class TestDescentCheck:
         q = 2.0
         s = 2.0 / math.sqrt(3)
         bad = ContourPath(nodes=(s * (1 + 1j), s * (1 + 1j) - 4.0),
-                          rays=None, label="v-loop-q>1", center=0.0)
+                          label="v-loop-q>1", center=0.0)
         rep = contour_descent_check(q, bad, samples=150)
         assert not rep.passed
 
