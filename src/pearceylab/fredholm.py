@@ -154,13 +154,18 @@ def _block_logdet(block, sets, order):
 def _refined_gap(block, sets, m):
     """Block determinant at order m, with |value(m) - value(2m)| as the error
     estimate (Bornemann's m-versus-2m check for analytic kernels); a
-    disagreement beyond 1e-6 raises."""
-    l1 = _block_logdet(block, sets, m)
-    v1, v2 = math.exp(l1), math.exp(_block_logdet(block, sets, 2 * m))
+    disagreement beyond 1e-6, in the values or in their logarithms, raises.
+    The log gate is what holds a small determinant to its digits."""
+    l1, l2 = _block_logdet(block, sets, m), _block_logdet(block, sets, 2 * m)
+    v1, v2 = math.exp(l1), math.exp(l2)
     err = abs(v1 - v2)
     if err > 1e-6:
         raise QuadratureError(
             f"Nystrom refinement disagreement {err:.2e} between m={m} and 2m", achieved=err)
+    if abs(l1 - l2) > 1e-6:
+        raise QuadratureError(
+            f"Nystrom refinement log disagreement {abs(l1 - l2):.2e} between m={m} and 2m",
+            achieved=abs(l1 - l2))
     return GapResult(value=v1, log_value=l1, error_estimate=err)
 
 
@@ -169,7 +174,7 @@ def gap_probability(kernel, E: IntervalUnion, m: int = 40) -> GapResult:
 
     `kernel` is a callable (xs, ys) -> matrix.  The value at order m is
     reported with |value(m) - value(2m)| as the error estimate; disagreement
-    beyond 1e-6 raises.
+    beyond 1e-6 in the values or in their logarithms raises.
     """
     if E.empty:
         return GapResult(value=1.0, log_value=0.0, error_estimate=0.0)

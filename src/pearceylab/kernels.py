@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import airy
 
-from ._quad import QuadratureError, QuadratureSpec, panel_rule, segment_rule
+from ._quad import QuadratureError, QuadratureSpec, _gl, segment_rule
 from .spectral_curve import (CriticalData, find_cusp, group_sizes, solve_stieltjes,
                              TargetConfig)
 
@@ -252,26 +252,79 @@ def _pq_panels(t, x, L, spec):
     return max(spec.panels, -(-need // spec.nodes_per_panel))
 
 
+def _exp_outer(z, a, xs):
+    """exp(z a_i x_j) over real arrays a and xs; for imaginary z by real cos
+    and sin, which cost less than half of a complex exp."""
+    y = np.outer(a, xs)
+    if z.real:
+        return np.exp(z * y)
+    out = np.empty(y.shape, dtype=complex)
+    y *= z.imag
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    return out
+
+
+def _separable_sum(c, z, mid, hg, xs):
+    """sum_{p,j} c[k, p, j] exp(z (mid_p + hg_j) x) over the array xs, for
+    coefficients c of shape (4, panels, nodes_per_panel): one GEMM against
+    the in-panel factors exp(z hg_j x) gives the panel sums T[k, p, x], which
+    the panel factors exp(z mid_p x) then weight and add up.  Real c meets
+    the interleaved real and imaginary parts of the factors in a real GEMM."""
+    inner = _exp_outer(z, hg, xs)
+    c2 = c.reshape(-1, len(hg))
+    T = c2 @ inner if np.iscomplexobj(c) else (c2 @ inner.view(float)).view(complex)
+    return np.einsum("kpx,px->kx", T.reshape(*c.shape[:2], len(xs)), _exp_outer(z, mid, xs))
+
+
+@lru_cache(maxsize=16)
+def _pq_rule(t, L, panels, nodes_per_panel):
+    """The node set shared by p and q, 2*panels uniform Gauss-Legendre panels
+    of half-width h = L/(2 panels) on [-L, L], as (mid, hg, cq, cp): panel
+    midpoints, in-panel offsets h g_j (node v = mid_p + h g_j), and the
+    coefficients c[k, p, j] = v^k w_j base(v) of q (real Gaussian base) and
+    p (complex base; the weights change sign on the positive half, where its
+    X-contour branch runs inward).  Read-only: cached across calls."""
+    gx, gw = _gl(nodes_per_panel)
+    h = L / (2 * panels)
+    mid = -L + h * (2.0 * np.arange(2 * panels) + 1.0)
+    v = mid[:, None] + h * gx
+    v2 = v * v
+    powers = np.stack([np.ones_like(v), v, v2, v2 * v])
+    w = h * gw
+    cq = powers * (w * np.exp(-v2 * v2 / 4.0 - t * v2 / 2.0))
+    sign = np.where(mid < 0.0, 1.0, -1.0)[:, None]
+    cp = powers * (sign * w * np.exp(-v2 * v2 / 4.0 - 0.5j * t * v2))
+    rule = (mid, h * gx, cq, cp)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+# p's X-contour direction e^{i pi/4}, and the derivative order k as a column
+_E8 = np.exp(1j * math.pi / 4.0)
+_K = np.arange(4)[:, None]
+
+
 def _pq_quadrature(t, xs, spec):
     """Raw quadrature of p^{(k)}(x), q^{(k)}(x), k < 4, over the array xs, on
     rules whose truncation length and panel count are set by max |x|.
     Derivatives insert powers of the integration variable; P is real, Q keeps
-    the imaginary part the quadrature leaves."""
+    the imaginary part the quadrature leaves.
+
+    Both integrals run over the one node set of _pq_rule.  Each exponential
+    then factors, exp(z v x) = exp(z mid_p x) exp(z h g_j x) with z = -i for
+    q and e^{i pi/4} for p, so a node of x costs 2*panels + nodes_per_panel
+    exponentials per function instead of one per rule node.  The v <-> -v
+    symmetry of the rule is deliberately not folded into cosine and sine
+    sums: that would make Im q exactly zero, and pq_tables checks it as the
+    quadrature's rounding residue.
+    """
     xmax = float(np.abs(xs).max(initial=0.0))
     L = _pq_L(t, xmax, spec)
-    panels = _pq_panels(t, xmax, L, spec)
-    k = np.arange(4)[:, None]
-    v, wv = panel_rule(-L, L, 2 * panels, spec.nodes_per_panel)
-    base = np.exp(-v**4 / 4.0 - t * v**2 / 2.0)
-    Q = -((-1j) ** k) / (2.0 * math.pi) * ((v**k * (wv * base)) @ np.exp(-1j * np.outer(v, xs)))
-    e = np.exp(1j * math.pi / 4.0)
-    s_neg, w_neg = panel_rule(-L, 0.0, panels, spec.nodes_per_panel)
-    s_pos, w_pos = panel_rule(0.0, L, panels, spec.nodes_per_panel)
-    s = np.concatenate([s_neg, s_pos])
-    ws = np.concatenate([w_neg, -w_pos])
-    gbase = np.exp(-s**4 / 4.0 - 1j * t * s**2 / 2.0)
-    D = (s**k * (ws * gbase)) @ np.exp(np.outer(s * e, xs))
-    P = np.imag(e ** (k + 1) * D) / math.pi
+    mid, hg, cq, cp = _pq_rule(t, L, _pq_panels(t, xmax, L, spec), spec.nodes_per_panel)
+    Q = -((-1j) ** _K) / (2.0 * math.pi) * _separable_sum(cq, -1j, mid, hg, xs)
+    P = np.imag(_E8 ** (_K + 1) * _separable_sum(cp, _E8, mid, hg, xs)) / math.pi
     return P, Q
 
 
@@ -279,9 +332,14 @@ def pq_tables(t, xs, spec=None):
     """Checked p^{(k)}(x), q^{(k)}(x), k = 0..3, tabulated over an array of x.
 
     Returns real (P, Q) of shape (4, len(xs)); used for Nystrom assembly.
-    Every node must satisfy both third-order ODEs and carry a negligible
-    imaginary part of q; the smallest and largest node must agree with the
-    table at spec.refined().  Checking the extremes suffices because the
+    p and q share one Gauss-Legendre node set whose exponentials separate
+    into a panel factor and an in-panel factor (_pq_quadrature), so a node
+    of x costs 2*panels + nodes_per_panel exponentials per function.  Every
+    node must satisfy both third-order ODEs and carry a negligible imaginary
+    part of q, which the rule leaves as rounding residue because its v <-> -v
+    symmetry is not folded into real cosine sums; the smallest and largest
+    node must agree with the table at spec.refined(), an independent rule of
+    twice the nodes per panel.  Checking the extremes suffices because the
     truncation length and panel count are set by max |x|.  Tolerances scale
     with max(1, |p^{(k)}|, |q^{(k)}|) at each node.
     """
@@ -786,12 +844,16 @@ def finite_n_kernel(params: FiniteKernelParams, x: float, y: float,
                     contours: str = "auto") -> float:
     """Finite-n two-target bridge kernel H_n(x, y; t_k, t_l) in Brownian
     coordinates (targets at a*sqrt(n), b*sqrt(n)).  See finite_n_kernel_scaled
-    for an overflow-safe variant."""
+    for an overflow-safe variant; raises OverflowError where the value is not
+    a finite double."""
     val, ls = finite_n_kernel_scaled(params, x, y, spec, contours)
-    out = val * math.exp(min(ls, 700.0))
-    if abs(out.imag) > 1e-8 * (1.0 + abs(out.real)):
+    # sign(m) e^{ls + log|m|}: no factor overflows where the product does not,
+    # and math.exp raises OverflowError where the product itself does
+    re, im = (math.copysign(math.exp(ls + math.log(abs(m))), m) if m else 0.0
+              for m in (val.real, val.imag))
+    if abs(im) > 1e-8 * (1.0 + abs(re)):
         raise QuadratureError("finite-n kernel value has non-negligible imaginary part")
-    return float(out.real)
+    return re
 
 
 def finite_n_kernel_grid(params: FiniteKernelParams, xs, ys,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from pearceylab._quad import QuadratureError
 from pearceylab.fredholm import (IntervalUnion, NystromGrid, airy_gap_on_ray,
                                  gap_csv_lines,
                                  endpoint_identity_check, gap_probability, multitime_gap,
@@ -63,6 +64,15 @@ class TestGapProbability:
         assert abs(res1.value - res2.value) < 1e-9
         assert 0 < airy_gap_on_ray(-3.0).value < airy_gap_on_ray(-1.0).value \
             < airy_gap_on_ray(1.0).value < 1.0 + 1e-12
+
+    def test_small_gap_log_refinement_gate(self):
+        # values agree to 3e-9 at m=16 but their logs differ by 0.30
+        for s, m in ((-6.0, 16), (-10.0, 24)):
+            with pytest.raises(QuadratureError, match="log disagreement") as info:
+                airy_gap_on_ray(s, m)
+            assert info.value.achieved > 1e-6
+        res = airy_gap_on_ray(-6.0, 48)
+        assert 1.0e-8 < res.value < 1.1e-8
 
 
 class TestMultitimeGap:

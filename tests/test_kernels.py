@@ -17,6 +17,39 @@ from pearceylab.kernels import (ContourPath, FiniteKernelParams, airy_kernel,
                                 pearcey_kernel_pq_form, pearcey_pq, pq_tables)
 
 
+def _pq_direct(t, xs, spec):
+    """Oracle for kernels._pq_quadrature: the same sums with one complex
+    exponential per rule node and x, q on one composite rule over [-L, L]
+    and p on the two half-line rules (weights negated on the positive half)."""
+    xs = np.asarray(xs, dtype=float)
+    xmax = float(np.abs(xs).max(initial=0.0))
+    L = kernels._pq_L(t, xmax, spec)
+    panels = kernels._pq_panels(t, xmax, L, spec)
+    k = np.arange(4)[:, None]
+    v, wv = panel_rule(-L, L, 2 * panels, spec.nodes_per_panel)
+    base = np.exp(-v**4 / 4.0 - t * v**2 / 2.0)
+    Q = -((-1j) ** k) / (2.0 * math.pi) * ((v**k * (wv * base)) @ np.exp(-1j * np.outer(v, xs)))
+    e = np.exp(1j * math.pi / 4.0)
+    s_neg, w_neg = panel_rule(-L, 0.0, panels, spec.nodes_per_panel)
+    s_pos, w_pos = panel_rule(0.0, L, panels, spec.nodes_per_panel)
+    s = np.concatenate([s_neg, s_pos])
+    ws = np.concatenate([w_neg, -w_pos])
+    gbase = np.exp(-s**4 / 4.0 - 1j * t * s**2 / 2.0)
+    D = (s**k * (ws * gbase)) @ np.exp(np.outer(s * e, xs))
+    P = np.imag(e ** (k + 1) * D) / math.pi
+    return P, Q
+
+
+def _pq_scaled_gap(t, xs, spec):
+    """Largest |separable - direct| over all k and nodes, each node scaled by
+    max(1, |p^{(k)}|, |q^{(k)}|) as pq_tables scales its tolerances."""
+    P0, Q0 = _pq_direct(t, xs, spec)
+    P1, Q1 = kernels._pq_quadrature(t, xs, spec)
+    scale = np.maximum(1.0, np.maximum(np.abs(P0).max(axis=0), np.abs(Q0).max(axis=0)))
+    return max((np.abs(P1 - P0).max(axis=0) / scale).max(),
+               (np.abs(Q1 - Q0).max(axis=0) / scale).max())
+
+
 class TestPearceyPQ:
     def test_parity_values_at_origin(self, spec):
         f = pearcey_pq(0.0, 0.0, spec)
@@ -72,6 +105,43 @@ class TestPearceyPQ:
         P, Q = pq_tables(0.0, [40.0], spec)
         f = pearcey_pq(0.0, 40.0, spec)
         assert (P[:, 0] == f.p_values()).all() and (Q[:, 0] == f.q_values()).all()
+
+
+    def test_separable_quadrature_matches_direct(self, spec):
+        rng = np.random.default_rng(7)
+        for sp in (spec, spec.refined()):
+            for t in (-2.0, 0.0, 0.7, 2.0):
+                assert _pq_scaled_gap(t, rng.uniform(-5.0, 5.0, 40), sp) < 1e-13
+
+    def test_separable_quadrature_more_panels(self, spec):
+        # t=10 with x up to 12 needs more panels than spec.panels
+        t, xs = 10.0, np.append(np.random.default_rng(8).uniform(-12.0, 12.0, 39), 12.0)
+        assert kernels._pq_panels(t, 12.0, kernels._pq_L(t, 12.0, spec), spec) > spec.panels
+        assert _pq_scaled_gap(t, xs, spec) < 1e-11
+
+    @pytest.mark.parametrize("fault, message", [
+        ("imaginary", "imaginary part"),
+        ("ode", "ODE residual"),
+        ("refined", "did not converge"),
+    ])
+    def test_each_check_fires(self, spec, monkeypatch, fault, message):
+        raw = kernels._pq_quadrature
+
+        def faulty(t, xs, sp):
+            P, Q = raw(t, xs, sp)
+            if fault == "imaginary":
+                Q = Q * (1.0 + 1e-6j)      # still solves the ODE, so only Im q trips
+            elif fault == "ode":
+                P = P.copy()
+                P[3] += 1e-6               # on both rules alike, so refinement agrees
+            elif sp != spec:
+                P, Q = P + 1e-6, Q + 1e-6
+            return P, Q
+
+        monkeypatch.setattr(kernels, "_pq_quadrature", faulty)
+        with pytest.raises(QuadratureError, match=message) as info:
+            pq_tables(0.7, np.linspace(-2.0, 2.0, 9), spec)
+        assert info.value.achieved > 0
 
 
 class TestPearceyKernel:
@@ -286,6 +356,17 @@ class TestFiniteN:
                          + x * x / (1 - (t - eps)) - y * y / (1 - (t + eps))) \
             / math.sqrt(math.pi * 2 * eps)
         assert k_minus - k_plus == pytest.approx(gauss, rel=0.08)
+
+    def test_value_past_exp_700_is_not_clipped(self, monkeypatch):
+        params = FiniteKernelParams(n=12, a=1.0, b=-1.0, p=0.5, t_k=0.3, t_l=0.3)
+        monkeypatch.setattr(kernels, "finite_n_kernel_scaled",
+                            lambda *args, **kw: (complex(1e-3), 705.0))
+        assert finite_n_kernel(params, 0.0, 0.0) == pytest.approx(1e-3 * math.exp(705.0),
+                                                                  rel=1e-12)
+        monkeypatch.setattr(kernels, "finite_n_kernel_scaled",
+                            lambda *args, **kw: (complex(0.5), 720.0))
+        with pytest.raises(OverflowError):
+            finite_n_kernel(params, 0.0, 0.0)
 
     def test_tier_agreement_overlap(self):
         params = FiniteKernelParams(n=50, a=1.0, b=-1.0, p=0.5,
