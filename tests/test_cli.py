@@ -1,4 +1,6 @@
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +102,23 @@ class TestDispatch:
         assert lines[1].startswith("# s=0 t=0")
         assert lines[2] == "x,y,value"
         assert len(lines) == 3 + 9
+
+
+def _readme_cli_lines():
+    """The `pearceylab ...` lines of README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("pearceylab ")]
+
+
+def test_readme_lines(tmp_path, monkeypatch, capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) == 18
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        args = shlex.split(line)[1:]
+        assert dispatch(["--threads", "1", *args]) == 0, line
+        text = capsys.readouterr().out
+        if "--out" in args:
+            text = (tmp_path / args[args.index("--out") + 1]).read_text()
+        assert text.startswith("# pearceylab="), line

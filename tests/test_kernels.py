@@ -50,6 +50,26 @@ def _pq_scaled_gap(t, xs, spec):
                (np.abs(Q1 - Q0).max(axis=0) / scale).max())
 
 
+def _pearcey_grid_graded(s, t, xs, ys, spec):
+    """Oracle for pearcey_kernel_grid: its former rule, X corners at L(1 +- i)
+    and the legs graded toward the centre and the chord ends (1,280 V nodes
+    and 512 U nodes at the default spec), with a dense Cauchy coupling."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    L = max(kernels._pq_L(t, np.abs(ys).max(), spec), kernels._pq_L(s, np.abs(xs).max(), spec))
+    wide = QuadratureSpec(L, spec.panels, spec.nodes_per_panel)
+    inner = L * 2.0 ** (1 - spec.panels)
+    _, v_path = build_contours(1.0, wide, pinch_gap=min(1.0, L / 6.0))
+    U, WU = kernels._uline_rule(0.0, wide, inner)
+    V, WV = kernels._contour_rule(v_path, wide, inner)
+    A = (WV * np.exp(V**4 / 4.0 - s * V**2 / 2.0))[:, None] * np.exp(np.outer(V, xs))
+    B = (WU * np.exp(-U**4 / 4.0 + t * U**2 / 2.0))[:, None] * np.exp(-np.outer(U, ys))
+    out = -(A.T @ (1.0 / (U[None, :] - V[:, None])) @ B).real / (4.0 * math.pi**2)
+    if s < t:
+        dx = xs[:, None] - ys[None, :]
+        out -= np.exp(-dx * dx / (2.0 * (t - s))) / math.sqrt(2.0 * math.pi * (t - s))
+    return out
+
+
 class TestPearceyPQ:
     def test_parity_values_at_origin(self, spec):
         f = pearcey_pq(0.0, 0.0, spec)
@@ -229,6 +249,61 @@ class TestPearceyKernel:
             pearcey_kernel(0.0, 0.0, 20.0, 20.0, spec)
         assert exc.value.achieved > 1e-8
 
+    def test_negative_time_against_mpmath(self, spec):
+        # t = -7.5 from the defining p/q integrals with mpmath 1.3.0 at 34
+        # digits (each by mp.quad over 40 equal panels of [-9, 9], p on its
+        # two half-lines), then the p/q kernel formula.  Rules on scipy's
+        # roots_legendre weights were off by 5.2e-8 and 3.6e-8 here, past
+        # the 1e-8 tolerance, while their rounding bound read 3.5e-9.
+        for (x, y), ref in (((-4.0, 2.0), -0.058796414202527565),
+                            ((-4.0, -4.0), 0.88676925188019677)):
+            assert abs(pearcey_kernel(-7.5, -7.5, x, y, spec) - ref) < 1e-8
+
+    @pytest.mark.parametrize("s, t", [(-1.0, 0.5), (0.5, -1.0), (0.0, 0.0), (-1.5, 1.5),
+                                      (1.2, 1.3)])
+    def test_matches_graded_rule(self, spec, s, t):
+        xs = np.linspace(-5.0, 5.0, 41)
+        K = pearcey_kernel_grid(s, t, xs, xs, spec)
+        ref = _pearcey_grid_graded(s, t, xs, xs, spec)
+        assert (np.abs(K - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all()
+
+    def test_coupling_budget(self, spec, monkeypatch):
+        # V x U coupling entries per call; the graded rule used 1,280 x 512
+        sizes = []
+        contract = kernels._cauchy_contract
+        monkeypatch.setattr(kernels, "_cauchy_contract", lambda A, kV, kU, B: (
+            sizes.append(len(kV) * len(kU)) or contract(A, kV, kU, B)))
+        xs = np.linspace(-3.0, 3.0, 13)
+        for s, t in ((-1.5, 1.5), (1.5, -1.5), (1.5, 1.5), (-1.5, -1.5), (0.0, 0.0)):
+            pearcey_kernel_grid(s, t, xs, xs, spec)
+        assert len(sizes) == 5 and max(sizes) <= 655_360 // 8
+
+    def test_indentation_independence(self, spec, monkeypatch):
+        # the chord at d and at d/2 bound the same analytic integrand
+        xs = np.linspace(-2.0, 2.0, 9)
+        K = pearcey_kernel_grid(-1.0, 0.5, xs, xs, spec)
+        gaps = []
+        legs = kernels._pearcey_legs
+
+        def half_gap(L, d, width):
+            gaps.append(d / 2.0)
+            return legs(L, d / 2.0, width)
+        monkeypatch.setattr(kernels, "_pearcey_legs", half_gap)
+        K_half = pearcey_kernel_grid(-1.0, 0.5, xs, xs, spec)
+        assert gaps == [0.5]
+        assert np.abs(K - K_half).max() < 1e-12
+
+    def test_imaginary_check_carries_achieved(self, spec, monkeypatch):
+        contract = kernels._cauchy_contract
+
+        def tilted(A, kV, kU, B):
+            contraction, mass = contract(A, kV, kU, B)
+            return contraction * (1.0 + 1e-6j), mass
+        monkeypatch.setattr(kernels, "_cauchy_contract", tilted)
+        with pytest.raises(QuadratureError, match="imaginary") as info:
+            pearcey_kernel_grid(0.0, 0.0, [0.0, 1.0], [0.0, 1.0], spec)
+        assert info.value.achieved > 0
+
     def test_csv_dump_format(self, spec):
         xs = np.array([0.0, 1.0])
         vals = pearcey_kernel_grid(0.0, 0.0, xs, xs, spec)
@@ -314,14 +389,29 @@ class TestContours:
         with pytest.raises(ValueError):
             ContourPath(nodes=(0.0, 0.0), label="imaginary-axis")
 
-    def test_pearcey_contour_rays(self, spec):
-        # the X that pearcey_kernel_grid integrates over: the right branch
-        # enters from e^{i pi/4} infinity and leaves to e^{-i pi/4} infinity,
-        # the left one enters from e^{-3i pi/4} and leaves to e^{3i pi/4}
-        _, v = build_contours(1.0, spec, pinch_gap=1.0)
-        outer = [z for branch in v.branches() for z in (branch[0], branch[-1])]
+    def test_pearcey_contour_rays(self, spec, monkeypatch):
+        # the legs pearcey_kernel_grid integrates over: the U line runs up
+        # from -iL to iL; the right X branch enters from e^{i pi/4} infinity
+        # and leaves to e^{-i pi/4} infinity, the left one enters from
+        # e^{-3i pi/4} and leaves to e^{3i pi/4}, each with corners at
+        # |V| = L and a chord at Re V = +-d between its two rays
+        seen = []
+        legs = kernels._pearcey_legs
+        monkeypatch.setattr(kernels, "_pearcey_legs",
+                            lambda L, d, width: seen.append((L, d)) or legs(L, d, width))
+        pearcey_kernel_grid(0.0, 0.0, [0.0], [0.0], spec)
+        (L, d), = seen
+        u, v = legs(L, d, 1.0)
+        assert [(a, b) for a, b, *_ in u] == [(-1j * L, 1j * L)]
+        points = [[(a, b) for a, b, *_ in v[k:k + 3]] for k in (0, 3)]
+        for branch, sign in zip(points, (1.0, -1.0)):
+            assert all(b0 == a1 for (_, b0), (a1, _) in zip(branch[:-1], branch[1:]))
+            chord = branch[1]
+            assert chord[0].real == chord[1].real == pytest.approx(sign * d)
+        outer = [z for branch in points for z in (branch[0][0], branch[-1][1])]
         want = [math.pi / 4, -math.pi / 4, -3 * math.pi / 4, 3 * math.pi / 4]
         assert np.abs(np.angle(outer) - want).max() < 1e-12
+        assert np.abs(np.abs(outer) - L).max() < 1e-12
 
 
 class TestFiniteN:
@@ -367,6 +457,14 @@ class TestFiniteN:
                             lambda *args, **kw: (complex(0.5), 720.0))
         with pytest.raises(OverflowError):
             finite_n_kernel(params, 0.0, 0.0)
+
+    def test_imaginary_check_carries_achieved(self, monkeypatch):
+        params = FiniteKernelParams(n=12, a=1.0, b=-1.0, p=0.5, t_k=0.3, t_l=0.3)
+        monkeypatch.setattr(kernels, "finite_n_kernel_scaled",
+                            lambda *args, **kw: (complex(1.0, 1e-3), 0.0))
+        with pytest.raises(QuadratureError, match="imaginary") as info:
+            finite_n_kernel(params, 0.0, 0.0)
+        assert info.value.achieved == pytest.approx(1e-3)
 
     def test_tier_agreement_overlap(self):
         params = FiniteKernelParams(n=50, a=1.0, b=-1.0, p=0.5,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pearceylab._quad import QuadratureSpec, panel_rule, segment_rule
+from pearceylab._quad import QuadratureSpec, _gl, panel_rule, segment_rule
 
 
 def test_panel_rule_exact_on_polynomials():
@@ -9,6 +9,18 @@ def test_panel_rule_exact_on_polynomials():
     for k in range(6):
         exact = (3.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert np.sum(w * x**k) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_gauss_legendre_weights_at_rounding(n):
+    # e^{20x} on [-1, 1] puts its mass on the end nodes, whose weights
+    # scipy's roots_legendre gets wrong by up to 6e-13 relative at n = 32
+    # (a 4.6e-14 error here) and 5e-11 at n = 128
+    x, w = _gl(n)
+    exact = np.sinh(20.0) / 10.0
+    assert abs(np.sum(w * np.exp(20.0 * x)) - exact) <= 2e-15 * exact
+    assert abs(np.sum(w) - 2.0) <= 4e-16 * n
+    assert (np.diff(x) > 0).all() and np.array_equal(x, -x[::-1])
 
 
 def test_panel_rule_graded_covers_interval():
