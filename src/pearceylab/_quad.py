@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 
 def _legendre(n, x):
@@ -27,15 +26,26 @@ def _legendre(n, x):
 def _gl(n):
     """Gauss-Legendre nodes and weights on [-1, 1].
 
-    scipy's roots_legendre weights (scipy 1.17) are off by up to 6e-13
-    relative at the end nodes for n = 32 (5e-11 at n = 128), which
-    cancellation in a contour sum amplifies.  A Newton step on P_n in extended precision, where numpy
-    has one, and the weights 2/((1 - x^2) P_n'(x)^2) at the polished nodes
-    bring both to rounding.  Read-only: cached across calls.
+    Newton on P_n, in extended precision where numpy has one, runs from the
+    asymptotic guesses cos(pi (k - 1/4) / (n + 1/2)) (Hale & Townsend, SIAM
+    J. Sci. Comput. 35, 2013) until its step is at rounding; the weights are
+    2/((1 - x^2) P_n'(x)^2) at the converged nodes.  The guesses are made
+    exactly odd, which the recurrence keeps, so the rule is exactly symmetric
+    with its centre node at 0 for odd n.  Read-only: cached across calls.
     """
-    x = roots_legendre(n)[0].astype(np.longdouble)
-    p, dp = _legendre(n, x)
-    x -= p / dp
+    theta = np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)
+    x = np.cos(theta).astype(np.longdouble)
+    x = (x - x[::-1]) / 2
+    tol = 4 * np.finfo(x.dtype).eps
+    for _ in range(20):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= tol:
+            break
+    else:
+        raise QuadratureError(f"Gauss-Legendre Newton did not converge at n={n}",
+                              np.abs(step).max())
     _, dp = _legendre(n, x)
     rule = x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
     for arr in rule:

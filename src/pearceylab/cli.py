@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,7 +265,10 @@ def _add_quad_flags(p):
     p.add_argument("--nodes", type=int, default=32)
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     ap = argparse.ArgumentParser(prog="pearceylab")
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="cap worker parallelism (results are thread-count independent)")

@@ -67,25 +67,14 @@ def _rng(seed, index=0):
 
 
 def _gue_parts(n, rng):
-    """The normals behind one _gue_like draw, in drawing order: the real and
-    imaginary parts of the upper triangle (variance 1/(2n) each; only the
-    strict upper triangle is used) and the diagonal (variance 1/n)."""
+    """The normals behind one GUE draw with the exp(-(n/2) Tr H^2)
+    convention, in drawing order: the real and imaginary parts of the upper
+    triangle (variance 1/(2n) each; only the strict upper triangle is used)
+    and the diagonal (variance 1/n)."""
     x = rng.normal(0.0, math.sqrt(0.5 / n), (n, n))
     y = rng.normal(0.0, math.sqrt(0.5 / n), (n, n))
     d = rng.normal(0.0, 1.0 / math.sqrt(n), n)
     return x, y, d
-
-
-def _gue_like(n, rng):
-    """Hermitian H with the exp(-(n/2) Tr H^2) convention: diagonal variance
-    1/n, off-diagonal re/im variance 1/(2n) each."""
-    x, y, d = _gue_parts(n, rng)
-    iu = np.triu_indices(n, 1)
-    H = np.zeros((n, n), dtype=complex)
-    H[iu] = x[iu] + 1j * y[iu]
-    H = H + H.conj().T
-    H[np.arange(n), np.arange(n)] = d
-    return H
 
 
 def source_matrix_diag(n, config: TargetConfig, t=None):
@@ -99,11 +88,15 @@ def sample_spectrum(n: int, config: TargetConfig, seed: int,
     """Eigenvalues of A_t + H, deterministic in (seed, index)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    rng = _rng(seed, index)
-    A = np.diag(source_matrix_diag(n, config).astype(complex))
-    H = _gue_like(n, rng)
-    eig = np.linalg.eigvalsh(A + H)
-    return SpectrumSample(n=n, eigenvalues=np.sort(eig), seed=seed, config=config)
+    x, y, d = _gue_parts(n, _rng(seed, index))
+    # eigvalsh reads only the lower triangle of A_t + H, whose entries are
+    # conj(x + iy) from the upper-triangle draws: M holds them transposed
+    M = np.empty((n, n), dtype=complex)
+    M.real = x
+    np.negative(y, out=M.imag)
+    np.fill_diagonal(M, source_matrix_diag(n, config) + d)
+    eig = np.linalg.eigvalsh(M.T)
+    return SpectrumSample(n=n, eigenvalues=eig, seed=seed, config=config)
 
 
 def sample_spectra(n, config, seed, count, threads=1):
@@ -164,9 +157,9 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
     incs = np.diff(np.concatenate([[0.0], times, [1.0]]))
 
     def running_sums(dts):
-        # sums of the increments _gue_like(n, rng) * sqrt(dt / 2) * sqrt(n)
-        # (_gue_like has Tr-normalized variance 1/n; this rescales it to
-        # variance dt/2), kept as the real parts that _gue_parts draws: real
+        # sums of the GUE increments H * sqrt(dt / 2) * sqrt(n) (H has
+        # Tr-normalized variance 1/n; this rescales it to variance dt/2),
+        # kept as the real parts that _gue_parts draws: real
         # scalings act on real and imaginary parts alone, so these are the
         # sums of the complex increments to the last bit
         rng = _rng(seed, index)

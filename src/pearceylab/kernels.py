@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import airy
 
 from ._quad import QuadratureError, QuadratureSpec, _gl, segment_rule
 from .spectral_curve import (CriticalData, find_cusp, group_sizes, solve_stieltjes,
@@ -510,6 +509,7 @@ def airy_kernel_matrix(xs, ys):
     """Airy kernel matrix over xs x ys; Ai and Ai' come from
     scipy.special.airy, once when ys equals xs, and entries with x == y use
     the limit Ai'(x)^2 - x Ai(x)^2."""
+    from scipy.special import airy     # imported here: only this kernel needs scipy
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ax, apx, _, _ = airy(xs)

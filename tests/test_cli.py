@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pearceylab.cli import dispatch
+from pearceylab.cli import build_parser, dispatch
 
 
 def run(tmp_path, args, name="out.txt"):
@@ -32,6 +32,23 @@ class TestDispatch:
         assert dispatch(["kernel", "--form", "pq", "--s", "0", "--t", "1",
                          "--xgrid=-1,1,3", "--ygrid=-1,1,3"]) == 2
         assert dispatch(["cusp", "--a", "1", "--b", "-1", "--p", "0.5", "--L", "8"]) == 2
+
+    def test_parser_reused_without_leaks(self, tmp_path):
+        # one parser serves every dispatch in a process; a seeded run and a
+        # usage error before a run must leave no flag, seed or default behind
+        assert build_parser() is build_parser()
+        cusp = ["cusp", "--a", "1", "--b", "-1", "--p", "0.5"]
+        _, first = run(tmp_path, cusp, "a.txt")
+        code, spectrum = run(tmp_path, ["sample-spectrum", "--n", "4", "--targets=-1,1",
+                                        "--fractions", "0.5,0.5", "--t", "0.2",
+                                        "--seed", "5"], "b.txt")
+        assert code == 0 and "seed=5" in spectrum.splitlines()[0]
+        assert dispatch(["cusp", "--a", "1"]) == 2
+        code, again = run(tmp_path, cusp, "c.txt")
+        assert code == 0 and again == first
+        assert "seed=none" in again.splitlines()[0]
+        assert (vars(build_parser().parse_args(cusp))
+                == vars(build_parser.__wrapped__().parse_args(cusp)))
 
     def test_numerical_error_exit_1(self, tmp_path):
         code, _ = run(tmp_path, ["cusp", "--a", "1", "--b", "1", "--p", "0.5"])

@@ -3,16 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from pearceylab.ensemble_mc import (_gue_like, _rng, density_compare,
+from pearceylab.ensemble_mc import (_gue_parts, _rng, density_compare,
                                     endpoint_fractions, fit_cusp_exponent,
                                     group_sizes,
                                     paths_csv_lines, predicted_density_fn,
                                     sample_bridge_paths, sample_bundles,
                                     sample_spectra, sample_spectrum,
+                                    source_matrix_diag,
                                     spectra_csv_lines)
 from pearceylab.spectral_curve import TargetConfig, find_cusp, support_endpoints
 
 SYM02 = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.2)
+
+
+def _gue_like(n, rng):
+    """Hermitian H with the exp(-(n/2) Tr H^2) convention, built whole from
+    one _gue_parts draw: the oracle for the samplers, which fill only the
+    triangle eigvalsh reads."""
+    x, y, d = _gue_parts(n, rng)
+    iu = np.triu_indices(n, 1)
+    H = np.zeros((n, n), dtype=complex)
+    H[iu] = x[iu] + 1j * y[iu]
+    H = H + H.conj().T
+    H[np.arange(n), np.arange(n)] = d
+    return H
 
 
 class TestSampling:
@@ -22,6 +36,15 @@ class TestSampling:
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         s3 = sample_spectrum(50, SYM02, 8)
         assert not np.array_equal(s1.eigenvalues, s3.eigenvalues)
+
+    @pytest.mark.parametrize("n, index", [(4, 0), (7, 3), (60, 1)])
+    def test_matches_full_matrix(self, n, index):
+        # the sampler fills only the triangle eigvalsh reads; the whole
+        # Hermitian A_t + H gives the same eigenvalues to the last bit
+        cfg = TargetConfig(targets=(0.0, 1.0), fractions=(0.75, 0.25), time=0.5)
+        A = np.diag(source_matrix_diag(n, cfg).astype(complex))
+        full = np.linalg.eigvalsh(A + _gue_like(n, _rng(11, index)))
+        assert np.array_equal(sample_spectrum(n, cfg, 11, index=index).eigenvalues, full)
 
     def test_substreams_order_independent(self):
         a = sample_spectrum(20, SYM02, 5, index=3).eigenvalues

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -346,6 +351,35 @@ class TestAiry:
         assert np.abs(airy_kernel_matrix(xs, ys) - off).max() < 1e-10
         diag = np.diag(airy_kernel_matrix(xs, xs))
         assert np.abs(diag - (aip * aip - xs * ai * ai)).max() < 1e-10
+
+    def test_cold_path_loads_no_scipy(self):
+        # a fresh process imports pearceylab and makes the first call of each
+        # benchmark workload without loading scipy; the Airy kernel then
+        # imports scipy.special.airy on its first use
+        code = textwrap.dedent("""
+            import json, sys
+            import pearceylab
+            from pearceylab.ensemble_mc import sample_spectrum
+            from pearceylab.fredholm import (IntervalUnion, gap_probability,
+                                             pearcey_kernel_handle)
+            from pearceylab.kernels import FiniteKernelParams, airy_kernel, finite_n_kernel
+            from pearceylab.spectral_curve import TargetConfig
+            gap_probability(pearcey_kernel_handle(0.0), IntervalUnion((-0.5, 0.5)), 8)
+            finite_n_kernel(FiniteKernelParams(n=8, a=1.0, b=-1.0, p=0.5, t_k=1/3,
+                                               t_l=1/3), 0.0, 0.0)
+            sample_spectrum(50, TargetConfig((-1.0, 1.0), (0.5, 0.5), 0.2), 0)
+            cold = "scipy" in sys.modules
+            print(json.dumps([cold, airy_kernel(0.3, -0.7), airy_kernel(1.5, 1.5)]))
+            """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        cold, off, diag = json.loads(done.stdout.splitlines()[-1])
+        assert cold is False
+        ai, aip, _, _ = scipy.special.airy(np.array([0.3, -0.7, 1.5]))
+        assert off == pytest.approx((ai[0] * aip[1] - aip[0] * ai[1]) / (0.3 + 0.7), rel=1e-14)
+        assert diag == pytest.approx(aip[2] ** 2 - 1.5 * ai[2] ** 2, rel=1e-14)
 
     def test_kernel_diagonal_and_symmetry(self):
         v = airy_kernel(0.0, 0.0)
