@@ -78,15 +78,26 @@ def panel_rule(a, b, panels, nodes_per_panel, grade_toward=None, inner=None, rat
     return x, w
 
 
+@lru_cache(maxsize=64)
+def _unit_panels(panels, nodes_per_panel):
+    """Uniform composite GL rule on [0, 1].  Read-only: cached across calls."""
+    rule = panel_rule(0.0, 1.0, panels, nodes_per_panel)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def segment_rule(z0, z1, panels, nodes_per_panel, grade_toward=None, inner_frac=None):
     """Directed complex segment z0 -> z1; weights include the direction factor.
 
     grade_toward: None, 'start' or 'end'; inner_frac is the innermost panel
     width as a fraction of the segment length.
     """
-    gt = {None: None, "start": "a", "end": "b"}[grade_toward]
-    inner = None if inner_frac is None else inner_frac
-    s, w = panel_rule(0.0, 1.0, panels, nodes_per_panel, grade_toward=gt, inner=inner)
+    if grade_toward is None:
+        s, w = _unit_panels(panels, nodes_per_panel)
+    else:
+        gt = {"start": "a", "end": "b"}[grade_toward]
+        s, w = panel_rule(0.0, 1.0, panels, nodes_per_panel, grade_toward=gt, inner=inner_frac)
     dz = z1 - z0
     return z0 + dz * s, dz * w
 

@@ -131,6 +131,12 @@ def _legs_rule(legs, nodes_per_panel):
     return np.concatenate([z for z, _ in rules]), np.concatenate([w for _, w in rules])
 
 
+def _uniform_leg(a, b, width):
+    """Leg (for _legs_rule) from a to b with uniform panels no wider than
+    `width`."""
+    return (a, b, max(1, math.ceil(abs(b - a) / width)), None, None)
+
+
 def _contour_rule(path: ContourPath, spec: QuadratureSpec, inner):
     """Quadrature nodes/weights for a ContourPath; segments whose near end is
     close to the centre get geometric grading toward that end, down to an
@@ -392,12 +398,9 @@ def _pearcey_legs(L, d, width):
     carries uniform panels no wider than `width`."""
     c = L / math.sqrt(2.0)
     arm = [c * (1 + 1j), d * (1 + 1j), d * (1 - 1j), c * (1 - 1j)]
-
-    def leg(a, b):
-        return (a, b, max(1, math.ceil(abs(b - a) / width)), None, None)
-
-    v = [leg(a, b) for br in (arm, [-z for z in arm]) for a, b in zip(br[:-1], br[1:])]
-    return [leg(-1j * L, 1j * L)], v
+    v = [_uniform_leg(a, b, width)
+         for br in (arm, [-z for z in arm]) for a, b in zip(br[:-1], br[1:])]
+    return [_uniform_leg(-1j * L, 1j * L, width)], v
 
 
 def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None = None):
@@ -686,19 +689,32 @@ def _finite_cusp_grid(params, xs, ys, spec):
     return vals, ls
 
 
-def _rect_lobe_legs(x0, x1, h, panels, cross_at, inner):
-    """CCW rectangle [x0,x1] x [-h,h] from its lower right corner; when the
-    U-line pierces the lobe at cross_at, top and bottom edges are split there
-    and graded toward it; `inner` is the innermost graded panel width."""
-    if cross_at is None:
+def _rect_lobe_legs(x0, x1, h, widths, cross=None):
+    """CCW rectangle [x0,x1] x [-h,h] from its lower right corner, with
+    uniform panels no wider than widths = (side, top) on its vertical and
+    horizontal edges.  cross = (cross_at, panels, inner) when the U-line
+    pierces the lobe at cross_at: then every edge has `panels` panels
+    instead, and the top and bottom edges are split there and graded toward
+    it, `inner` being the innermost graded panel width."""
+    if cross is None:
         pts = [x1 - 1j * h, x1 + 1j * h, x0 + 1j * h, x0 - 1j * h, x1 - 1j * h]
-        grades = (None,) * 4
-    else:
-        pts = [x1 - 1j * h, x1 + 1j * h, cross_at + 1j * h, x0 + 1j * h,
-               x0 - 1j * h, cross_at - 1j * h, x1 - 1j * h]
-        grades = (None, "end", "start", None, "end", "start")
+        return [_uniform_leg(a, b, w) for a, b, w in zip(pts[:-1], pts[1:], widths * 2)]
+    cross_at, panels, inner = cross
+    pts = [x1 - 1j * h, x1 + 1j * h, cross_at + 1j * h, x0 + 1j * h,
+           x0 - 1j * h, cross_at - 1j * h, x1 - 1j * h]
+    grades = (None, "end", "start", None, "end", "start")
     return [(a, b, panels, grade, min(0.4, inner / abs(b - a)))
             for a, b, grade in zip(pts[:-1], pts[1:], grades)]
+
+
+def _banded_uline(sig, L, band, fine, coarse):
+    """Legs of the upward line through sig from -iL to iL: uniform panels no
+    wider than `fine` over |Im| <= band, the heights beside the V lobes, and
+    no wider than `coarse` beyond."""
+    band = min(band, L)
+    ends = (-L, -band, band, L)
+    return [_uniform_leg(sig + 1j * a, sig + 1j * b, w)
+            for a, b, w in zip(ends[:-1], ends[1:], (coarse, fine, coarse)) if b > a]
 
 
 def _adaptive_side(params, t, coord):
@@ -743,6 +759,19 @@ def _finite_adaptive(params, x, y, spec):
     sweep (a 1-D integral of an entire function over the lobe boundary right
     of the line) compensates, so the configuration equals the line-beside-loop
     one.  Everything is evaluated relative to a common log magnitude.
+
+    A lobe beside the line (plain) or two split at it keep a clearance d from
+    the line, and Gauss-Legendre panels converge at a rate set by the distance
+    of the nearest singularity of 1/(U - V) relative to their width.  So their
+    rules carry uniform panels whose widths follow d, 2.5 d at spec.panels = 8
+    and in proportion to 1/spec.panels: lobe sides and the line over the
+    lobes' heights plus 3 d at most 2.5 d, lobe tops and bottoms 5 d, the rest
+    of the line 10 d.  A pierced lobe keeps spec.panels panels per edge,
+    graded toward the crossing, and the line a cascade toward the real axis.
+    Measured accuracy, on the two benchmark profiles (n = 8, 9) and at n = 50:
+    plain and split about 1e-13 against a rule with panels no wider than d/4;
+    pierced 2e-12 to 3e-9 at n = 50 and up to 1.5e-8 at n = 8 and 3.2e-8 at
+    n = 9 against nodes_per_panel = 64, limited by the crossing.
     """
     n, n1, n2 = params.n, params.n1, params.n2
     sideU, gU = _adaptive_side(params, params.t_l, y)
@@ -804,14 +833,19 @@ def _finite_adaptive(params, x, y, spec):
     lobes, pierced = candidates[int(np.argmin(
         excess + pierced_penalty * np.array([c[1] for c in candidates])))]
     _, x_right, h = lobes[0]
-    cross_at, lobe_inner = (sig_v, 1e-4) if pierced else (None, inner)
+    # plain and split panel widths (see above): lobe sides and the U line
+    # beside them pass each other at d; tops and bottoms meet it at a corner
+    near = 20.0 * d / spec.panels
+    cross = (sig_v, spec.panels, 1e-4) if pierced else None
     legs = [leg for x0_, x1_, hh in lobes
-            for leg in _rect_lobe_legs(x0_, x1_, hh, spec.panels, cross_at, lobe_inner)]
+            for leg in _rect_lobe_legs(x0_, x1_, hh, (near, 2.0 * near), cross)]
     rule_v = _legs_rule(legs, spec.nodes_per_panel)
     if pierced:
         rule_u = _crossing_uline(sig, L, h * kapV / kapU, d, spec, inner, ysad=abs(gU.imag))
     else:
-        rule_u = _uline_rule(sig, spec, inner)
+        r = kapV / kapU     # V-variable lengths in the U variable
+        rule_u = _legs_rule(_banded_uline(sig, L, (h + 3.0 * d) * r, near * r, 4.0 * near * r),
+                            spec.nodes_per_panel)
     vals, ls, mass = _finite_contraction(params, rule_u, sideU, rule_v, sideV, [x], [y])
     pref = _finite_prefactor(params)
     if abs(pref) * mass[0, 0] * math.exp(min(ls, 700.0)) < 1e-9:

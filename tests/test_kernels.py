@@ -682,7 +682,7 @@ class TestFiniteContraction:
     def test_matches_dense_coupling(self, monkeypatch, case):
         spec25 = QuadratureSpec(nodes_per_panel=25)
         call, watch = {
-            "plain": (lambda: finite_n_kernel_scaled(SYM8, 3.0, 3.0), "_uline_rule"),
+            "plain": (lambda: finite_n_kernel_scaled(SYM8, 3.0, 3.0), "_banded_uline"),
             "pierced": (lambda: finite_n_kernel_scaled(SYM8, 0.54132, 0.54132),
                         "_crossing_uline"),
             "cusp grid": (lambda: finite_n_kernel_grid(SYM50, [-0.2, 0.0, 0.2],
@@ -721,9 +721,9 @@ class TestFiniteContraction:
         lobes = []
         legs = kernels._rect_lobe_legs
 
-        def record(x0, x1, h, panels, cross_at, inner):
-            lobes.append((x0, x1, h, cross_at))
-            return legs(x0, x1, h, panels, cross_at, inner)
+        def record(x0, x1, h, widths, cross=None):
+            lobes.append((x0, x1, h, cross))
+            return legs(x0, x1, h, widths, cross)
         monkeypatch.setattr(kernels, "_rect_lobe_legs", record)
         for (n, a, b, p, t, lam0, below, above), (kinds, checksum) in expected.items():
             got, total = "", 0.0
@@ -738,8 +738,8 @@ class TestFiniteContraction:
 
     @pytest.mark.parametrize("lam", [3.0, 0.54132])
     def test_no_dense_coupling_temporary(self, lam):
-        # a dense complex V x U coupling alone is 8 MB at the plain point
-        # (1024 x 512 nodes) and 36 MB at the pierced one (1536 x 1472)
+        # a dense complex V x U coupling alone is 2.2 MB at the plain point
+        # (384 x 352 nodes) and 36 MB at the pierced one (1536 x 1472)
         import tracemalloc
         finite_n_kernel_scaled(SYM8, lam, lam)     # fill the lazy caches
         tracemalloc.start()
@@ -749,3 +749,63 @@ class TestFiniteContraction:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+# The adaptive tier against a dense rule, at every point of the two benchmark
+# diagonal profiles (lam0 + 0.2 k) where the U-line does not pierce a V lobe,
+# and at SYM50's cusp-vs-adaptive agreement points.  The references keep the
+# tier's chosen lobes and U abscissa but put uniform panels no wider than d/4
+# (d the lobes' clearance from the line) on every leg of both contours, 32
+# Gauss-Legendre nodes each, with the U line out to +-8i: some 9,000 U by
+# 6,000 V nodes a point.  The zeros are points whose whole configuration is
+# below the tier's 1e-9 negligibility bound on both rules.
+DENSE_PROFILES = {
+    (8, 1.0, -1.0, 0.5, 1.0 / 3.0, 1.94132): {
+        -34: 0.0, -33: 0.0, -32: 0.0, -31: 0.0, -30: 0.0, -29: 5.982088696456612e-11,
+        -28: 5.028731715976544e-09, -27: 2.8113059481570243e-07, -26: 1.0364426825731688e-05,
+        -25: 0.0002492358745989073, -24: 0.0038525717911760647, -23: 0.03751898768921901,
+        -22: 0.22380533551383183, -21: 0.786120804076919, -20: 1.5521141172079458,
+        -11: 1.5063034449745445, -9: 1.0055139896202954, 0: 1.764284521488426,
+        1: 1.259539523818969, 2: 0.5003093743719901, 3: 0.11380664870135251,
+        4: 0.015517267264682177, 5: 0.0013126816492558362, 6: 7.060178949035192e-05,
+        7: 2.4570087329241268e-06, 8: 5.604703424428016e-08, 9: 8.462710338577181e-10,
+        10: 0.0, 11: 0.0, 12: 0.0, 13: 0.0, 14: 0.0, 15: 0.0},
+    (9, 1.0, 0.0, 1.0 / 9.0, 0.5, 1.5 / 9.0): {
+        -25: 0.0, -24: 0.0, -23: 0.0, -22: 0.0, -21: 0.0, -20: 0.0, -19: 0.0, -18: 0.0,
+        -17: 7.064547513334972e-09, -16: 3.8294869197455073e-07, -15: 1.3893259974010155e-05,
+        -14: 0.00033218621166222686, -13: 0.005128210135191689, -12: 0.0497006507378003,
+        -11: 0.2907132801442155, -10: 0.9718038348449978, -9: 1.7518305403298748,
+        -8: 1.848804255797305, -7: 2.028595063152294, -6: 2.3306008544339187,
+        5: 1.9753687056519642, 6: 2.0387129135053232, 7: 1.490323090282646,
+        13: 0.1472488938137827, 14: 0.0311560709832278, 15: 0.0045429206209345995,
+        16: 0.00046052329355348584, 17: 3.267030252370079e-05, 18: 1.6302608082431067e-06,
+        19: 5.745472314183411e-08, 20: 1.4347890376153703e-09, 21: 2.5457854947160372e-11,
+        22: 0.0, 23: 0.0, 24: 0.0, 25: 0.0},
+}
+# K(lam, lam) at lam = sqrt(50) c z, c = sqrt(t (1 - t) / 2), split lobes
+DENSE_SYM50 = {-0.3: 3.7138962595897955, -0.2: 3.313250014782015, -0.1: 2.9608208568577106,
+               0.1: 2.9608208568577132, 0.2: 3.3132500147820183, 0.3: 3.7138962595898315}
+
+
+class TestAdaptiveRules:
+    def test_plain_and_split_match_dense_rule(self):
+        for (n, a, b, p, t, lam0), refs in DENSE_PROFILES.items():
+            for k, ref in refs.items():
+                got = finite_n_diagonal(n, a, b, p, t, [lam0 + 0.2 * k])[0]
+                assert abs(got - ref) <= 1e-12 * abs(ref), (n, k, got, ref)
+        c = math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / 2.0)
+        for z, ref in DENSE_SYM50.items():
+            lam = math.sqrt(50) * c * z
+            val, ls = finite_n_kernel_scaled(SYM50, lam, lam, contours="adaptive")
+            got = (val * np.exp(ls)).real
+            assert abs(got - ref) <= 1e-12 * ref, (z, got, ref)
+
+    def test_plain_lobe_at_n200(self):
+        # z = 2.4 beside the right lobe: a rule with a fixed panel count per
+        # leg was off by 6e-3 here.  The contraction's absolute mass is 7e3
+        # times the value, so rounding alone allows about 1e-12.
+        params = FiniteKernelParams(n=200, a=1.0, b=-1.0, p=0.5, t_k=1.0 / 3.0,
+                                    t_l=1.0 / 3.0)
+        lam = math.sqrt(200) * math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / 2.0) * 2.4
+        assert finite_n_kernel(params, lam, lam) == pytest.approx(5.0730410070858625,
+                                                                  rel=1e-10)

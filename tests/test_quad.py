@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from pearceylab._quad import QuadratureSpec, _gl, _legendre, panel_rule, segment_rule
+from pearceylab._quad import (QuadratureSpec, _gl, _legendre, _unit_panels, panel_rule,
+                              segment_rule)
 
 # every Gauss-Legendre order the package, its tests and the README lines
 # build: nodes per panel 32 and 64, Nystrom m and 2m, and the tests' own
@@ -76,6 +77,24 @@ def test_segment_rule_direction():
     # reversing the segment flips the integral
     z2, w2 = segment_rule(1.0 + 1.0j, 0.0, 3, 8)
     assert np.sum(w2) == pytest.approx(-(1.0 + 1.0j), rel=1e-13)
+
+
+def test_uniform_segment_rule_cached_and_unchanged():
+    # uniform legs share one read-only unit-interval rule per (panels,
+    # nodes_per_panel); the nodes and weights are those panel_rule builds
+    z0, z1 = 0.5 - 2.0j, -1.0 + 3.0j
+    z, w = segment_rule(z0, z1, 5, 32)
+    s, sw = panel_rule(0.0, 1.0, 5, 32)
+    assert np.array_equal(z, z0 + (z1 - z0) * s) and np.array_equal(w, (z1 - z0) * sw)
+    unit = _unit_panels(5, 32)
+    assert _unit_panels(5, 32) is unit and _unit_panels(5, 16) is not unit
+    assert all(not arr.flags.writeable for arr in unit)
+    with pytest.raises(ValueError):
+        unit[0][0] = 0.0
+    # grading stays uncached: inner_frac changes the rule
+    g1 = segment_rule(z0, z1, 5, 32, grade_toward="start", inner_frac=1e-3)[0]
+    g2 = segment_rule(z0, z1, 5, 32, grade_toward="start", inner_frac=1e-2)[0]
+    assert not np.array_equal(g1, g2)
 
 
 def test_quadrature_spec_validation():
