@@ -1,9 +1,11 @@
 """Composite Gauss-Legendre quadrature on real intervals and complex polylines.
 
 All contour integrals in this package reduce to sums over directed straight
-segments.  Each segment carries composite Gauss-Legendre panels; panels may be
-geometrically graded toward one endpoint (needed wherever an integrand has a
-pinch, a contour crossing, or an n-dependent concentration scale).
+segments, each carrying uniform composite Gauss-Legendre panels.  Panels
+converge geometrically wherever the integrand is analytic in a strip around
+them, so the callers size them by width to that strip.  Grading survives only
+toward a contour crossing, where the callers split a segment into single
+panels that double in width away from it.
 """
 
 from __future__ import annotations
@@ -53,23 +55,11 @@ def _gl(n):
     return rule
 
 
-def panel_rule(a, b, panels, nodes_per_panel, grade_toward=None, inner=None, ratio=2.0):
-    """Composite GL nodes and weights on the real interval [a, b].
-
-    grade_toward: None for uniform panels, 'a' or 'b' for geometric grading
-    with innermost panel width `inner` (absolute), doubling by `ratio`.
-    """
+def panel_rule(a, b, panels, nodes_per_panel):
+    """Composite GL nodes and weights on the real interval [a, b], uniform
+    panels."""
     gx, gw = _gl(nodes_per_panel)
-    L = b - a
-    if grade_toward is None:
-        edges = np.linspace(a, b, panels + 1)
-    else:
-        if inner is None:
-            inner = abs(L) * ratio ** (1 - panels)
-        spans = [min(abs(inner) * ratio**k, abs(L)) for k in range(panels - 1)]
-        rel = np.concatenate([[0.0], spans, [abs(L)]])
-        rel = np.unique(np.clip(rel, 0.0, abs(L)))
-        edges = a + rel * np.sign(L) if grade_toward == "a" else b - rel[::-1] * np.sign(L)
+    edges = np.linspace(a, b, panels + 1)
     los, his = edges[:-1], edges[1:]
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
@@ -87,17 +77,10 @@ def _unit_panels(panels, nodes_per_panel):
     return rule
 
 
-def segment_rule(z0, z1, panels, nodes_per_panel, grade_toward=None, inner_frac=None):
-    """Directed complex segment z0 -> z1; weights include the direction factor.
-
-    grade_toward: None, 'start' or 'end'; inner_frac is the innermost panel
-    width as a fraction of the segment length.
-    """
-    if grade_toward is None:
-        s, w = _unit_panels(panels, nodes_per_panel)
-    else:
-        gt = {"start": "a", "end": "b"}[grade_toward]
-        s, w = panel_rule(0.0, 1.0, panels, nodes_per_panel, grade_toward=gt, inner=inner_frac)
+def segment_rule(z0, z1, panels, nodes_per_panel):
+    """Directed complex segment z0 -> z1 with uniform panels; weights include
+    the direction factor."""
+    s, w = _unit_panels(panels, nodes_per_panel)
     dz = z1 - z0
     return z0 + dz * s, dz * w
 

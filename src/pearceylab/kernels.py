@@ -124,44 +124,49 @@ def build_contours(q: float, spec: QuadratureSpec, center: complex = 0.0,
 
 
 def _legs_rule(legs, nodes_per_panel):
-    """Nodes and weights over directed legs (a, b, panels, grade, inner_frac),
-    concatenated in order; grade and inner_frac are segment_rule's."""
-    rules = [segment_rule(a, b, panels, nodes_per_panel, grade_toward=grade, inner_frac=frac)
-             for a, b, panels, grade, frac in legs]
+    """Nodes and weights over directed legs (a, b, panels) of uniform panels,
+    concatenated in order."""
+    rules = [segment_rule(a, b, panels, nodes_per_panel) for a, b, panels in legs]
     return np.concatenate([z for z, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def _uniform_leg(a, b, width):
     """Leg (for _legs_rule) from a to b with uniform panels no wider than
     `width`."""
-    return (a, b, max(1, math.ceil(abs(b - a) / width)), None, None)
+    return (a, b, max(1, math.ceil(abs(b - a) / width)))
 
 
-def _contour_rule(path: ContourPath, spec: QuadratureSpec, inner):
-    """Quadrature nodes/weights for a ContourPath; segments whose near end is
-    close to the centre get geometric grading toward that end, down to an
-    innermost panel of width `inner`."""
-    L = spec.truncation_radius
-    legs = []
-    for a, b in path.segments():
-        da, db = abs(a - path.center), abs(b - path.center)
-        if min(da, db) < 0.35 * L and max(da, db) > 3.0 * min(da, db) + 1e-12:
-            legs.append((a, b, spec.panels, "start" if da < db else "end",
-                         min(0.5, inner / abs(b - a))))
-        else:
-            legs.append((a, b, max(2, spec.panels // 2), None, None))
-    return _legs_rule(legs, spec.nodes_per_panel)
+def _crossing_legs(far, at, width, inner, outward=False):
+    """Legs (for _legs_rule) between `far` and a contour crossing at `at`,
+    directed toward the crossing, or away from it if outward.  From the
+    crossing, single panels `inner`, 2 inner, 4 inner, ... wide follow until
+    they reach `width`; uniform panels no wider than `width` fill the rest."""
+    length = abs(far - at)
+    unit = (far - at) / length
+    edges, w = [0.0], inner
+    while w < width and edges[-1] + 2.0 * w < length:
+        edges.append(edges[-1] + w)
+        w *= 2.0
+    legs = [_uniform_leg(far, at + edges[-1] * unit, width)]
+    legs += [(at + s1 * unit, at + s0 * unit, 1) for s0, s1 in zip(edges[:-1], edges[1:])]
+    return [(b, a, p) for a, b, p in legs] if outward else legs
 
 
-def _uline_rule(center, spec, inner):
-    """Upward line through `center` of half-length spec.truncation_radius,
-    graded toward the centre from both halves down to panels of width
-    `inner`."""
-    L = spec.truncation_radius
-    frac = min(0.5, inner / L)
-    return _legs_rule([(center - 1j * L, center, spec.panels, "end", frac),
-                       (center, center + 1j * L, spec.panels, "start", frac)],
-                      spec.nodes_per_panel)
+def _radial_legs(a, b, center, r, fine, coarse):
+    """Legs from a to b with uniform panels no wider than `fine` within
+    distance r of center and `coarse` beyond.  The distance from center must
+    be monotone along the segment unless it stays within r."""
+    da, db = abs(a - center), abs(b - center)
+    if max(da, db) <= r or min(da, db) >= r:
+        return [_uniform_leg(a, b, fine if max(da, db) <= r else coarse)]
+    near, e = (a, b - a) if da < db else (b, a - b)
+    # the root in [0, 1] of |near - center + s e|^2 = r^2
+    o = near - center
+    half = (o * e.conjugate()).real
+    s = (math.sqrt(half * half - abs(e) ** 2 * (abs(o) ** 2 - r * r)) - half) / abs(e) ** 2
+    m = near + s * e
+    wa, wb = (fine, coarse) if da < db else (coarse, fine)
+    return [_uniform_leg(a, m, wa), _uniform_leg(m, b, wb)]
 
 
 # entries (V rows x U nodes) per block of the Cauchy contraction: its four
@@ -587,7 +592,12 @@ def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
     """Contour rules through the quartic saddle.  For probe points with
     z != z0 the action acquires a linear tilt n (z - z0) Re(v - u0) that beats
     the |v|^{-n} tail decay at large radius, so the truncation radius is
-    capped near 1/dz, which maximizes the edge decay rate."""
+    capped near 1/dz, which maximizes the edge decay rate.
+
+    The X's chords keep it a distance d from the U line, d no larger than the
+    n^{-1/4}/mu width of the integrand's peak, so every leg carries uniform
+    panels sized by width: at most 3 d within 10 d of u0 and 1.5 beyond, at
+    spec.panels = 8 and in proportion to 1/spec.panels."""
     q, u0, mu = crit.q, crit.u0, crit.mu
     L = spec.truncation_radius
     if dz_max > 0:
@@ -595,9 +605,12 @@ def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
     work = QuadratureSpec(max(L, 4.0), spec.panels, spec.nodes_per_panel)
     L = work.truncation_radius
     d = min(0.5, 0.8 / (mu * max(n, 2) ** 0.25), min(_corner(q), L) / 3.0)
-    inner = min(d / 6.0, 0.02)
+    fine, coarse = 24.0 * d / spec.panels, 12.0 / spec.panels
     _, v_path = build_contours(q, work, center=u0, pinch_gap=d)
-    return _uline_rule(u0, work, inner), _contour_rule(v_path, work, inner)
+    v_legs = [leg for a, b in v_path.segments()
+              for leg in _radial_legs(a, b, u0, 10.0 * d, fine, coarse)]
+    return (_legs_rule(_banded_uline(u0, L, 10.0 * d, fine, coarse), spec.nodes_per_panel),
+            _legs_rule(v_legs, spec.nodes_per_panel))
 
 
 def _psi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
@@ -692,29 +705,39 @@ def _finite_cusp_grid(params, xs, ys, spec):
 def _rect_lobe_legs(x0, x1, h, widths, cross=None):
     """CCW rectangle [x0,x1] x [-h,h] from its lower right corner, with
     uniform panels no wider than widths = (side, top) on its vertical and
-    horizontal edges.  cross = (cross_at, panels, inner) when the U-line
-    pierces the lobe at cross_at: then every edge has `panels` panels
-    instead, and the top and bottom edges are split there and graded toward
-    it, `inner` being the innermost graded panel width."""
+    horizontal edges.  cross = (cross_at, inner) when the U-line pierces the
+    lobe at Re = cross_at: then the top and bottom edges are split there, and
+    their panels grade toward the crossing from `inner` (_crossing_legs)."""
+    side, top = widths
     if cross is None:
         pts = [x1 - 1j * h, x1 + 1j * h, x0 + 1j * h, x0 - 1j * h, x1 - 1j * h]
         return [_uniform_leg(a, b, w) for a, b, w in zip(pts[:-1], pts[1:], widths * 2)]
-    cross_at, panels, inner = cross
-    pts = [x1 - 1j * h, x1 + 1j * h, cross_at + 1j * h, x0 + 1j * h,
-           x0 - 1j * h, cross_at - 1j * h, x1 - 1j * h]
-    grades = (None, "end", "start", None, "end", "start")
-    return [(a, b, panels, grade, min(0.4, inner / abs(b - a)))
-            for a, b, grade in zip(pts[:-1], pts[1:], grades)]
+    c, inner = cross
+    return ([_uniform_leg(x1 - 1j * h, x1 + 1j * h, side),
+             _uniform_leg(x0 + 1j * h, x0 - 1j * h, side)]
+            + _crossing_legs(x1 + 1j * h, c + 1j * h, top, inner)
+            + _crossing_legs(x0 + 1j * h, c + 1j * h, top, inner, outward=True)
+            + _crossing_legs(x0 - 1j * h, c - 1j * h, top, inner)
+            + _crossing_legs(x1 - 1j * h, c - 1j * h, top, inner, outward=True))
 
 
-def _banded_uline(sig, L, band, fine, coarse):
+def _banded_uline(sig, L, band, fine, coarse, cross=None):
     """Legs of the upward line through sig from -iL to iL: uniform panels no
     wider than `fine` over |Im| <= band, the heights beside the V lobes, and
-    no wider than `coarse` beyond."""
+    no wider than `coarse` beyond.  cross = (height, inner) when the line
+    crosses a V lobe at +-i height, inside the band: then the band is split
+    there, and its panels grade toward both crossings from `inner`."""
     band = min(band, L)
-    ends = (-L, -band, band, L)
-    return [_uniform_leg(sig + 1j * a, sig + 1j * b, w)
-            for a, b, w in zip(ends[:-1], ends[1:], (coarse, fine, coarse)) if b > a]
+    tails = [_uniform_leg(sig + 1j * a, sig + 1j * b, coarse)
+             for a, b in ((-L, -band), (band, L)) if b > a]
+    if cross is None:
+        return tails[:1] + [_uniform_leg(sig - 1j * band, sig + 1j * band, fine)] + tails[1:]
+    hc, inner = cross
+    lo, hi = sig - 1j * hc, sig + 1j * hc
+    return (tails + _crossing_legs(sig - 1j * band, lo, fine, inner)
+            + _crossing_legs(sig, lo, fine, inner, outward=True)
+            + _crossing_legs(sig, hi, fine, inner)
+            + _crossing_legs(sig + 1j * band, hi, fine, inner, outward=True))
 
 
 def _adaptive_side(params, t, coord):
@@ -724,30 +747,6 @@ def _adaptive_side(params, t, coord):
                        fractions=(1.0 - params.p_eff, params.p_eff), time=t)
     g = solve_stieltjes(cfg, coord / (math.sqrt(params.n) * c)).g
     return (c * math.sqrt(params.n) / t, params.a * t / c, params.b * t / c), g
-
-
-def _crossing_uline(sig, L, h, d, spec, inner, ysad=0.0):
-    """Vertical line through sig with a geometric cascade toward the real
-    axis (covering every scale from `inner` up) plus a fine band over the
-    saddle heights +-ysad and the crossing heights +-h."""
-    b_lo = max(1e-3, min(h, ysad if ysad > 1e-6 else h) - 4 * d)
-    b_hi = min(max(h, ysad) + 4 * d, L - 1e-9)
-    casc = int(math.ceil(math.log2(max(b_lo / inner, 2.0)))) + 2
-    hx = min(max(h, b_lo + 1e-3), b_hi - 1e-3)  # crossing height inside the band
-    cross_inner = 1e-4
-    legs = []
-    for (a_, b_, panels, grade, fr) in (
-            (-L, -b_hi, max(3, spec.panels // 2), None, None),
-            (-b_hi, -hx, spec.panels, "end", cross_inner),
-            (-hx, -b_lo, spec.panels, "start", cross_inner),
-            (-b_lo, 0.0, casc, "end", inner),
-            (0.0, b_lo, casc, "start", inner),
-            (b_lo, hx, spec.panels, "end", cross_inner),
-            (hx, b_hi, spec.panels, "start", cross_inner),
-            (b_hi, L, max(3, spec.panels // 2), None, None)):
-        legs.append((sig + 1j * a_, sig + 1j * b_, panels, grade,
-                     None if fr is None else min(0.4, fr / abs(b_ - a_))))
-    return _legs_rule(legs, spec.nodes_per_panel)
 
 
 def _finite_adaptive(params, x, y, spec):
@@ -762,16 +761,19 @@ def _finite_adaptive(params, x, y, spec):
 
     A lobe beside the line (plain) or two split at it keep a clearance d from
     the line, and Gauss-Legendre panels converge at a rate set by the distance
-    of the nearest singularity of 1/(U - V) relative to their width.  So their
+    of the nearest singularity of 1/(U - V) relative to their width.  So the
     rules carry uniform panels whose widths follow d, 2.5 d at spec.panels = 8
     and in proportion to 1/spec.panels: lobe sides and the line over the
     lobes' heights plus 3 d at most 2.5 d, lobe tops and bottoms 5 d, the rest
-    of the line 10 d.  A pierced lobe keeps spec.panels panels per edge,
-    graded toward the crossing, and the line a cascade toward the real axis.
-    Measured accuracy, on the two benchmark profiles (n = 8, 9) and at n = 50:
-    plain and split about 1e-13 against a rule with panels no wider than d/4;
-    pierced 2e-12 to 3e-9 at n = 50 and up to 1.5e-8 at n = 8 and 3.2e-8 at
-    n = 9 against nodes_per_panel = 64, limited by the crossing.
+    of the line 10 d.  A pierced lobe and the line keep these widths but are
+    split at the two crossings, where 1/(U - V) is singular; toward each, the
+    panels start d/4 wide and double (_crossing_legs).
+    Measured accuracy, at the points of the two benchmark profiles (n = 8, 9)
+    and at n = 50 on the cusp-vs-adaptive overlap (1, -1, 1/2), t = 1/3,
+    |z| <= 0.3 and at three pierced points of (1, 0, 1/9), t = 1/2: plain and
+    split up to 3.5e-13 against a rule with panels no wider than d/4, pierced
+    7e-16 against QuadratureSpec(8, 24, 64).  Other points are unmeasured,
+    and lobes lower than d are under-resolved.
     """
     n, n1, n2 = params.n, params.n1, params.n2
     sideU, gU = _adaptive_side(params, params.t_l, y)
@@ -785,7 +787,6 @@ def _finite_adaptive(params, x, y, spec):
     L = spec.truncation_radius
     h = ysad + 0.9 / math.sqrt(n)
     d = min(0.22, max(0.04, 1.1 / math.sqrt(n)))
-    inner = min(2e-3, d / 8)
     split_clear = max(2.0 * d, 0.55)
 
     def psiU(u):
@@ -802,10 +803,9 @@ def _finite_adaptive(params, x, y, spec):
     h_opts = sorted({round(h, 6), 0.45, 0.7, 1.0})
     margins = (0.45, 1.0)
     split_ok = beV + split_clear < sig_v < alV - split_clear
-    # the pierced configuration needs the 1/(U-V) crossing patches resolved,
-    # which costs ~1e-4 relative accuracy; split keeps full precision while
-    # its exponent excess stays within the cancellation headroom, hence the
-    # penalty of ~ln(1e10) exponent units
+    # a pierced lobe needs panels graded toward its crossings and a residue
+    # arc, so split lobes are preferred while their exponent excess stays
+    # within the cancellation headroom: a penalty of ~ln(1e10) exponent units
     pierced_penalty = 22.0
     candidates = []     # (lobes [(x0, x1, height)], pierced by the line)
     for hh in h_opts:
@@ -832,20 +832,19 @@ def _finite_adaptive(params, x, y, spec):
     excess = np.maximum.reduceat((-psiV(pts).real).max(axis=1), starts)
     lobes, pierced = candidates[int(np.argmin(
         excess + pierced_penalty * np.array([c[1] for c in candidates])))]
-    _, x_right, h = lobes[0]
-    # plain and split panel widths (see above): lobe sides and the U line
-    # beside them pass each other at d; tops and bottoms meet it at a corner
+    h = lobes[0][2]
+    # panel widths (see above): lobe sides and the U line beside them pass
+    # each other at d; tops and bottoms meet it at a corner or a crossing
     near = 20.0 * d / spec.panels
-    cross = (sig_v, spec.panels, 1e-4) if pierced else None
+    r = kapV / kapU     # V-variable lengths in the U variable
+    cross_v = cross_u = None
+    if pierced:     # crossings at sig_v +- ih, panels from d/4 at spec.panels = 8
+        cross_v, cross_u = (sig_v, near / 10.0), (h * r, near * r / 10.0)
     legs = [leg for x0_, x1_, hh in lobes
-            for leg in _rect_lobe_legs(x0_, x1_, hh, (near, 2.0 * near), cross)]
+            for leg in _rect_lobe_legs(x0_, x1_, hh, (near, 2.0 * near), cross_v)]
     rule_v = _legs_rule(legs, spec.nodes_per_panel)
-    if pierced:
-        rule_u = _crossing_uline(sig, L, h * kapV / kapU, d, spec, inner, ysad=abs(gU.imag))
-    else:
-        r = kapV / kapU     # V-variable lengths in the U variable
-        rule_u = _legs_rule(_banded_uline(sig, L, (h + 3.0 * d) * r, near * r, 4.0 * near * r),
-                            spec.nodes_per_panel)
+    rule_u = _legs_rule(_banded_uline(sig, L, (h + 3.0 * d) * r, near * r, 4.0 * near * r,
+                                      cross_u), spec.nodes_per_panel)
     vals, ls, mass = _finite_contraction(params, rule_u, sideU, rule_v, sideV, [x], [y])
     pref = _finite_prefactor(params)
     if abs(pref) * mass[0, 0] * math.exp(min(ls, 700.0)) < 1e-9:
@@ -855,12 +854,12 @@ def _finite_adaptive(params, x, y, spec):
     # the right of the lobe, every boundary point whose pole image lies right
     # of the line shifts the U-integral by -2*pi*i exp(PsiU at the image); the
     # compensating arc runs along the lobe's own CCW restriction to the right
-    # of the line, i.e. from the bottom crossing to the top crossing.
+    # of the line, i.e. from the bottom crossing to the top crossing: the V
+    # rule's own legs there
     if pierced:
-        pts = [sig_v - 1j * h, x_right - 1j * h, x_right + 1j * h, sig_v + 1j * h]
-        Zc, Wc = _legs_rule([(a_, b_, max(4, spec.panels // 2), None, None)
-                             for a_, b_ in zip(pts[:-1], pts[1:])], spec.nodes_per_panel)
-        arc = np.sum(Wc * np.exp(psiU(Zc * kapV / kapU) - psiV(Zc) - ls))
+        V, WV = rule_v
+        right = V.real > sig_v
+        arc = np.sum(WV[right] * np.exp(psiU(V[right] * r) - psiV(V[right]) - ls))
         vals = vals + pref * 2j * math.pi * kapV * arc
     _check_mantissas(vals, mass, ls, "adaptive")
     return complex(vals[0, 0].real), ls

@@ -11,7 +11,7 @@ import scipy.integrate as si
 import scipy.special
 
 from pearceylab import kernels
-from pearceylab._quad import QuadratureError, QuadratureSpec, panel_rule
+from pearceylab._quad import QuadratureError, QuadratureSpec, _gl, panel_rule, segment_rule
 from pearceylab.ensemble_mc import group_sizes
 from pearceylab.kernels import (ContourPath, FiniteKernelParams, airy_kernel,
                                 airy_kernel_matrix, build_contours,
@@ -55,17 +55,43 @@ def _pq_scaled_gap(t, xs, spec):
                (np.abs(Q1 - Q0).max(axis=0) / scale).max())
 
 
+def _graded_leg(a, b, panels, nodes_per_panel, inner):
+    """Gauss-Legendre nodes and weights on the segment a -> b with `panels`
+    panels whose edges sit at distances 0, inner, 2 inner, 4 inner, ... from
+    b (inner at most half the segment), the last panel taking the rest: the
+    geometric grading pearcey_kernel_grid's rule once used."""
+    frac = min(0.5, inner / abs(b - a))
+    rel = np.unique(np.minimum(np.append(frac * 2.0 ** np.arange(panels - 1), [0.0, 1.0]), 1.0))
+    edges = 1.0 - rel[::-1]
+    gx, gw = _gl(nodes_per_panel)
+    half, mid = np.diff(edges)[:, None] / 2.0, (edges[1:] + edges[:-1])[:, None] / 2.0
+    return a + (b - a) * (mid + half * gx).ravel(), (b - a) * (half * gw).ravel()
+
+
 def _pearcey_grid_graded(s, t, xs, ys, spec):
     """Oracle for pearcey_kernel_grid: its former rule, X corners at L(1 +- i)
     and the legs graded toward the centre and the chord ends (1,280 V nodes
     and 512 U nodes at the default spec), with a dense Cauchy coupling."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     L = max(kernels._pq_L(t, np.abs(ys).max(), spec), kernels._pq_L(s, np.abs(xs).max(), spec))
-    wide = QuadratureSpec(L, spec.panels, spec.nodes_per_panel)
     inner = L * 2.0 ** (1 - spec.panels)
-    _, v_path = build_contours(1.0, wide, pinch_gap=min(1.0, L / 6.0))
-    U, WU = kernels._uline_rule(0.0, wide, inner)
-    V, WV = kernels._contour_rule(v_path, wide, inner)
+    d = min(1.0, L / 6.0)
+    panels, npp = spec.panels, spec.nodes_per_panel
+    # each leg graded toward its end, and the sign that orients it: the line
+    # runs upward through 0, each X branch in from one corner, along its
+    # chord and out to the other corner
+    legs = [(_graded_leg(-1j * L, 0.0, panels, npp, inner), 1.0),
+            (_graded_leg(1j * L, 0.0, panels, npp, inner), -1.0)]
+    U = np.concatenate([z for (z, _), _ in legs])
+    WU = np.concatenate([sign * w for (_, w), sign in legs])
+    legs = []
+    for c in (1.0, -1.0):
+        arm = [c * L * (1 + 1j), c * d * (1 + 1j), c * d * (1 - 1j), c * L * (1 - 1j)]
+        legs += [(_graded_leg(arm[0], arm[1], panels, npp, inner), 1.0),
+                 (segment_rule(arm[1], arm[2], max(2, panels // 2), npp), 1.0),
+                 (_graded_leg(arm[3], arm[2], panels, npp, inner), -1.0)]
+    V = np.concatenate([z for (z, _), _ in legs])
+    WV = np.concatenate([sign * w for (_, w), sign in legs])
     A = (WV * np.exp(V**4 / 4.0 - s * V**2 / 2.0))[:, None] * np.exp(np.outer(V, xs))
     B = (WU * np.exp(-U**4 / 4.0 + t * U**2 / 2.0))[:, None] * np.exp(-np.outer(U, ys))
     out = -(A.T @ (1.0 / (U[None, :] - V[:, None])) @ B).real / (4.0 * math.pi**2)
@@ -501,16 +527,13 @@ class TestFiniteN:
         assert info.value.achieved == pytest.approx(1e-3)
 
     def test_tier_agreement_overlap(self):
-        params = FiniteKernelParams(n=50, a=1.0, b=-1.0, p=0.5,
-                                    t_k=1.0 / 3.0, t_l=1.0 / 3.0)
+        # the cusp tier against the adaptive tier's dense-rule values; with
+        # legs graded by panel count it was 5.8e-10 off at z = +-0.3
         c = math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / 2.0)
-        for z in (0.1, 0.2, 0.28):
+        for z, ref in DENSE_SYM50.items():
             lam = math.sqrt(50) * c * z
-            vc, lc = finite_n_kernel_scaled(params, lam, lam, contours="cusp")
-            va, la = finite_n_kernel_scaled(params, lam, lam, contours="adaptive")
-            u = (vc * np.exp(lc)).real
-            v = (va * np.exp(la)).real
-            assert abs(u - v) < 5e-5 * abs(u)
+            vc, lc = finite_n_kernel_scaled(SYM50, lam, lam, contours="cusp")
+            assert abs((vc * np.exp(lc)).real - ref) <= 1e-12 * ref, z
 
     @pytest.mark.slow
     def test_normalization_n8(self):
@@ -681,21 +704,24 @@ class TestFiniteContraction:
                                       "ordered cusp"])
     def test_matches_dense_coupling(self, monkeypatch, case):
         spec25 = QuadratureSpec(nodes_per_panel=25)
-        call, watch = {
-            "plain": (lambda: finite_n_kernel_scaled(SYM8, 3.0, 3.0), "_banded_uline"),
+        # the function each adaptive case's geometry calls, and how often:
+        # the plain point's banded U line, and the pierced point's eight legs
+        # graded toward a crossing, four on the lobe and four on the line
+        call, watch, calls = {
+            "plain": (lambda: finite_n_kernel_scaled(SYM8, 3.0, 3.0), "_banded_uline", 1),
             "pierced": (lambda: finite_n_kernel_scaled(SYM8, 0.54132, 0.54132),
-                        "_crossing_uline"),
+                        "_crossing_legs", 8),
             "cusp grid": (lambda: finite_n_kernel_grid(SYM50, [-0.2, 0.0, 0.2],
-                                                       [-0.1, 0.1], spec25), None),
+                                                       [-0.1, 0.1], spec25), None, None),
             "ordered adaptive": (lambda: finite_n_kernel_scaled(
-                ORDERED12, 0.15, 0.15, contours="adaptive"), None),
+                ORDERED12, 0.15, 0.15, contours="adaptive"), None, None),
             "ordered cusp": (lambda: finite_n_kernel_scaled(
-                ORDERED12, 0.15, 0.15, contours="cusp"), None),
+                ORDERED12, 0.15, 0.15, contours="cusp"), None, None),
         }[case]
         seen, watched = self._contractions(monkeypatch, call, watch)
         assert len(seen) == 1
         if watch is not None:
-            assert watched == 1     # the geometry this case is about
+            assert watched == calls     # the geometry this case is about
         args, (vals, ls, mass) = seen[0]
         (U, _), (V, _) = args[1], args[3]
         if case == "cusp grid":
@@ -739,7 +765,7 @@ class TestFiniteContraction:
     @pytest.mark.parametrize("lam", [3.0, 0.54132])
     def test_no_dense_coupling_temporary(self, lam):
         # a dense complex V x U coupling alone is 2.2 MB at the plain point
-        # (384 x 352 nodes) and 36 MB at the pierced one (1536 x 1472)
+        # (384 x 352 nodes) and 10 MB at the pierced one (896 x 704)
         import tracemalloc
         finite_n_kernel_scaled(SYM8, lam, lam)     # fill the lazy caches
         tracemalloc.start()
@@ -751,54 +777,105 @@ class TestFiniteContraction:
         assert peak < 4e6
 
 
-# The adaptive tier against a dense rule, at every point of the two benchmark
-# diagonal profiles (lam0 + 0.2 k) where the U-line does not pierce a V lobe,
-# and at SYM50's cusp-vs-adaptive agreement points.  The references keep the
-# tier's chosen lobes and U abscissa but put uniform panels no wider than d/4
-# (d the lobes' clearance from the line) on every leg of both contours, 32
-# Gauss-Legendre nodes each, with the U line out to +-8i: some 9,000 U by
-# 6,000 V nodes a point.  The zeros are points whose whole configuration is
-# below the tier's 1e-9 negligibility bound on both rules.
+# The finite-n diagonal against finer rules at every point of the two
+# benchmark diagonal profiles (lam0 + 0.2 k), and the adaptive tier at SYM50's
+# cusp-vs-adaptive agreement points.
+# - Plain and split points (the U line beside a V lobe or between two): the
+#   references keep the tier's chosen lobes and U abscissa but put uniform
+#   panels no wider than d/4 (d the lobes' clearance from the line) on every
+#   leg of both contours, 32 Gauss-Legendre nodes each, with the U line out
+#   to +-8i: some 9,000 U by 6,000 V nodes a point.
+# - Pierced points (the U line crossing a V lobe; n = 8: k = -19..-12 and
+#   -8..-1, n = 9: k = -5..4 and 8..12): the tier's rule at
+#   QuadratureSpec(8, 24, 64).  The former rule, graded by panel count
+#   toward the crossings, agrees with it there to 1.2e-15, as do (8, 32, 48)
+#   and (10, 24, 96); at the default spec it was 1.3e-9 to 3.2e-8 off.
+# - k = -10 of the n = 8 profile is in the cusp window: the reference is the
+#   adaptive tier's value, on which its default and three finer specs agree
+#   to 5e-16.  The cusp tier's truncation leaves about 1e-9 (CUSP_POINT_GATE).
+# The zeros are points whose whole configuration is below the tier's 1e-9
+# negligibility bound on both rules.
 DENSE_PROFILES = {
     (8, 1.0, -1.0, 0.5, 1.0 / 3.0, 1.94132): {
         -34: 0.0, -33: 0.0, -32: 0.0, -31: 0.0, -30: 0.0, -29: 5.982088696456612e-11,
         -28: 5.028731715976544e-09, -27: 2.8113059481570243e-07, -26: 1.0364426825731688e-05,
         -25: 0.0002492358745989073, -24: 0.0038525717911760647, -23: 0.03751898768921901,
         -22: 0.22380533551383183, -21: 0.786120804076919, -20: 1.5521141172079458,
-        -11: 1.5063034449745445, -9: 1.0055139896202954, 0: 1.764284521488426,
-        1: 1.259539523818969, 2: 0.5003093743719901, 3: 0.11380664870135251,
-        4: 0.015517267264682177, 5: 0.0013126816492558362, 6: 7.060178949035192e-05,
-        7: 2.4570087329241268e-06, 8: 5.604703424428016e-08, 9: 8.462710338577181e-10,
-        10: 0.0, 11: 0.0, 12: 0.0, 13: 0.0, 14: 0.0, 15: 0.0},
+        -19: 1.7547074205087052, -18: 1.7030532120008495, -17: 2.064390413066915,
+        -16: 1.9642163267503632, -15: 2.0093493567187477, -14: 2.086024056473191,
+        -13: 1.7666394460867032, -12: 1.9142238512984557, -11: 1.5063034449745445,
+        -10: 0.7641701823279204, -9: 1.0055139896202954, -8: 1.7927873105679053,
+        -7: 1.8382056078932432, -6: 1.8605103986800433, -5: 2.1407497144844974,
+        -4: 1.912622490741925, -3: 2.068695528713978, -2: 1.9170223026621696,
+        -1: 1.6723001106346242, 0: 1.764284521488426, 1: 1.259539523818969,
+        2: 0.5003093743719901, 3: 0.11380664870135251, 4: 0.015517267264682177,
+        5: 0.0013126816492558362, 6: 7.060178949035192e-05, 7: 2.4570087329241268e-06,
+        8: 5.604703424428016e-08, 9: 8.462710338577181e-10, 10: 0.0, 11: 0.0, 12: 0.0, 13: 0.0,
+        14: 0.0, 15: 0.0},
     (9, 1.0, 0.0, 1.0 / 9.0, 0.5, 1.5 / 9.0): {
         -25: 0.0, -24: 0.0, -23: 0.0, -22: 0.0, -21: 0.0, -20: 0.0, -19: 0.0, -18: 0.0,
         -17: 7.064547513334972e-09, -16: 3.8294869197455073e-07, -15: 1.3893259974010155e-05,
         -14: 0.00033218621166222686, -13: 0.005128210135191689, -12: 0.0497006507378003,
         -11: 0.2907132801442155, -10: 0.9718038348449978, -9: 1.7518305403298748,
         -8: 1.848804255797305, -7: 2.028595063152294, -6: 2.3306008544339187,
-        5: 1.9753687056519642, 6: 2.0387129135053232, 7: 1.490323090282646,
+        -5: 2.297607437892049, -4: 2.5557454033572258, -3: 2.468533563025256,
+        -2: 2.6529943877162143, -1: 2.5344784750839318, 0: 2.6447933388120624,
+        1: 2.4965166963648477, 2: 2.540975031650935, 3: 2.3291056811490423,
+        4: 2.352319282158054, 5: 1.9753687056519642, 6: 2.0387129135053232,
+        7: 1.490323090282646, 8: 0.9902432954625149, 9: 1.2616124067601455,
+        10: 1.4182541648832943, 11: 1.0177738434305716, 12: 0.47367635547427417,
         13: 0.1472488938137827, 14: 0.0311560709832278, 15: 0.0045429206209345995,
         16: 0.00046052329355348584, 17: 3.267030252370079e-05, 18: 1.6302608082431067e-06,
         19: 5.745472314183411e-08, 20: 1.4347890376153703e-09, 21: 2.5457854947160372e-11,
         22: 0.0, 23: 0.0, 24: 0.0, 25: 0.0},
 }
+CUSP_POINT_GATE = 2e-9      # the cusp tier was 9.2e-6 off here with graded legs
 # K(lam, lam) at lam = sqrt(50) c z, c = sqrt(t (1 - t) / 2), split lobes
 DENSE_SYM50 = {-0.3: 3.7138962595897955, -0.2: 3.313250014782015, -0.1: 2.9608208568577106,
                0.1: 2.9608208568577132, 0.2: 3.3132500147820183, 0.3: 3.7138962595898315}
 
 
 class TestAdaptiveRules:
-    def test_plain_and_split_match_dense_rule(self):
+    def test_profiles_match_reference_rules(self):
         for (n, a, b, p, t, lam0), refs in DENSE_PROFILES.items():
             for k, ref in refs.items():
                 got = finite_n_diagonal(n, a, b, p, t, [lam0 + 0.2 * k])[0]
-                assert abs(got - ref) <= 1e-12 * abs(ref), (n, k, got, ref)
+                tol = CUSP_POINT_GATE if (n, k) == (8, -10) else 1e-12
+                assert abs(got - ref) <= tol * abs(ref), (n, k, got, ref)
         c = math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / 2.0)
         for z, ref in DENSE_SYM50.items():
             lam = math.sqrt(50) * c * z
             val, ls = finite_n_kernel_scaled(SYM50, lam, lam, contours="adaptive")
             got = (val * np.exp(ls)).real
             assert abs(got - ref) <= 1e-12 * ref, (z, got, ref)
+
+    def test_crossing_legs_double_away_from_the_crossing(self):
+        far, at = 2.0 + 1.0j, -0.5 + 1.0j
+        for outward in (False, True):
+            legs = kernels._crossing_legs(far, at, 0.4, 0.01, outward)
+            _, w = kernels._legs_rule(legs, 8)
+            assert np.sum(w) == pytest.approx((far - at) if outward else (at - far), rel=1e-14)
+            assert all((abs(b - at) > abs(a - at)) == outward for a, b, _ in legs)
+            # single panels 0.01, 0.02, ..., 0.32 wide out from the crossing,
+            # then uniform panels no wider than 0.4 over the remaining 1.87
+            spans = sorted((min(abs(a - at), abs(b - at)), max(abs(a - at), abs(b - at)), p)
+                           for a, b, p in legs)
+            edges = 0.01 * (2.0 ** np.arange(7) - 1.0)
+            assert np.allclose([lo for lo, _, _ in spans], edges, atol=1e-15)
+            assert np.allclose([hi for _, hi, _ in spans], np.append(edges[1:], 2.5), atol=1e-15)
+            assert [p for _, _, p in spans] == [1] * 6 + [5]
+
+    def test_pierced_lobe_off_cusp_at_n50(self):
+        # (1, 0, 1/9) at t = 1/2, outside the cusp window; the U line pierces
+        # the V lobe at all three points, and 6.5 sits at the right support
+        # edge.  The references are the tier's rule at QuadratureSpec(8, 24,
+        # 64); the former rule, graded by panel count toward the crossings,
+        # agrees with them there to 4e-14.  At the default spec that rule was
+        # off by 1.7e-5, 1.6e-5 and 3.0e-2.
+        for lam, ref in ((3.75, 3.4543369462461), (4.0, 2.8514695999216),
+                         (6.5, 0.2693980599362)):
+            got = finite_n_diagonal(50, 1.0, 0.0, 1.0 / 9.0, 0.5, [lam])[0]
+            assert abs(got - ref) <= 1e-10 * ref, (lam, got)
 
     def test_plain_lobe_at_n200(self):
         # z = 2.4 beside the right lobe: a rule with a fixed panel count per
