@@ -33,8 +33,8 @@ print(f"one bundle of 60 paths -> bridge_paths.csv (cusp predicted at "
 
 n = 400
 bundles = sample_bundles(n, cfg, 60, 42, 16, t_max=0.97)
-slope, ts, widths = fit_cusp_exponent(bundles, a, b, p, n,
-                                      t_lo_off=0.03, t_hi_off=0.18)
+slope, ts, widths = fit_cusp_exponent(bundles, a, b, p, n, t_lo_off=0.08,
+                                      t_hi_off=0.30, quantile=0.25)
 (OUT / "cusp_widths.csv").write_text(
     "dt,halfwidth\n" + "\n".join(f"{t - crit.t0:.17g},{w:.17g}"
                                  for t, w in zip(ts, widths)) + "\n")

@@ -15,11 +15,12 @@ variance t/2; at any fixed time the eigenvalue law then matches sqrt(n) c(t)
 times the spectrum of A_t + H, which is the marginal-consistency invariant
 tested against sample_spectrum.
 
-A bridge bundle is built in two passes over the same random stream: the
-first sums every Gaussian increment into B(1), the second accumulates B(t)
-step by step and diagonalizes B(t) - t B(1) + t T at each stored time.  No
-snapshot of B is kept, so a bundle needs O(n^2) memory whatever the number
-of steps, and the paths are those of the one-pass construction bit for bit.
+A bridge bundle is built in one pass over the stored times by the exact
+sequential Brownian-bridge recursion (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2003, sec. 3.1): the bridge W(t) = B(t) - t B(1) is
+carried directly, and W(t) + t T is diagonalized at each stored time.  Neither
+B(1) nor any snapshot is kept; the state is the packed triangle of W, so a
+bundle needs O(n^2) memory whatever the number of steps.
 
 All randomness is drawn from numpy SeedSequence substreams keyed by
 (seed, sample_index), so parallel generation is deterministic and
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,13 +70,37 @@ def _rng(seed, index=0):
 
 def _gue_parts(n, rng):
     """The normals behind one GUE draw with the exp(-(n/2) Tr H^2)
-    convention, in drawing order: the real and imaginary parts of the upper
-    triangle (variance 1/(2n) each; only the strict upper triangle is used)
-    and the diagonal (variance 1/n)."""
-    x = rng.normal(0.0, math.sqrt(0.5 / n), (n, n))
-    y = rng.normal(0.0, math.sqrt(0.5 / n), (n, n))
-    d = rng.normal(0.0, 1.0 / math.sqrt(n), n)
-    return x, y, d
+    convention, from one fill of n^2 standard normals: the real and
+    imaginary parts of the strict upper triangle in np.triu_indices(n, 1)
+    order (variance 1/(2n) each) and the diagonal (variance 1/n)."""
+    m = n * (n - 1) // 2
+    z = rng.standard_normal(n * n)
+    z[:2 * m] *= math.sqrt(0.5 / n)
+    z[2 * m:] /= math.sqrt(n)
+    return z[:m], z[m:2 * m], z[2 * m:]
+
+
+@lru_cache(maxsize=16)
+def _upper_flat(n):
+    """Flat indices of the strict upper triangle of an n x n array, in
+    np.triu_indices(n, 1) order.  Read-only: cached across calls."""
+    i, j = np.triu_indices(n, 1)
+    flat = i * n + j
+    flat.flags.writeable = False
+    return flat
+
+
+def _hermitian_eigvalsh(M, x, y, diag):
+    """Eigenvalues of the Hermitian matrix with strict upper triangle x + iy
+    (packed as _gue_parts draws it) and real diagonal `diag`, using the n x n
+    complex buffer M.  eigvalsh reads only the lower triangle, whose entries
+    are conj(x + iy): M holds them transposed, and M.T is diagonalized."""
+    flat = M.reshape(-1)
+    idx = _upper_flat(len(diag))
+    flat.real[idx] = x
+    flat.imag[idx] = -y
+    np.fill_diagonal(M, diag)
+    return np.linalg.eigvalsh(M.T)
 
 
 def source_matrix_diag(n, config: TargetConfig, t=None):
@@ -89,13 +115,8 @@ def sample_spectrum(n: int, config: TargetConfig, seed: int,
     if n < 2:
         raise ValueError("n must be >= 2")
     x, y, d = _gue_parts(n, _rng(seed, index))
-    # eigvalsh reads only the lower triangle of A_t + H, whose entries are
-    # conj(x + iy) from the upper-triangle draws: M holds them transposed
-    M = np.empty((n, n), dtype=complex)
-    M.real = x
-    np.negative(y, out=M.imag)
-    np.fill_diagonal(M, source_matrix_diag(n, config) + d)
-    eig = np.linalg.eigvalsh(M.T)
+    eig = _hermitian_eigvalsh(np.empty((n, n), dtype=complex), x, y,
+                              source_matrix_diag(n, config) + d)
     return SpectrumSample(n=n, eigenvalues=eig, seed=seed, config=config)
 
 
@@ -141,12 +162,18 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
     """Eigenvalue trajectories of a Hermitian Brownian bridge pinned at the
     scaled target matrix diag(b_i sqrt(n)).
 
-    The bridge B(t) - t B(1) + t T is built from entrywise Gaussian
-    increments with the variance-t/2 convention, in two passes over the same
-    (seed, index) stream: the first sums every increment into B(1), the
-    second accumulates B(t) and diagonalizes at each stored time, so memory
-    is O(n^2) whatever the number of steps.  Eigenvalue ordering is asserted
-    at every stored time.
+    One pass over the stored times carries the bridge W(t) = B(t) - t B(1)
+    of the variance-t/2 convention directly: from t' to t,
+
+        W(t) = a W(t') + sqrt((t - t') a / 2) sqrt(n) G,   a = (1-t)/(1-t'),
+
+    with G one _gue_parts draw from the (seed, index) stream.  Every real
+    coordinate of W is then a Brownian bridge, Cov(s, t) = sigma^2 s (1 - t)
+    for s <= t, with sigma^2 = 1/2 on the diagonal and 1/4 for the real and
+    imaginary parts off it: the law of B(t) - t B(1).  W(t) + t T is
+    diagonalized at each stored time, with eigenvalue ordering asserted.
+    The state is W's packed triangle, so memory is O(n^2) whatever the
+    number of steps.
     """
     if steps < 10:
         raise ValueError("steps must be >= 10")
@@ -154,39 +181,25 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
     times = np.linspace(0.0, t_max, steps + 1)[1:]
     T = np.repeat(np.asarray(config.targets) * math.sqrt(n),
                   group_sizes(n, config.fractions))
-    incs = np.diff(np.concatenate([[0.0], times, [1.0]]))
-
-    def running_sums(dts):
-        # sums of the GUE increments H * sqrt(dt / 2) * sqrt(n) (H has
-        # Tr-normalized variance 1/n; this rescales it to variance dt/2),
-        # kept as the real parts that _gue_parts draws: real
-        # scalings act on real and imaginary parts alone, so these are the
-        # sums of the complex increments to the last bit
-        rng = _rng(seed, index)
-        sums = (np.zeros((n, n)), np.zeros((n, n)), np.zeros(n))
-        for dt in dts:
-            for acc, part in zip(sums, _gue_parts(n, rng)):
-                part *= math.sqrt(dt / 2.0)
-                part *= math.sqrt(n)
-                acc += part
-            yield sums
-
-    for X1, Y1, D1 in running_sums(incs):
-        pass    # B(1): the sum of all steps + 1 increments
+    rng = _rng(seed, index)
+    m = n * (n - 1) // 2
+    W = (np.zeros(m), np.zeros(m), np.zeros(n))
     M = np.empty((n, n), dtype=complex)
     paths = np.empty((n, len(times)))
-    for j, (t, (X, Y, D)) in enumerate(zip(times, running_sums(incs[:-1]))):
-        # eigvalsh reads only the lower triangle of B(t) - t B(1) + t T, whose
-        # entries are conj(X + iY) - t conj(X1 + iY1) from the upper-triangle
-        # sums: M holds them transposed, and M.T is diagonalized
-        np.subtract(X, t * X1, out=M.real)
-        np.subtract(t * Y1, Y, out=M.imag)
-        np.fill_diagonal(M, (D - t * D1) + t * T)
-        eig = np.linalg.eigvalsh(M.T)
+    t_prev = 0.0
+    for j, t in enumerate(times):
+        a = (1.0 - t) / (1.0 - t_prev)
+        c = math.sqrt((t - t_prev) * a / 2.0) * math.sqrt(n)
+        for w, g in zip(W, _gue_parts(n, rng)):
+            w *= a
+            g *= c
+            w += g
+        eig = _hermitian_eigvalsh(M, W[0], W[1], W[2] + t * T)
         if np.any(np.diff(eig) <= 0):
             raise ArithmeticError(
                 f"eigenvalue ordering violated at t={t}: refine the time step")
         paths[:, j] = eig
+        t_prev = t
     return PathBundle(times=times, paths=paths, seed=seed)
 
 

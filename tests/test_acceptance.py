@@ -250,12 +250,15 @@ def test_criterion_10_monte_carlo():
     ok_fr = abs(fr[1] - p) <= 3 * 2 / math.sqrt(81)
     ok = ok and ok_fr
     details.append(f"upper-target fraction {fr[1]:.4f} (p={p:.4f})")
-    # cusp-shape exponent on the b = 0 regime
+    # cusp-shape exponent on the b = 0 regime: the window starts past the
+    # Pearcey zone (t - t0 of order n^-1/2 = 0.05), where the 3/2 law holds,
+    # and 28 bundles resolve the cloud quartile; an extreme quantile nearer
+    # t0 is not resolved, and its fit scatters with the seed
     a, b_, n4 = 1.0, 0.0, 400
     cfg4 = TargetConfig(targets=(b_, a), fractions=(1 - p, p), time=0.5)
     bundles = sample_bundles(n4, cfg4, 60, 42, 28, t_max=0.97)
     slope, _, _ = fit_cusp_exponent(bundles, a, b_, p, n4,
-                                    t_lo_off=0.03, t_hi_off=0.18)
+                                    t_lo_off=0.08, t_hi_off=0.30, quantile=0.25)
     ok = ok and abs(slope - 1.5) < 0.2
     details.append(f"cusp exponent {slope:.3f}")
     report(10, ok, "; ".join(details))

@@ -23,7 +23,7 @@ def _gue_like(n, rng):
     x, y, d = _gue_parts(n, rng)
     iu = np.triu_indices(n, 1)
     H = np.zeros((n, n), dtype=complex)
-    H[iu] = x[iu] + 1j * y[iu]
+    H[iu] = x + 1j * y
     H = H + H.conj().T
     H[np.arange(n), np.arange(n)] = d
     return H
@@ -158,6 +158,27 @@ class TestBridgePaths:
         assert abs(fr[1] - p) <= 3 * 2 / math.sqrt(n)
         assert fr.sum() == pytest.approx(1.0)
 
+    def test_bridge_moments_match_exact_law(self):
+        # the joint-in-time law, whatever the construction: M(t) = W(t) + t T
+        # with W a Hermitian Brownian bridge (diagonal Cov s(1-t)/2, s <= t),
+        # so E Tr M(t) = t Tr T, Cov(Tr M(s), Tr M(t)) = (n/2) s(1-t) and
+        # E Tr M(t)^2 = t(1-t) n^2/2 + t^2 Tr T^2; each checked by z-score
+        n, steps, draws = 3, 10, 4000
+        cfg = TargetConfig(targets=(0.0, 1.0), fractions=(2 / 3, 1 / 3), time=0.5)
+        T = np.repeat(np.asarray(cfg.targets) * math.sqrt(n), group_sizes(n, cfg.fractions))
+        bundles = [sample_bridge_paths(n, cfg, steps, 17, index=i, t_max=0.9)
+                   for i in range(draws)]
+        t = bundles[0].times
+        paths = np.stack([b.paths for b in bundles])          # (draws, n, times)
+        tr = paths.sum(axis=1) - t * T.sum()                  # centred Tr M(t)
+        s_ix, t_ix = np.triu_indices(len(t))
+        stats = [(tr, 0.0),
+                 (tr[:, s_ix] * tr[:, t_ix], n / 2 * t[s_ix] * (1 - t[t_ix])),
+                 ((paths ** 2).sum(axis=1), t * (1 - t) * n**2 / 2 + t**2 * (T**2).sum())]
+        z = np.concatenate([(x.mean(axis=0) - want) / (x.std(axis=0) / math.sqrt(draws))
+                            for x, want in stats])
+        assert np.abs(z).max() < 5
+
     @pytest.mark.slow
     def test_cusp_exponent_machinery(self):
         # light version: the strict 1.5 +- 0.2 fit runs in the acceptance
@@ -170,31 +191,31 @@ class TestBridgePaths:
         assert 1.0 < slope < 2.0
 
     @staticmethod
-    def _snapshot_paths(n, config, steps, seed, index=0, t_max=None):
-        """The bridge with every snapshot B(t) kept: the oracle for the
-        two-pass sampler, which must reproduce it to the last bit."""
+    def _dense_paths(n, config, steps, seed, index=0, t_max=None):
+        """The one-pass bridge recursion on whole Hermitian matrices: the
+        oracle for the sampler, which keeps only the packed triangle and
+        must reproduce it to the last bit."""
         rng = _rng(seed, index)
         t_max = t_max if t_max is not None else steps / (steps + 1.0)
         times = np.linspace(0.0, t_max, steps + 1)[1:]
         T = np.diag(np.repeat(np.asarray(config.targets) * math.sqrt(n),
                               group_sizes(n, config.fractions)).astype(complex))
-        incs = np.diff(np.concatenate([[0.0], times, [1.0]]))
-        B = np.zeros((n, n), dtype=complex)
-        snaps = []
-        for dt in incs[:-1]:
-            B = B + _gue_like(n, rng) * math.sqrt(dt / 2.0) * math.sqrt(n)
-            snaps.append(B.copy())
-        B1 = B + _gue_like(n, rng) * math.sqrt(incs[-1] / 2.0) * math.sqrt(n)
-        return times, np.stack([np.linalg.eigvalsh(S - t * B1 + t * T)
-                                for S, t in zip(snaps, times)], axis=1)
+        W = np.zeros((n, n), dtype=complex)
+        eigs = []
+        for t_prev, t in zip(np.concatenate([[0.0], times[:-1]]), times):
+            a = (1.0 - t) / (1.0 - t_prev)
+            c = math.sqrt((t - t_prev) * a / 2.0) * math.sqrt(n)
+            W = a * W + c * _gue_like(n, rng)
+            eigs.append(np.linalg.eigvalsh(W + t * T))
+        return times, np.stack(eigs, axis=1)
 
     @pytest.mark.parametrize("n, config, steps, seed, index, t_max", [
         (12, SYM02, 15, 3, 0, None),
         (20, TargetConfig(targets=(0.0, 1.0), fractions=(0.75, 0.25), time=0.5),
          12, 5, 2, 0.95)])
-    def test_two_pass_matches_snapshots(self, n, config, steps, seed, index, t_max):
+    def test_matches_dense_recursion(self, n, config, steps, seed, index, t_max):
         b = sample_bridge_paths(n, config, steps, seed, index=index, t_max=t_max)
-        times, paths = self._snapshot_paths(n, config, steps, seed, index, t_max)
+        times, paths = self._dense_paths(n, config, steps, seed, index, t_max)
         assert np.array_equal(b.times, times)
         assert np.array_equal(b.paths, paths)
 
