@@ -219,14 +219,19 @@ def endpoint_fractions(bundle: PathBundle, config: TargetConfig, n: int):
 
 
 def fit_cusp_exponent(bundles, a: float, b: float, p: float, n: int,
-                      t_lo_off: float = 0.02, t_hi_off: float = 0.15,
-                      quantile: float = 0.025):
+                      t_lo_off: float = 0.08, t_hi_off: float = 0.30,
+                      quantile: float = 0.25):
     """Log-log slope of the inner-gap half width against t - t0.
 
     The two path groups never cross, so the boundary paths are identified by
     index: the gap is between path n2-1 (top of the lower group) and path n2
-    (bottom of the upper group).  Per-time extreme quantiles over the bundle
-    ensemble give the cloud boundary; the fit runs over t0+t_lo_off..t0+t_hi_off.
+    (bottom of the upper group).  Per-time quantiles over the bundle ensemble
+    (by default the quartile, the upper group's lower quartile and the lower
+    group's upper one) give the cloud boundary; the fit runs over
+    t0+t_lo_off..t0+t_hi_off.  The default window starts past the Pearcey
+    zone (t - t0 of order n^-1/2), where the 3/2 law holds; an extreme
+    quantile nearer t0 is not resolved by tens of bundles, and its fit
+    scatters with the seed.
     """
     crit = find_cusp(a, b, p)
     t0 = crit.t0

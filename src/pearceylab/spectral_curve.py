@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,29 +185,38 @@ def _companion_batch(coeff_rows):
     return C
 
 
-def _stieltjes_branch(config, zs):
-    """Stieltjes branch g at every real z of zs, from one batched root solve.
-
-    The ascending g-coefficients of the equation times prod(g - bt_i),
-    (g - z) prod(g - bt_i) + sum_i eps_i prod_{j!=i}(g - bt_j), are affine
-    in z, so the rows R0 + z R1 share R0 and R1.
-    """
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if not np.isfinite(zs).all():
-        raise ValueError("z must be finite")
+@lru_cache(maxsize=64)
+def _stieltjes_rows(config):
+    """(bt, eps, R0, R1) of a config: scaled targets, fractions, and the
+    ascending g-coefficients of the equation times prod(g - bt_i),
+    (g - z) prod(g - bt_i) + sum_i eps_i prod_{j!=i}(g - bt_j) = R0 + z R1,
+    which is affine in z.  Read-only: cached across calls."""
     poly = np.polynomial.polynomial
-    bt = config.scaled_targets()
+    bt = np.array(config.scaled_targets())
     eps = np.array(config.fractions)
     full = poly.polyfromroots(bt)
     R0 = poly.polymulx(full)
     for i, e in enumerate(eps):
-        R0[:config.k] += e * poly.polyfromroots(bt[:i] + bt[i + 1:])
-    rows = R0 + zs[:, None] * np.append(-full, 0.0)
+        R0[:config.k] += e * poly.polyfromroots(np.delete(bt, i))
+    rows = (bt, eps, R0, np.append(-full, 0.0))
+    for arr in rows:
+        arr.flags.writeable = False
+    return rows
+
+
+def _stieltjes_branch(config, zs):
+    """Stieltjes branch g at every real z of zs, from one batched root solve
+    of the rows R0 + z R1 (`_stieltjes_rows`)."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    if not np.isfinite(zs).all():
+        raise ValueError("z must be finite")
+    bt, eps, R0, R1 = _stieltjes_rows(config)
+    rows = R0 + zs[:, None] * R1
     roots = _polish(rows, np.linalg.eigvals(_companion_batch(rows)), 2)
     at = np.arange(len(zs))
     upper = roots[at, np.argmax(roots.imag, axis=1)]
     # off the support: the real root with f'(g) > 0 (see the module docstring)
-    slope = (1.0 - (eps / (roots[..., None] - np.array(bt)) ** 2).sum(axis=-1)).real
+    slope = (1.0 - (eps / (roots[..., None] - bt) ** 2).sum(axis=-1)).real
     real = roots[at, np.argmax(slope, axis=1)].real
     pair = upper.imag > 1e-11 * (1.0 + np.abs(roots).max(axis=1))
     g = np.where(pair, upper, real + 0j)

@@ -181,14 +181,15 @@ class TestBridgePaths:
 
     @pytest.mark.slow
     def test_cusp_exponent_machinery(self):
-        # light version: the strict 1.5 +- 0.2 fit runs in the acceptance
-        # suite with a larger bundle count
+        # light version of criterion 10's 1.5 +- 0.2 gate: 12 bundles, not
+        # 28, through the default quartile fit over t0+0.08..t0+0.30 (1.507
+        # here; the former 2.5% quantile over t0+0.02..t0+0.15 read 1.627)
         a, b, p, n = 1.0, 0.0, 1.0 / 9.0, 400
         cfg = TargetConfig(targets=(b, a), fractions=(1 - p, p), time=0.5)
         bundles = sample_bundles(n, cfg, 60, 42, 12, t_max=0.97)
         slope, ts, w = fit_cusp_exponent(bundles, a, b, p, n)
         assert (np.diff(w) > 0).all()
-        assert 1.0 < slope < 2.0
+        assert abs(slope - 1.5) < 0.2
 
     @staticmethod
     def _dense_paths(n, config, steps, seed, index=0, t_max=None):

@@ -535,7 +535,6 @@ class TestFiniteN:
             vc, lc = finite_n_kernel_scaled(SYM50, lam, lam, contours="cusp")
             assert abs((vc * np.exp(lc)).real - ref) <= 1e-12 * ref, z
 
-    @pytest.mark.slow
     def test_normalization_n8(self):
         # (1/n) integral of the diagonal = 1 within 1e-4 (symmetric, t = t0)
         from pearceylab.kernels import finite_n_diagonal
@@ -647,6 +646,14 @@ def _dense_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
     return vals, ls, mass
 
 
+def _psi_complex_log(u, kap, t, coord, n1, n2, alpha, beta):
+    """The finite-n action with numpy's complex log: the oracle for
+    kernels._psi_cusp."""
+    U = kap * u
+    return (t * U * U - 2.0 * coord * U) / (1.0 - t) \
+        + n1 * np.log(u - alpha) + n2 * np.log(u - beta)
+
+
 def _dense_cauchy(A, kV, kU, B):
     """A^T C B and |A|^T |C| |B| with the dense coupling C = 1/(kU - kV)
     formed: the oracle for the blocked kernels._cauchy_contract."""
@@ -732,6 +739,39 @@ class TestFiniteContraction:
         assert ls == dls
         assert (np.abs(vals - dvals) <= 1e-13 * dmass).all()
         assert (np.abs(mass - dmass) <= 1e-12 * dmass).all()
+
+    @pytest.mark.parametrize("case", ["plain", "split", "pierced", "cusp"])
+    def test_psi_matches_complex_log(self, monkeypatch, case):
+        # the action's log|w| + i atan2 form against numpy's complex log on
+        # both rules of each geometry, at the point's own coordinates
+        lam = math.sqrt(50) * math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / 2.0) * 0.1
+        params, x, contours = {"plain": (SYM8, 3.0, "auto"),
+                               "split": (SYM50, lam, "adaptive"),
+                               "pierced": (SYM8, 0.54132, "auto"),
+                               "cusp": (SYM50, lam, "cusp")}[case]
+        seen, _ = self._contractions(
+            monkeypatch, lambda: finite_n_kernel_scaled(params, x, x, contours=contours))
+        _, rule_u, side_u, rule_v, side_v, xs, ys = seen[0][0]
+        n1, n2 = params.n1, params.n2
+        for (nodes, _), (kap, al, be), t, coord in ((rule_u, side_u, params.t_l, ys[0]),
+                                                    (rule_v, side_v, params.t_k, xs[0])):
+            got = kernels._psi_cusp(nodes, kap, t, coord, n1, n2, al, be)
+            want = _psi_complex_log(nodes, kap, t, coord, n1, n2, al, be)
+            assert np.abs(got.real - want.real).max() <= 1e-14 * (n1 + n2)
+            assert np.abs(got.imag - want.imag).max() <= 1e-14 * (n1 + n2)
+
+    def test_psi_branch_on_the_negative_real_axis(self):
+        # left of each pole the argument is +-pi by the sign of the zero
+        # imaginary part, in both forms and to the last bit
+        n1, n2, al, be = 4, 3, 2.0, -1.0
+        for im in (0.0, -0.0):
+            u = np.array([complex(x, im) for x in (-3.0, -1.5, 0.5, 1.9)])
+            got = kernels._psi_cusp(u, 1.5, 1.0 / 3.0, 0.2, n1, n2, al, be)
+            want = _psi_complex_log(u, 1.5, 1.0 / 3.0, 0.2, n1, n2, al, be)
+            assert np.array_equal(got.imag, want.imag)
+            assert np.array_equal(got.imag, math.copysign(math.pi, im)
+                                  * np.array([n1 + n2, n1 + n2, n1, n1]))
+            assert np.abs(got.real - want.real).max() <= 1e-14 * (n1 + n2)
 
     def test_benchmark_profiles_keep_their_geometry(self, monkeypatch):
         # the V-lobes chosen on both benchmark profiles: per point, o for one
@@ -876,6 +916,18 @@ class TestAdaptiveRules:
                          (6.5, 0.2693980599362)):
             got = finite_n_diagonal(50, 1.0, 0.0, 1.0 / 9.0, 0.5, [lam])[0]
             assert abs(got - ref) <= 1e-10 * ref, (lam, got)
+
+    @pytest.mark.xfail(strict=True, reason="split lobes lower than their clearance d "
+                                           "are under-resolved: the tier returns "
+                                           "-9.2528e-3 and 5.0820e-5")
+    def test_low_split_lobes_at_n50(self):
+        # (1, -1, 1/2) at t = 1/2: the chosen split lobes are 0.127 high
+        # against d = 0.156.  The references are the tier's values at
+        # QuadratureSpec(8, 24, 64); (8, 32, 48) agrees with them to 2.5e-14
+        # at 0.25 and 1.3e-11 at 0.
+        got = finite_n_diagonal(50, 1.0, -1.0, 0.5, 0.5, [0.25, 0.0])
+        for val, ref in zip(got, (3.2173214578718e-3, 5.268918380928e-5)):
+            assert abs(val - ref) <= 1e-10 * ref, (val, ref)
 
     def test_plain_lobe_at_n200(self):
         # z = 2.4 beside the right lobe: a rule with a fixed panel count per

@@ -115,6 +115,27 @@ class TestSolveStieltjes:
             mirror = np.array([s.g for s in sweep_density(cfg, -grid)])
             assert np.abs(mirror + np.conj(sweep)).max() <= 1e-12
 
+    def test_cached_rows_are_read_only(self):
+        rows = spectral_curve._stieltjes_rows(SYM)
+        assert spectral_curve._stieltjes_rows(SYM) is rows
+        for arr in rows:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("targets, fractions, t", [
+        ((-1.0, 1.0), (0.5, 0.5), 0.5),
+        ((0.0, 1.0), (8 / 9, 1 / 9), 0.7),
+        ((-1.0, 0.0, 2.0), (0.2, 0.3, 0.5), 0.3),
+    ])
+    def test_sweep_matches_uncached_rows(self, monkeypatch, targets, fractions, t):
+        cfg = TargetConfig(targets=targets, fractions=fractions, time=t)
+        grid = np.linspace(-4.0, 5.0, 91)
+        cached = [s.g for s in sweep_density(cfg, grid)]
+        monkeypatch.setattr(spectral_curve, "_stieltjes_rows",
+                            spectral_curve._stieltjes_rows.__wrapped__)
+        assert np.array_equal(cached, [s.g for s in sweep_density(cfg, grid)])
+
     def test_sweep_checks_every_point(self, monkeypatch):
         with pytest.raises(ValueError, match="finite"):
             sweep_density(SYM, [0.0, 1.0, float("nan"), 2.0])
