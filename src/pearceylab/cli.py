@@ -10,6 +10,7 @@ significant digits; interval unions parse as `y1,y2;y3,y4`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -68,6 +69,27 @@ def _bridge_time(text):
     if not 0.0 < t < 1.0:
         raise argparse.ArgumentTypeError(f"bridge time must lie in (0, 1), got {text}")
     return t
+
+
+def _positive_step(text):
+    h = float(text)
+    if not (math.isfinite(h) and h > 0.0):
+        raise argparse.ArgumentTypeError(f"step must be positive and finite, got {text}")
+    return h
+
+
+def _nystrom_order(text):
+    m = int(text)
+    if m < 8:
+        raise argparse.ArgumentTypeError(f"Nystrom order must be >= 8, got {text}")
+    return m
+
+
+def _thread_count(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be >= 1, got {text}")
+    return n
 
 
 def _config_from(args):
@@ -270,7 +292,7 @@ def build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, and every call gets a fresh namespace."""
     ap = argparse.ArgumentParser(prog="pearceylab")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    ap.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
                     help="cap worker parallelism (results are thread-count independent)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -310,25 +332,25 @@ def build_parser():
     p = new("gap", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
-    p.add_argument("--m", type=int, default=40)
+    p.add_argument("--m", type=_nystrom_order, default=40)
     p = new("multigap", quad=True)
     p.add_argument("--times", required=True)
     p.add_argument("--sets", required=True, help="interval unions separated by |")
-    p.add_argument("--m", type=int, default=32)
+    p.add_argument("--m", type=_nystrom_order, default=32)
     p = new("resolvent", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
-    p.add_argument("--m", type=int, default=48)
+    p.add_argument("--m", type=_nystrom_order, default=48)
     p = new("pde-residual", quad=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--E", required=True, help="y1,y2 (one interval)")
-    p.add_argument("--h", type=float, default=0.05)
-    p.add_argument("--m", type=int, default=48)
+    p.add_argument("--h", type=_positive_step, default=0.05)
+    p.add_argument("--m", type=_nystrom_order, default=48)
     p = new("lemma-checks", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
     p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--m", type=int, default=48)
+    p.add_argument("--m", type=_nystrom_order, default=48)
     p = new("wronskian", quad=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", type=float, required=True)

@@ -130,10 +130,12 @@ def pearcey_kernel_handle(t: float, spec: QuadratureSpec | None = None):
 def _nystrom_logdet(K, weights):
     """log det(I - K W) for the Nystrom matrix K on nodes with weights W,
     through the similar matrix I - W^{1/2} K W^{1/2} (square-root-weight
-    symmetrization); a non-positive determinant means a kernel or grid failure."""
+    symmetrization); a non-positive determinant means a kernel or grid failure.
+    Leading axes of K and weights stack matrices, one log-determinant each."""
     sw = np.sqrt(weights)
-    sign, logdet = np.linalg.slogdet(np.eye(len(sw)) - sw[:, None] * K * sw[None, :])
-    if sign <= 0:
+    A = np.eye(sw.shape[-1]) - sw[..., :, None] * K * sw[..., None, :]
+    sign, logdet = np.linalg.slogdet(A)
+    if (sign <= 0).any():
         raise ArithmeticError("Fredholm determinant non-positive: kernel or grid failure")
     return logdet
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -268,29 +269,33 @@ def _pq_panels(t, x, L, spec):
     return max(spec.panels, -(-need // spec.nodes_per_panel))
 
 
-def _exp_outer(z, a, xs):
-    """exp(z a_i x_j) over real arrays a and xs; for imaginary z by real cos
-    and sin, which cost less than half of a complex exp."""
-    y = np.outer(a, xs)
+def _exp_outer(z, a, xs, out):
+    """exp(z a_i x_j) over real arrays a and xs, written into the complex
+    array out; for imaginary z by real cos and sin, which cost less than half
+    of a complex exp."""
+    y = a[:, None] * xs
     if z.real:
-        return np.exp(z * y)
-    out = np.empty(y.shape, dtype=complex)
+        return np.exp(np.multiply(z, y, out=out), out=out)
     y *= z.imag
     np.cos(y, out=out.real)
     np.sin(y, out=out.imag)
     return out
 
 
-def _separable_sum(c, z, mid, hg, xs):
-    """sum_{p,j} c[k, p, j] exp(z (mid_p + hg_j) x) over the array xs, for
-    coefficients c of shape (4, panels, nodes_per_panel): one GEMM against
-    the in-panel factors exp(z hg_j x) gives the panel sums T[k, p, x], which
-    the panel factors exp(z mid_p x) then weight and add up.  Real c meets
-    the interleaved real and imaginary parts of the factors in a real GEMM."""
-    inner = _exp_outer(z, hg, xs)
-    c2 = c.reshape(-1, len(hg))
-    T = c2 @ inner if np.iscomplexobj(c) else (c2 @ inner.view(float)).view(complex)
-    return np.einsum("kpx,px->kx", T.reshape(*c.shape[:2], len(xs)), _exp_outer(z, mid, xs))
+def _separable_sum(c, inner, outer, T):
+    """sum_{p,j} c[k, p, j] exp(z (mid_p + hg_j) x) over an array of x, for
+    coefficients c of shape (4, panels, nodes_per_panel), given the in-panel
+    factors inner = exp(z hg_j x) and the panel factors outer = exp(z mid_p x)
+    (_exp_outer): one GEMM against the in-panel factors gives the panel sums
+    T[k, p, x], written into the complex array T, which the panel factors
+    then weight and add up.  Real c meets the interleaved real and imaginary
+    parts of the factors in a real GEMM."""
+    c2 = c.reshape(-1, inner.shape[0])
+    if np.iscomplexobj(c):
+        np.matmul(c2, inner, out=T)
+    else:
+        np.matmul(c2, inner.view(float), out=T.view(float))
+    return np.einsum("kpx,px->kx", T.reshape(*c.shape[:2], -1), outer)
 
 
 @lru_cache(maxsize=16)
@@ -317,71 +322,107 @@ def _pq_rule(t, L, panels, nodes_per_panel):
     return rule
 
 
-# p's X-contour direction e^{i pi/4}, and the derivative order k as a column
+# p's X-contour direction e^{i pi/4}, and the prefactors that turn the
+# derivative order k's raw sums into p^{(k)} (before its imaginary part) and q^{(k)}
 _E8 = np.exp(1j * math.pi / 4.0)
 _K = np.arange(4)[:, None]
+_P_K = _E8 ** (_K + 1)
+_Q_K = -((-1j) ** _K) / (2.0 * math.pi)
 
 
-def _pq_quadrature(t, xs, spec):
-    """Raw quadrature of p^{(k)}(x), q^{(k)}(x), k < 4, over the array xs, on
-    rules whose truncation length and panel count are set by max |x|.
-    Derivatives insert powers of the integration variable; P is real, Q keeps
-    the imaginary part the quadrature leaves.
+def _pq_quadrature(ts, xs, spec):
+    """Raw quadrature of p^{(k)}(x), q^{(k)}(x), k < 4, over the array xs,
+    yielded as (P, Q) for each time of ts in turn, on rules whose truncation
+    length and panel count are set by t and max |x|.  Derivatives insert
+    powers of the integration variable; P is real, Q keeps the imaginary part
+    the quadrature leaves.
 
     Both integrals run over the one node set of _pq_rule.  Each exponential
     then factors, exp(z v x) = exp(z mid_p x) exp(z h g_j x) with z = -i for
     q and e^{i pi/4} for p, so a node of x costs 2*panels + nodes_per_panel
-    exponentials per function instead of one per rule node.  The v <-> -v
-    symmetry of the rule is deliberately not folded into cosine and sine
-    sums: that would make Im q exactly zero, and pq_tables checks it as the
-    quadrature's rounding residue.
+    exponentials per function instead of one per rule node.  Those factors
+    depend on the rule's (L, panels) and on xs but not on t, so successive
+    times on one rule share them: each time adds only its GEMM and panel sum
+    against its own coefficients.  Such a run of times is tabulated for p,
+    then for q, so that only one function's factors are held at once.  The
+    v <-> -v symmetry of the rule is deliberately not folded into cosine and
+    sine sums: that would make Im q exactly zero, and pq_tables checks it as
+    the quadrature's rounding residue.
     """
     xmax = float(np.abs(xs).max(initial=0.0))
-    L = _pq_L(t, xmax, spec)
-    mid, hg, cq, cp = _pq_rule(t, L, _pq_panels(t, xmax, L, spec), spec.nodes_per_panel)
-    Q = -((-1j) ** _K) / (2.0 * math.pi) * _separable_sum(cq, -1j, mid, hg, xs)
-    P = np.imag(_E8 ** (_K + 1) * _separable_sum(cp, _E8, mid, hg, xs)) / math.pi
-    return P, Q
+    rules = []
+    for t in ts:
+        L = _pq_L(t, xmax, spec)
+        panels = _pq_panels(t, xmax, L, spec)
+        rules.append(((L, panels), _pq_rule(t, L, panels, spec.nodes_per_panel)))
+    for _, run in groupby(rules, key=lambda r: r[0]):
+        run = [rule for _, rule in run]
+        mid, hg = run[0][:2]
+        # one set of work arrays per run, which both functions and every time
+        # reuse: fresh ones between the times' other allocations fragment the
+        # heap and raise the process's peak memory by about 1 MB
+        Ps = np.empty((len(run), 4, len(xs)))
+        T = np.empty((4 * len(mid), len(xs)), dtype=complex)
+        inner = np.empty((len(hg), len(xs)), dtype=complex)
+        outer = np.empty((len(mid), len(xs)), dtype=complex)
+        _exp_outer(_E8, hg, xs, inner)
+        _exp_outer(_E8, mid, xs, outer)
+        for P, (_, _, _, cp) in zip(Ps, run):
+            np.divide(np.imag(_P_K * _separable_sum(cp, inner, outer, T)), math.pi, out=P)
+        _exp_outer(-1j, hg, xs, inner)
+        _exp_outer(-1j, mid, xs, outer)
+        for P, (_, _, cq, _) in zip(Ps, run):
+            yield P, _Q_K * _separable_sum(cq, inner, outer, T)
+
+
+def _pq_checked(ts, xs, spec):
+    """Checked tables (P, Q) of pq_tables, yielded for each time of ts in
+    turn from one tabulation on the node array xs (_pq_quadrature); every
+    time passes all three checks before its tables are yielded."""
+    if not (all(abs(t) <= 50.0 for t in ts) and np.abs(xs).max(initial=0.0) <= 50.0):
+        raise ValueError("p/q envelope is |t|, |x| <= 50")
+    ends = [int(xs.argmin()), int(xs.argmax())] if xs.size else []
+    refined = _pq_quadrature(ts, xs[ends], spec.refined())
+    for t, (P, Q), (P2, Q2) in zip(ts, _pq_quadrature(ts, xs, spec), refined):
+        scale = np.maximum(1.0, np.maximum(np.abs(P).max(axis=0), np.abs(Q).max(axis=0)))
+        if ends:
+            err = np.maximum(np.abs(P[:, ends] - P2).max(axis=0),
+                             np.abs(Q[:, ends] - Q2).max(axis=0))
+            if not (err <= 1e-8 * scale[ends]).all():
+                raise QuadratureError(
+                    f"p/q quadrature did not converge at t={t}, x in [{xs.min()}, {xs.max()}]",
+                    achieved=float(err.max()))
+        resid = np.maximum(np.abs(P[3] - t * P[1] + xs * P[0]),
+                           np.abs(Q[3] - t * Q[1] - xs * Q[0]))
+        if not (resid <= 1e-8 * scale).all():
+            raise QuadratureError(f"Pearcey ODE residual {resid.max():.2e} at t={t}",
+                                  achieved=float(resid.max()))
+        imag = np.abs(Q.imag).max(axis=0)
+        if not (imag <= 1e-10 * scale).all():
+            raise QuadratureError(f"p/q imaginary part {imag.max():.2e} exceeds tolerance at t={t}",
+                                  achieved=float(imag.max()))
+        yield P, Q.real
 
 
 def pq_tables(t, xs, spec=None):
     """Checked p^{(k)}(x), q^{(k)}(x), k = 0..3, tabulated over an array of x.
 
     Returns real (P, Q) of shape (4, len(xs)); used for Nystrom assembly.
-    p and q share one Gauss-Legendre node set whose exponentials separate
-    into a panel factor and an in-panel factor (_pq_quadrature), so a node
-    of x costs 2*panels + nodes_per_panel exponentials per function.  Every
-    node must satisfy both third-order ODEs and carry a negligible imaginary
-    part of q, which the rule leaves as rounding residue because its v <-> -v
-    symmetry is not folded into real cosine sums; the smallest and largest
-    node must agree with the table at spec.refined(), an independent rule of
-    twice the nodes per panel.  Checking the extremes suffices because the
-    truncation length and panel count are set by max |x|.  Tolerances scale
-    with max(1, |p^{(k)}|, |q^{(k)}|) at each node.
+    This is the one-time case of _pq_checked, which tabulates many times on
+    one node array and checks each time as this does.  p and q share one
+    Gauss-Legendre node set whose exponentials separate into a panel factor
+    and an in-panel factor (_pq_quadrature), so a node of x costs
+    2*panels + nodes_per_panel exponentials per function, and times
+    tabulated together share them.  Every node must satisfy both third-order
+    ODEs and carry a negligible imaginary part of q, which the rule leaves
+    as rounding residue because its v <-> -v symmetry is not folded into
+    real cosine sums; the smallest and largest node must agree with the
+    table at spec.refined(), an independent rule of twice the nodes per
+    panel.  Checking the extremes suffices because the truncation length and
+    panel count are set by max |x|.  Tolerances scale with
+    max(1, |p^{(k)}|, |q^{(k)}|) at each node.
     """
-    spec = spec or QuadratureSpec()
-    xs = np.asarray(xs, dtype=float)
-    if not (abs(t) <= 50.0 and np.abs(xs).max(initial=0.0) <= 50.0):
-        raise ValueError("p/q envelope is |t|, |x| <= 50")
-    P, Q = _pq_quadrature(t, xs, spec)
-    scale = np.maximum(1.0, np.maximum(np.abs(P).max(axis=0), np.abs(Q).max(axis=0)))
-    if xs.size:
-        ends = [int(xs.argmin()), int(xs.argmax())]
-        P2, Q2 = _pq_quadrature(t, xs[ends], spec.refined())
-        err = np.maximum(np.abs(P[:, ends] - P2).max(axis=0), np.abs(Q[:, ends] - Q2).max(axis=0))
-        if not (err <= 1e-8 * scale[ends]).all():
-            raise QuadratureError(
-                f"p/q quadrature did not converge at t={t}, x in [{xs.min()}, {xs.max()}]",
-                achieved=float(err.max()))
-    resid = np.maximum(np.abs(P[3] - t * P[1] + xs * P[0]), np.abs(Q[3] - t * Q[1] - xs * Q[0]))
-    if not (resid <= 1e-8 * scale).all():
-        raise QuadratureError(f"Pearcey ODE residual {resid.max():.2e} at t={t}",
-                              achieved=float(resid.max()))
-    imag = np.abs(Q.imag).max(axis=0)
-    if not (imag <= 1e-10 * scale).all():
-        raise QuadratureError(f"p/q imaginary part {imag.max():.2e} exceeds tolerance at t={t}",
-                              achieved=float(imag.max()))
-    return P, Q.real
+    return next(_pq_checked((t,), np.asarray(xs, dtype=float), spec or QuadratureSpec()))
 
 
 def pearcey_pq(t: float, x: float, spec: QuadratureSpec | None = None) -> PearceyPQ:
@@ -474,17 +515,34 @@ def pearcey_kernel_pq_form(t: float, x: float, y: float,
     return float(pearcey_kernel_matrix(t, [x], [y], spec)[0, 0])
 
 
-def _pearcey_kernel_from_tables(t, xs, P, ys, Q):
-    """Equal-time kernel matrix from the p-table at xs and the q-table at ys;
-    entries with x == y use the diagonal limit p q''' - p' q'' + p'' q' - t p q'."""
-    num = (np.outer(P[0], Q[2]) - np.outer(P[1], Q[1]) + np.outer(P[2], Q[0])
-           - t * np.outer(P[0], Q[0]))
-    den = ys[None, :] - xs[:, None]
-    same = np.abs(den) < 1e-13 * (1.0 + np.abs(xs)[:, None])
-    out = np.where(same, 0.0, num / np.where(same, 1.0, den))
-    ii, jj = np.nonzero(same)
-    out[ii, jj] = (P[0][ii] * Q[3][jj] - P[1][ii] * Q[2][jj]
-                   + P[2][ii] * Q[1][jj] - t * P[0][ii] * Q[1][jj])
+def _coincident(xs, ys):
+    """Index of the entries of xs x ys with x == y, where the p/q kernel takes
+    its diagonal limit; leading axes of xs and ys stack grids."""
+    return np.nonzero(np.abs(ys[..., None, :] - xs[..., :, None])
+                      < 1e-13 * (1.0 + np.abs(xs)[..., :, None]))
+
+
+def _pearcey_kernel_from_tables(t, xs, P, ys, Q, same=None):
+    """Equal-time kernel matrix from the p-table P at xs and the q-table Q at
+    ys; the entries same = _coincident(xs, ys), found here unless given, use
+    the diagonal limit p q''' - p' q'' + p'' q' - t p q'.  Leading axes of xs and
+    ys, which P[k] and Q[k] then carry too, stack grids into a stack of
+    matrices, filled in place."""
+    if same is None:
+        same = _coincident(xs, ys)
+    out = P[0][..., :, None] * Q[2][..., None, :]
+    tmp = np.empty_like(out)
+    out -= np.multiply(P[1][..., :, None], Q[1][..., None, :], out=tmp)
+    out += np.multiply(P[2][..., :, None], Q[0][..., None, :], out=tmp)
+    np.multiply(P[0][..., :, None], Q[0][..., None, :], out=tmp)
+    tmp *= t
+    out -= tmp
+    den = np.subtract(ys[..., None, :], xs[..., :, None], out=tmp)
+    den[same] = 1.0
+    out /= den
+    ii, jj = same[:-1], same[:-2] + same[-1:]
+    out[same] = (P[0][ii] * Q[3][jj] - P[1][ii] * Q[2][jj]
+                 + P[2][ii] * Q[1][jj] - t * P[0][ii] * Q[1][jj])
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._quad import QuadratureSpec, thread_map
 from .fredholm import IntervalUnion, NystromGrid, _nystrom_logdet
-from .kernels import _pearcey_kernel_from_tables, pq_tables, pearcey_pq
+from .kernels import _coincident, _pearcey_kernel_from_tables, _pq_checked, pearcey_pq
 
 __all__ = [
     "QSurface", "ResidualReport", "q_surface", "pearcey_pde_residual",
@@ -59,19 +59,17 @@ class ResidualReport:
     y2: float
 
 
-def _log_gap_batch(t, intervals, m, spec):
-    """log det(I - K_E) for many single intervals at one time, sharing the
-    p/q tabulation across all Nystrom nodes."""
-    grids = [NystromGrid.build(IntervalUnion(iv), m) for iv in intervals]
-    all_nodes = np.concatenate([g.nodes for g in grids])
-    P, Q = pq_tables(t, all_nodes, spec)
+def _log_gaps(ts, nodes, weights, sames, spec):
+    """log det(I - K_E) at each time of ts on single-interval Nystrom grids,
+    nodes and weights of shape (rows, intervals, m), sames each row's
+    kernels._coincident: one p/q tabulation over all the nodes serves every
+    time, and each row of intervals is filled and factored as one stack."""
     out = []
-    off = 0
-    for g in grids:
-        sl = slice(off, off + g.nodes.size)
-        off += g.nodes.size
-        K = _pearcey_kernel_from_tables(t, g.nodes, P[:, sl], g.nodes, Q[:, sl])
-        out.append(_nystrom_logdet(K, g.weights))
+    for t, (P, Q) in zip(ts, _pq_checked(ts, nodes.ravel(), spec)):
+        P, Q = P.reshape(4, *nodes.shape), Q.reshape(4, *nodes.shape)
+        out.append([_nystrom_logdet(_pearcey_kernel_from_tables(
+                        t, x, P[:, r], x, Q[:, r], same), w)
+                    for r, (x, w, same) in enumerate(zip(nodes, weights, sames))])
     return out
 
 
@@ -82,9 +80,22 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
 
     t runs over t_range at spacing h_t; the endpoint grids are
     y1 in E_center - E_halfwidth + h_y * {-y_extent..y_extent} and likewise
-    y2 around E_center + E_halfwidth.  Gap probabilities below 1e-10 are
-    rejected (log accuracy collapses there).
+    y2 around E_center + E_halfwidth, each interval on m >= 8 Gauss-Legendre
+    nodes.  The intervals' Nystrom grids are built once.  p and q are
+    tabulated on all their nodes through one checked call for all the times
+    (kernels._pq_checked), whose x-only factors the times share, and at each
+    time the matrices of a row of intervals (one y1) are filled and factored
+    as one stack.  Which kernel entries take the diagonal limit is found once
+    per surface; the denominators y - x are formed per row and time, since
+    holding them all would add (2 y_extent + 1)^2 m^2 floats to the peak
+    memory.  threads > 1 splits the times into that many runs, each
+    tabulated on its own; the result does not depend on it.  Gap
+    probabilities below 1e-10 are rejected (log accuracy collapses there).
     """
+    if not (math.isfinite(h_t) and h_t > 0.0 and math.isfinite(h_y) and h_y > 0.0):
+        raise ValueError(f"steps must be positive and finite, got h_t={h_t}, h_y={h_y}")
+    if m < 8:
+        raise ValueError("m must be >= 8")
     spec = spec or QuadratureSpec()
     t_lo, t_hi = t_range
     n_t = int(round((t_hi - t_lo) / h_t)) + 1
@@ -92,14 +103,16 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
     offs = h_y * np.arange(-y_extent, y_extent + 1)
     y1 = E_center - E_halfwidth + offs
     y2 = E_center + E_halfwidth + offs
-    Q = np.empty((n_t, len(y1), len(y2)))
     pairs = [(a, b) for a in y1 for b in y2]
     if any(b <= a for a, b in pairs):
         raise ValueError("stencil grids overlap: shrink h_y or widen the interval")
-    rows = thread_map(lambda t: _log_gap_batch(float(t), pairs, m, spec),
-                      t_grid, threads)
-    for i, vals in enumerate(rows):
-        Q[i] = np.reshape(vals, (len(y1), len(y2)))
+    grids = [NystromGrid.build(IntervalUnion(iv), m) for iv in pairs]
+    nodes = np.reshape([g.nodes for g in grids], (len(y1), len(y2), m))
+    weights = np.reshape([g.weights for g in grids], nodes.shape)
+    sames = [_coincident(x, x) for x in nodes]
+    runs = np.array_split(t_grid, max(1, min(threads, n_t)))
+    Q = np.concatenate(thread_map(
+        lambda ts: _log_gaps(ts.tolist(), nodes, weights, sames, spec), runs, threads))
     if Q.max() > 1e-12:
         raise ArithmeticError("log gap should be <= 0")
     if Q.min() < math.log(1e-10):

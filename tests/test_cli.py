@@ -33,6 +33,31 @@ class TestDispatch:
                          "--xgrid=-1,1,3", "--ygrid=-1,1,3"]) == 2
         assert dispatch(["cusp", "--a", "1", "--b", "-1", "--p", "0.5", "--L", "8"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["pde-residual", "--t0", "0", "--E=-1,1", "--h", "0"],
+        ["pde-residual", "--t0", "0", "--E=-1,1", "--h", "nan"],
+        ["pde-residual", "--t0", "0", "--E=-1,1", "--h", "-0.05"],
+        ["pde-residual", "--t0", "0", "--E=-1,1", "--h", "inf"],
+        ["pde-residual", "--t0", "0", "--E=-1,1", "--m", "4"],
+        ["pde-residual", "--t0", "0", "--E=-1,1", "--m", "0"],
+        ["gap", "--t", "0", "--E=-1,1", "--m", "4"],
+        ["multigap", "--times=-1,1", "--sets=-1,1|-1,1", "--m", "7"],
+        ["resolvent", "--t", "0", "--E=-1,1", "--m", "4"],
+        ["lemma-checks", "--t", "0", "--E=-1,1", "--m", "4"],
+        ["--threads", "0", "gap", "--t", "0", "--E=-1,1"],
+        ["--threads", "-3", "pde-residual", "--t0", "0", "--E=-1,1"],
+        ["--threads", "1.5", "gap", "--t", "0", "--E=-1,1"],
+    ])
+    def test_bad_step_order_or_threads_exit_2(self, args, capsys):
+        assert dispatch(args) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_pde_residual_thread_count_independent(self, tmp_path):
+        line = ["pde-residual", "--t0", "0", "--E=-1,1", "--h", "0.05"]
+        _, one = run(tmp_path, ["--threads", "1", *line], "one.txt")
+        _, two = run(tmp_path, ["--threads", "2", *line], "two.txt")
+        assert one.startswith("# pearceylab=") and one == two
+
     def test_parser_reused_without_leaks(self, tmp_path):
         # one parser serves every dispatch in a process; a seeded run and a
         # usage error before a run must leave no flag, seed or default behind

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -49,7 +50,7 @@ def _pq_scaled_gap(t, xs, spec):
     """Largest |separable - direct| over all k and nodes, each node scaled by
     max(1, |p^{(k)}|, |q^{(k)}|) as pq_tables scales its tolerances."""
     P0, Q0 = _pq_direct(t, xs, spec)
-    P1, Q1 = kernels._pq_quadrature(t, xs, spec)
+    P1, Q1 = next(kernels._pq_quadrature((t,), xs, spec))
     scale = np.maximum(1.0, np.maximum(np.abs(P0).max(axis=0), np.abs(Q0).max(axis=0)))
     return max((np.abs(P1 - P0).max(axis=0) / scale).max(),
                (np.abs(Q1 - Q0).max(axis=0) / scale).max())
@@ -176,23 +177,54 @@ class TestPearceyPQ:
         ("refined", "did not converge"),
     ])
     def test_each_check_fires(self, spec, monkeypatch, fault, message):
+        # a fault at one time, alone (through pq_tables) or among several
+        # (through _pq_checked), trips its check and names that time; the
+        # last case's faulty time sits on a rule of its own (L grows past
+        # |t| = 4.5)
         raw = kernels._pq_quadrature
+        xs = np.linspace(-2.0, 2.0, 9)
+        cases = [((0.7,), 0.7), ((-0.3, 0.2, 0.7, 1.1), 0.7), ((-0.3, 0.2, 0.7), -0.3),
+                 ((0.2, -4.6, -4.55, -4.5), -4.55)]
+        # 1e-6 of q's size where it exceeds 1: 1e-6 at t = 0.7, 4e-4 at t = -4.55
+        bumps = [1e-6 * max(1.0, np.abs(pq_tables(bad, xs, spec)[1]).max()) for _, bad in cases]
+        for (times, bad), bump in zip(cases, bumps):
+            def faulty(ts, xs, sp, bad=bad, bump=bump):
+                for t, (P, Q) in zip(ts, raw(ts, xs, sp)):
+                    if t != bad:
+                        pass
+                    elif fault == "imaginary":
+                        Q = Q * (1.0 + 1e-6j)      # still solves the ODE, so only Im q trips
+                    elif fault == "ode":
+                        P = P.copy()
+                        P[3] += bump               # on both rules alike, so refinement agrees
+                    elif sp != spec:
+                        P, Q = P + bump, Q + bump
+                    yield P, Q
 
-        def faulty(t, xs, sp):
-            P, Q = raw(t, xs, sp)
-            if fault == "imaginary":
-                Q = Q * (1.0 + 1e-6j)      # still solves the ODE, so only Im q trips
-            elif fault == "ode":
-                P = P.copy()
-                P[3] += 1e-6               # on both rules alike, so refinement agrees
-            elif sp != spec:
-                P, Q = P + 1e-6, Q + 1e-6
-            return P, Q
+            monkeypatch.setattr(kernels, "_pq_quadrature", faulty)
+            passed = []
+            with pytest.raises(QuadratureError, match=message) as info:
+                if len(times) == 1:
+                    pq_tables(bad, xs, spec)
+                else:
+                    for tables in kernels._pq_checked(times, xs, spec):
+                        passed.append(tables)
+            assert info.value.achieved > 0
+            assert re.search(rf"t={re.escape(str(bad))}(,|$)", str(info.value))
+            assert len(passed) == times.index(bad)      # every earlier time passed its checks
 
-        monkeypatch.setattr(kernels, "_pq_quadrature", faulty)
-        with pytest.raises(QuadratureError, match=message) as info:
-            pq_tables(0.7, np.linspace(-2.0, 2.0, 9), spec)
-        assert info.value.achieved > 0
+    def test_multi_time_tables_match_single_time(self, spec):
+        # times on four rules (L grows with |t| beyond 4.5), one of them in
+        # three separate runs
+        xs = np.random.default_rng(9).uniform(-5.0, 5.0, 31)
+        times = (-4.6, -4.55, -4.5, -1.0, 0.0, 0.7, 4.6, 10.0, -4.6)
+        xmax = float(np.abs(xs).max())
+        assert len({kernels._pq_L(t, xmax, spec) for t in times}) == 4
+        tables = list(kernels._pq_checked(times, xs, spec))
+        assert len(tables) == len(times)
+        for t, (P, Q) in zip(times, tables):
+            P1, Q1 = pq_tables(t, xs, spec)
+            assert np.array_equal(P, P1) and np.array_equal(Q, Q1)
 
 
 class TestPearceyKernel:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pearceylab.fredholm import (IntervalUnion, gap_probability,
-                                 pearcey_kernel_handle, resolvent_quantities)
+from pearceylab import kernels
+from pearceylab.fredholm import (IntervalUnion, NystromGrid, _nystrom_logdet,
+                                 gap_probability, pearcey_kernel_handle,
+                                 resolvent_quantities)
 from pearceylab.pde_lab import (pearcey_pde_residual, q_surface,
                                 residual_csv_lines, small_interval_checks,
                                 wronskian_coefficient)
-from pearceylab.kernels import pearcey_pq
+from pearceylab.kernels import _pearcey_kernel_from_tables, pq_tables
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,63 @@ class TestQSurface:
         i = len(s.t_grid) // 2
         assert Q[i, 1, 2] == pytest.approx(Q[i, 2, 3], abs=1e-9)
         assert Q[i, 0, 2] == pytest.approx(Q[i, 2, 4], abs=1e-9)
+
+
+def _per_interval_surface(t_grid, y1, y2, m, spec):
+    """Q on the stencil lattice the per-interval way: pq_tables at each time
+    over all the lattice's Nystrom nodes, then one kernel matrix and one
+    Nystrom log-determinant per interval."""
+    grids = [NystromGrid.build(IntervalUnion((a, b)), m) for a in y1 for b in y2]
+    nodes = np.concatenate([g.nodes for g in grids])
+    Q = np.empty((len(t_grid), len(grids)))
+    for i, t in enumerate(t_grid):
+        P, Qt = pq_tables(float(t), nodes, spec)
+        for j, g in enumerate(grids):
+            sl = slice(j * m, (j + 1) * m)
+            K = _pearcey_kernel_from_tables(float(t), g.nodes, P[:, sl], g.nodes, Qt[:, sl])
+            Q[i, j] = _nystrom_logdet(K, g.weights)
+    return Q.reshape(len(t_grid), len(y1), len(y2))
+
+
+class TestSharedTabulation:
+    """q_surface tabulates p/q once per run of times and factors each row of
+    intervals as one stack; its Q must equal the per-interval path bit for bit."""
+
+    @pytest.mark.parametrize("t0", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("h, m", [(0.05, 48), (0.025, 48), (0.0125, 64)])
+    def test_benchmark_surfaces(self, spec, t0, h, m):
+        s = q_surface((t0 - 2 * h, t0 + 2 * h), 0.0, 1.0, h, h, m=m)
+        oracle = _per_interval_surface(s.t_grid, s.y1_grid, s.y2_grid, m, spec)
+        assert np.array_equal(s.Q, oracle)
+
+    @pytest.mark.parametrize("t_range", [(-4.6, -4.4), (4.4, 4.6)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_times_on_different_rules(self, spec, t_range, threads):
+        s = q_surface(t_range, 0.0, 1.0, 0.05, 0.05, m=48, threads=threads)
+        xmax = 1.0 + 2 * 0.05
+        assert len({kernels._pq_L(float(t), xmax, spec) for t in s.t_grid}) == 3
+        oracle = _per_interval_surface(s.t_grid, s.y1_grid, s.y2_grid, 48, spec)
+        assert np.array_equal(s.Q, oracle)
+
+    def test_thread_count_independent(self, surface_pair):
+        s = surface_pair[0]
+        for threads in (2, 3, 8):
+            again = q_surface((-0.1, 0.1), 0.0, 1.0, 0.05, 0.05, m=48, threads=threads)
+            assert np.array_equal(again.Q, s.Q)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("h_t, h_y", [(0.0, 0.05), (math.nan, 0.05), (-0.05, 0.05),
+                                          (math.inf, 0.05), (0.05, 0.0), (0.05, math.nan),
+                                          (0.05, -0.05)])
+    def test_steps_positive_and_finite(self, h_t, h_y):
+        with pytest.raises(ValueError, match="positive and finite"):
+            q_surface((-0.1, 0.1), 0.0, 1.0, h_t, h_y, m=16)
+
+    @pytest.mark.parametrize("m", [0, 4, 7])
+    def test_nystrom_order_at_least_8(self, m):
+        with pytest.raises(ValueError, match="m must be >= 8"):
+            q_surface((-0.1, 0.1), 0.0, 1.0, 0.05, 0.05, m=m)
 
 
 class TestResidual:
