@@ -36,7 +36,7 @@ for label, t in (("before", 0.2), ("critical", crit.t0), ("after", 0.6)):
           + f" -> {path.name}")
 
 cfg = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.5)
-events = track_merges(cfg, 0.3, 3.0, 40)
+events = track_merges(cfg, 0.3, 3.0)
 for ev in events:
     print(f"branch points {ev.left_index} and {ev.right_index} merge at "
           f"z = {ev.z_c:.6f}, T = {ev.T_c:.6f} "

@@ -100,13 +100,9 @@ class QuadratureSpec:
         if self.panels * self.nodes_per_panel < 64:
             raise ValueError("panels*nodes_per_panel must be >= 64")
 
-    def refined(self, factor=2):
+    def refined(self):
         return QuadratureSpec(self.truncation_radius, self.panels,
-                              self.nodes_per_panel * factor)
-
-    def widened(self, extra):
-        return QuadratureSpec(self.truncation_radius + extra, self.panels,
-                              self.nodes_per_panel)
+                              self.nodes_per_panel * 2)
 
 
 class QuadratureError(RuntimeError):

@@ -71,25 +71,26 @@ def _bridge_time(text):
     return t
 
 
-def _positive_step(text):
-    h = float(text)
-    if not (math.isfinite(h) and h > 0.0):
-        raise argparse.ArgumentTypeError(f"step must be positive and finite, got {text}")
-    return h
+def _positive_finite(text):
+    v = float(text)
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return v
 
 
-def _nystrom_order(text):
-    m = int(text)
-    if m < 8:
-        raise argparse.ArgumentTypeError(f"Nystrom order must be >= 8, got {text}")
-    return m
+def _int_at_least(low, what):
+    def parse(text):
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {text}")
+        return v
+    parse.__name__ = what
+    return parse
 
 
-def _thread_count(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be >= 1, got {text}")
-    return n
+_nystrom_order = _int_at_least(8, "Nystrom order")
+_thread_count = _int_at_least(1, "thread count")
+_sample_count = _int_at_least(2, "sample count")
 
 
 def _config_from(args):
@@ -131,7 +132,7 @@ def _cmd_support(args):
 def _cmd_track(args):
     cfg = sp.TargetConfig(targets=_parse_floats(args.targets),
                           fractions=_parse_floats(args.fractions), time=0.5)
-    events = sp.track_merges(cfg, args.tmin, args.tmax, args.steps)
+    events = sp.track_merges(cfg, args.tmin, args.tmax)
     lines = ["T_c,z_c,t_c,left_index,right_index"]
     for e in events:
         lines.append(f"{e.T_c:.17g},{e.z_c:.17g},{sp.time_from_rescaled(e.T_c):.17g},"
@@ -184,7 +185,7 @@ def _cmd_pde_residual(args):
     center, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
     h = args.h
     surf = pl.q_surface((args.t0 - 2 * h, args.t0 + 2 * h), center, half, h, h,
-                        m=args.m, spec=spec, threads=args.threads)
+                        m=args.m, spec=spec)
     return pl.residual_csv_lines(pl.pearcey_pde_residual(surf))
 
 
@@ -293,7 +294,8 @@ def build_parser():
     unchanged, and every call gets a fresh namespace."""
     ap = argparse.ArgumentParser(prog="pearceylab")
     ap.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
-                    help="cap worker parallelism (results are thread-count independent)")
+                    help="cap worker parallelism of sample-spectrum and compare-density "
+                         "(results are thread-count independent)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def new(name, quad=False, **kw):
@@ -320,9 +322,8 @@ def build_parser():
     p = new("track")
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--tmin", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--steps", type=int, default=40)
+    p.add_argument("--tmin", type=_positive_finite, required=True)
+    p.add_argument("--tmax", type=_positive_finite, required=True)
     p = new("kernel", quad=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
@@ -344,7 +345,7 @@ def build_parser():
     p = new("pde-residual", quad=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--E", required=True, help="y1,y2 (one interval)")
-    p.add_argument("--h", type=_positive_step, default=0.05)
+    p.add_argument("--h", type=_positive_finite, default=0.05)
     p.add_argument("--m", type=_nystrom_order, default=48)
     p = new("lemma-checks", quad=True)
     p.add_argument("--t", type=float, required=True)
@@ -363,7 +364,7 @@ def build_parser():
     p = new("descent-check")
     p.add_argument("--L", type=float, default=6.0)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_sample_count, default=200)
     p = new("converge", quad=True)
     for f in ("a", "b", "p"):
         p.add_argument(f"--{f}", type=float, required=True)
@@ -399,6 +400,8 @@ def dispatch(argv):
         args = ap.parse_args(argv)
         if args.cmd == "kernel" and args.form == "pq" and args.s != args.t:
             ap.error("kernel --form pq requires --s equal to --t")
+        if args.cmd == "track" and args.tmin >= args.tmax:
+            ap.error("track requires --tmin below --tmax")
     except SystemExit as e:
         return int(e.code or 0)
     started = time.time()

@@ -125,27 +125,23 @@ def sample_spectra(n, config, seed, count, threads=1):
                       range(count), threads)
 
 
-def predicted_density_fn(config: TargetConfig, z_lo, z_hi, num=600):
+def predicted_density_fn(config: TargetConfig, z_lo, z_hi):
     """Equilibrium density interpolant from the spectral curve sweep."""
-    zg = np.linspace(z_lo, z_hi, num)
+    zg = np.linspace(z_lo, z_hi, 600)
     dens = np.array([s.density for s in sweep_density(config, zg)])
     return zg, dens
 
 
 def density_compare(samples, predicted) -> float:
     """Two-sided KS distance between pooled eigenvalues and a predicted
-    density.  `predicted` is either a callable density or a (grid, values)
-    pair; the CDF is its normalized cumulative integral."""
+    density given as a (grid, values) pair; the CDF is its normalized
+    cumulative integral."""
     if len(samples) < 50:
         raise ValueError("need >= 50 samples")
     pooled = np.sort(np.concatenate([s.eigenvalues for s in samples]))
-    if callable(predicted):
-        zg = np.linspace(pooled[0] - 0.5, pooled[-1] + 0.5, 2001)
-        pdf = np.array([predicted(z) for z in zg])
-    else:
-        zg, pdf = predicted
-        zg = np.asarray(zg, dtype=float)
-        pdf = np.asarray(pdf, dtype=float)
+    zg, pdf = predicted
+    zg = np.asarray(zg, dtype=float)
+    pdf = np.asarray(pdf, dtype=float)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(zg))])
     if cdf[-1] <= 0:
         raise ValueError("predicted density integrates to zero")

@@ -287,12 +287,12 @@ def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64, h: float = 
     return lhs, rhs, du
 
 
-def airy_gap_on_ray(s: float, m: int = 48, diag_floor: float = 1e-16) -> GapResult:
+def airy_gap_on_ray(s: float, m: int = 48) -> GapResult:
     """det(I - Airy kernel) on (s, infinity), truncated where the kernel
-    diagonal drops below diag_floor; the truncation tail bound is folded into
-    the error estimate."""
+    diagonal drops below 1e-16; the truncation tail bound is folded into the
+    error estimate."""
     hi = max(s + 2.0, 2.0)
-    while airy_kernel(hi, hi) > diag_floor:
+    while airy_kernel(hi, hi) > 1e-16:
         hi += 1.0
     res = gap_probability(airy_kernel_matrix, IntervalUnion((s, hi)), m)
     return GapResult(value=res.value, log_value=res.log_value,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quad import QuadratureSpec, thread_map
+from ._quad import QuadratureSpec
 from .fredholm import IntervalUnion, NystromGrid, _nystrom_logdet
 from .kernels import _coincident, _pearcey_kernel_from_tables, _pq_checked, pearcey_pq
 
@@ -74,23 +74,21 @@ def _log_gaps(ts, nodes, weights, sames, spec):
 
 
 def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
-              h_y: float, m: int = 48, spec: QuadratureSpec | None = None,
-              y_extent: int = 2, threads: int = 1) -> QSurface:
+              h_y: float, m: int = 48, spec: QuadratureSpec | None = None) -> QSurface:
     """Tabulate Q(t, y1, y2) = log gap on the stencil lattice.
 
     t runs over t_range at spacing h_t; the endpoint grids are
-    y1 in E_center - E_halfwidth + h_y * {-y_extent..y_extent} and likewise
-    y2 around E_center + E_halfwidth, each interval on m >= 8 Gauss-Legendre
-    nodes.  The intervals' Nystrom grids are built once.  p and q are
-    tabulated on all their nodes through one checked call for all the times
-    (kernels._pq_checked), whose x-only factors the times share, and at each
-    time the matrices of a row of intervals (one y1) are filled and factored
-    as one stack.  Which kernel entries take the diagonal limit is found once
-    per surface; the denominators y - x are formed per row and time, since
-    holding them all would add (2 y_extent + 1)^2 m^2 floats to the peak
-    memory.  threads > 1 splits the times into that many runs, each
-    tabulated on its own; the result does not depend on it.  Gap
-    probabilities below 1e-10 are rejected (log accuracy collapses there).
+    y1 in E_center - E_halfwidth + h_y * {-2..2}, the offsets the PDE
+    stencils reach, and likewise y2 around E_center + E_halfwidth, each
+    interval on m >= 8 Gauss-Legendre nodes.  The intervals' Nystrom grids
+    are built once.  p and q are tabulated on all their nodes through one
+    checked call for all the times (kernels._pq_checked), whose x-only
+    factors the times share, and at each time the matrices of a row of
+    intervals (one y1) are filled and factored as one stack.  Which kernel
+    entries take the diagonal limit is found once per surface; the
+    denominators y - x are formed per row and time, since holding them all
+    would add 25 m^2 floats to the peak memory.  Gap probabilities below
+    1e-10 are rejected (log accuracy collapses there).
     """
     if not (math.isfinite(h_t) and h_t > 0.0 and math.isfinite(h_y) and h_y > 0.0):
         raise ValueError(f"steps must be positive and finite, got h_t={h_t}, h_y={h_y}")
@@ -100,7 +98,7 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
     t_lo, t_hi = t_range
     n_t = int(round((t_hi - t_lo) / h_t)) + 1
     t_grid = t_lo + h_t * np.arange(n_t)
-    offs = h_y * np.arange(-y_extent, y_extent + 1)
+    offs = h_y * np.arange(-2, 3)
     y1 = E_center - E_halfwidth + offs
     y2 = E_center + E_halfwidth + offs
     pairs = [(a, b) for a in y1 for b in y2]
@@ -110,9 +108,7 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
     nodes = np.reshape([g.nodes for g in grids], (len(y1), len(y2), m))
     weights = np.reshape([g.weights for g in grids], nodes.shape)
     sames = [_coincident(x, x) for x in nodes]
-    runs = np.array_split(t_grid, max(1, min(threads, n_t)))
-    Q = np.concatenate(thread_map(
-        lambda ts: _log_gaps(ts.tolist(), nodes, weights, sames, spec), runs, threads))
+    Q = np.array(_log_gaps(t_grid.tolist(), nodes, weights, sames, spec))
     if Q.max() > 1e-12:
         raise ArithmeticError("log gap should be <= 0")
     if Q.min() < math.log(1e-10):

@@ -338,7 +338,9 @@ def contour_descent_check(q: float, contour, samples: int = 200,
                           u_contour=None) -> DescentReport:
     """Verify Re F decreases away from the saddle along the u-line, and -Re F
     decreases away from it along every v-segment (including horizontal
-    continuations), sampling `samples` points per segment."""
+    continuations), sampling `samples` >= 2 points per segment."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2: one point per segment compares nothing")
     if u_contour is None:
         u_contour, _ = build_contours(q, QuadratureSpec(), center=contour.center)
     center = contour.center

@@ -371,82 +371,37 @@ def branch_points(config: TargetConfig, T: float):
     return roots, is_real
 
 
-def _real_count(config, T):
-    _, flags = branch_points(config, T)
-    return int(flags.sum())
-
-
-def _newton_double_root(config, z0_, T0):
-    """2D Newton for a simultaneous root of (P_T(z), P_T'(z))."""
-    poly = np.polynomial.polynomial
-    A, B = _branch_point_polys(config.targets, config.fractions)
-    dA, dB = poly.polyder(A), poly.polyder(B)
-    d2A, d2B = poly.polyder(dA), poly.polyder(dB)
-    z, T = float(z0_), float(T0)
-    for _ in range(60):
-        f1 = T * poly.polyval(z, A) - poly.polyval(z, B)
-        f2 = T * poly.polyval(z, dA) - poly.polyval(z, dB)
-        j11 = T * poly.polyval(z, dA) - poly.polyval(z, dB)
-        j12 = poly.polyval(z, A)
-        j21 = T * poly.polyval(z, d2A) - poly.polyval(z, d2B)
-        j22 = poly.polyval(z, dA)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-300:
-            break
-        dz = (f1 * j22 - f2 * j12) / det
-        dT = (j11 * f2 - j21 * f1) / det
-        z, T = z - dz, T - dT
-        if abs(dz) < 1e-14 * (1 + abs(z)) and abs(dT) < 1e-14 * (1 + abs(T)):
-            break
-    return z, T
-
-
-def track_merges(config: TargetConfig, T_min: float, T_max: float, steps: int):
+def track_merges(config: TargetConfig, T_min: float, T_max: float):
     """Merge events of real branch points as T decreases from T_max to T_min.
 
-    Real-root counts are tracked on the grid; each drop is bisected, the
-    number of merging pairs identified from near-coincident roots just above
-    the critical T, and every event polished by a 2D Newton solve for the
-    exact double root (well below the 1e-10 location tolerance).
+    Every term of T(z) = sum_i eps_i/(z - a_i)^2 is convex on each gap
+    between consecutive targets, so T has exactly one critical point on a
+    gap, its minimum (z_c, T_c), and none outside the targets.  The real
+    solutions of T(z) = T are thus the two outer ones plus a pair on every
+    gap with T_c < T, and the events are the gap minima with T_min < T_c <
+    T_max, where such a pair merges.  T'(z) = -2 sum_i eps_i/(z - a_i)^3
+    increases strictly on a gap, so one bisection on its sign, over all the
+    gaps at once, halves until no midpoint is left between its brackets;
+    then T_c = T(z_c).  Among the real roots sorted just above T_c the pair
+    has indices 1 + 2j and 2 + 2j, j the number of earlier gaps open there:
+    those with T_c at most this one within 1e-12 relative.
     """
     if not (0.0 < T_min < T_max):
         raise ValueError("need 0 < T_min < T_max")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    grid = np.linspace(T_max, T_min, steps)
+    a, eps = np.array(config.targets), np.array(config.fractions)
+    lo, hi = a[:-1], a[1:]
+    while True:
+        z = 0.5 * (lo + hi)
+        if not ((lo < z) & (z < hi)).any():
+            break
+        falling = (eps / (z[:, None] - a) ** 3).sum(axis=1) > 0.0
+        lo, hi = np.where(falling, z, lo), np.where(falling, hi, z)
+    T_c = (eps / (z[:, None] - a) ** 2).sum(axis=1)
     events = []
-    counts = [_real_count(config, T) for T in grid]
-    for idx in range(len(grid) - 1):
-        if counts[idx + 1] >= counts[idx]:
-            continue
-        hi, lo = grid[idx], grid[idx + 1]
-        c_hi = counts[idx]
-        for _ in range(80):
-            mid = 0.5 * (hi + lo)
-            if _real_count(config, mid) == c_hi:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-13 * max(1.0, hi):
-                break
-        roots, flags = branch_points(config, hi)
-        reals = np.sort(roots[flags].real)
-        gaps = np.diff(reals)
-        scale = 1.0 + np.abs(reals).max()
-        pair_idx = [i for i in range(len(gaps)) if gaps[i] < 1e-4 * scale]
-        if not pair_idx:
-            pair_idx = [int(np.argmin(gaps))]
-        expected_pairs = (counts[idx] - counts[idx + 1]) // 2
-        if len(pair_idx) != expected_pairs:
-            pair_idx = sorted(range(len(gaps)), key=lambda i: gaps[i])[:expected_pairs]
-            pair_idx.sort()
-        for i in pair_idx:
-            zc0 = 0.5 * (reals[i] + reals[i + 1])
-            z_c, T_c = _newton_double_root(config, zc0, hi)
-            if abs(reals[i + 1] - reals[i]) > 0 and abs(z_c - zc0) > 0.5 * scale:
-                raise ArithmeticError("merge refinement diverged; reduce step")
-            events.append(MergeEvent(T_c=float(T_c), z_c=float(z_c),
-                                     left_index=int(i), right_index=int(i + 1)))
+    for g in np.flatnonzero((T_min < T_c) & (T_c < T_max)):
+        left = 1 + 2 * int((T_c[:g] <= T_c[g] * (1.0 + 1e-12)).sum())
+        events.append(MergeEvent(T_c=float(T_c[g]), z_c=float(z[g]),
+                                 left_index=left, right_index=left + 1))
     events.sort(key=lambda e: -e.T_c)
     return events
 

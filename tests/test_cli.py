@@ -47,6 +47,14 @@ class TestDispatch:
         ["--threads", "0", "gap", "--t", "0", "--E=-1,1"],
         ["--threads", "-3", "pde-residual", "--t0", "0", "--E=-1,1"],
         ["--threads", "1.5", "gap", "--t", "0", "--E=-1,1"],
+        ["track", "--targets=-1,1", "--fractions", "0.5,0.5", "--tmin", "0", "--tmax", "3"],
+        ["track", "--targets=-1,1", "--fractions", "0.5,0.5", "--tmin", "3", "--tmax", "1"],
+        ["track", "--targets=-1,1", "--fractions", "0.5,0.5", "--tmin", "1", "--tmax", "1"],
+        ["track", "--targets=-1,1", "--fractions", "0.5,0.5", "--tmin", "0.2",
+         "--tmax", "inf"],
+        ["track", "--targets=-1,1", "--fractions", "0.5,0.5", "--tmin", "0.2",
+         "--tmax", "3", "--steps", "40"],
+        ["descent-check", "--q", "2", "--samples", "1"],
     ])
     def test_bad_step_order_or_threads_exit_2(self, args, capsys):
         assert dispatch(args) == 2

@@ -74,7 +74,7 @@ def _per_interval_surface(t_grid, y1, y2, m, spec):
 
 
 class TestSharedTabulation:
-    """q_surface tabulates p/q once per run of times and factors each row of
+    """q_surface tabulates p/q once for all its times and factors each row of
     intervals as one stack; its Q must equal the per-interval path bit for bit."""
 
     @pytest.mark.parametrize("t0", [-0.5, 0.0, 0.5])
@@ -85,19 +85,12 @@ class TestSharedTabulation:
         assert np.array_equal(s.Q, oracle)
 
     @pytest.mark.parametrize("t_range", [(-4.6, -4.4), (4.4, 4.6)])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_times_on_different_rules(self, spec, t_range, threads):
-        s = q_surface(t_range, 0.0, 1.0, 0.05, 0.05, m=48, threads=threads)
+    def test_times_on_different_rules(self, spec, t_range):
+        s = q_surface(t_range, 0.0, 1.0, 0.05, 0.05, m=48)
         xmax = 1.0 + 2 * 0.05
         assert len({kernels._pq_L(float(t), xmax, spec) for t in s.t_grid}) == 3
         oracle = _per_interval_surface(s.t_grid, s.y1_grid, s.y2_grid, 48, spec)
         assert np.array_equal(s.Q, oracle)
-
-    def test_thread_count_independent(self, surface_pair):
-        s = surface_pair[0]
-        for threads in (2, 3, 8):
-            again = q_surface((-0.1, 0.1), 0.0, 1.0, 0.05, 0.05, m=48, threads=threads)
-            assert np.array_equal(again.Q, s.Q)
 
 
 class TestInputChecks:

@@ -94,4 +94,3 @@ def test_quadrature_spec_validation():
         QuadratureSpec(panels=1, nodes_per_panel=4)
     s = QuadratureSpec()
     assert s.refined().nodes_per_panel == 2 * s.nodes_per_panel
-    assert s.widened(2.0).truncation_radius == s.truncation_radius + 2.0

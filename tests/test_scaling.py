@@ -271,6 +271,13 @@ class TestDescentCheck:
         rep = contour_descent_check(q, bad, samples=150)
         assert not rep.passed
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, samples, spec):
+        # one point per segment compares nothing, so it must not report a pass
+        u, v = build_contours(2.0, spec)
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            contour_descent_check(2.0, v, samples=samples, u_contour=u)
+
 
 class TestConvergence:
     def test_two_rows_decrease(self, spec):

@@ -325,7 +325,7 @@ class TestBranchPoints:
 class TestTrackMerges:
     def test_symmetric_single_merge(self):
         cfg = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.5)
-        events = track_merges(cfg, 0.3, 3.0, 40)
+        events = track_merges(cfg, 0.3, 3.0)
         assert len(events) == 1
         ev = events[0]
         assert ev.z_c == pytest.approx(0.0, abs=1e-10)
@@ -338,17 +338,46 @@ class TestTrackMerges:
             cfg = TargetConfig(targets=(b, a), fractions=(1 - p, p), time=0.5)
             crit = find_cusp(a, b, p)
             Tc_expect = 2 * crit.t0 / (1 - crit.t0)
-            events = track_merges(cfg, Tc_expect * 0.4, Tc_expect * 2.5, 60)
+            events = track_merges(cfg, Tc_expect * 0.4, Tc_expect * 2.5)
             assert len(events) == 1
-            assert time_from_rescaled(events[0].T_c) == pytest.approx(crit.t0, abs=1e-8)
+            assert time_from_rescaled(events[0].T_c) == pytest.approx(crit.t0, abs=1e-14)
 
     def test_three_targets_two_merges(self):
+        # both gaps share one T_c; just above it the sorted real roots are
+        # the outer left one, the left gap's pair and the right gap's pair
         cfg = TargetConfig(targets=(-2.0, 0.0, 2.0), fractions=(1 / 3, 1 / 3, 1 / 3),
                            time=0.5)
-        events = track_merges(cfg, 0.05, 4.0, 80)
+        events = track_merges(cfg, 0.05, 4.0)
         assert len(events) == 2
         for ev in events:
-            assert ev.right_index == ev.left_index + 1
+            assert (ev.left_index, ev.right_index) == ((1, 2) if ev.z_c < 0 else (3, 4))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_asymmetric_gap_minima(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            a = np.cumsum(rng.uniform(0.3, 2.0, k)) - 3.0
+            eps = rng.uniform(0.2, 1.0, k)
+            eps /= eps.sum()
+            cfg = TargetConfig(targets=tuple(a), fractions=tuple(eps), time=0.5)
+            T_min, T_max = rng.uniform(0.05, 1.5), rng.uniform(1.5, 30.0)
+            events = track_merges(cfg, T_min, T_max)
+            # each gap whose minimum lies in range gives one event: the real
+            # count drops by two per event from T_max to T_min
+            reals = [int(branch_points(cfg, T)[1].sum()) for T in (T_min, T_max)]
+            assert reals[1] - reals[0] == 2 * len(events)
+            assert len({int(np.searchsorted(a, ev.z_c)) for ev in events}) == len(events)
+            for ev in events:
+                assert T_min < ev.T_c < T_max
+                d = ev.z_c - a
+                assert abs(np.sum(eps / d**3)) <= 1e-12 * np.sum(eps / np.abs(d)**3)
+                assert ev.T_c == pytest.approx(np.sum(eps / d**2), rel=1e-15)
+                near = sum(abs(e.T_c / ev.T_c - 1.0) < 1e-6 for e in events)
+                lo, hi = (branch_points(cfg, ev.T_c * (1.0 + s * 1e-6)) for s in (-1, 1))
+                assert hi[1].sum() - lo[1].sum() == 2 * near
+                # the merging pair straddles z_c just above T_c
+                pair = hi[0][hi[1]].real[[ev.left_index, ev.right_index]]
+                assert pair[0] < ev.z_c < pair[1]
 
     def test_no_high_multiplicity(self):
         # crossing events always drop the real count by exactly 2 per pair
