@@ -90,7 +90,7 @@ def _int_at_least(low, what):
 
 _nystrom_order = _int_at_least(8, "Nystrom order")
 _thread_count = _int_at_least(1, "thread count")
-_sample_count = _int_at_least(2, "sample count")
+_sample_count = _int_at_least(8, "sample count")
 
 
 def _config_from(args):
@@ -242,8 +242,8 @@ def _cmd_descent_check(args):
 def _cmd_converge(args):
     spec = _quad_spec(args)
     n_list = [int(v) for v in args.n.split(",")]
-    probe = {"taus": _parse_floats(args.taus)} if args.taus else None
-    study = sc.convergence_study(args.a, args.b, args.p, n_list, probe, spec)
+    study = sc.convergence_study(args.a, args.b, args.p, n_list,
+                                 _parse_floats(args.taus or "0"), spec)
     return sc.convergence_csv_lines(study)
 
 

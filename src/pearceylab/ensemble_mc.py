@@ -167,7 +167,8 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
     coordinate of W is then a Brownian bridge, Cov(s, t) = sigma^2 s (1 - t)
     for s <= t, with sigma^2 = 1/2 on the diagonal and 1/4 for the real and
     imaginary parts off it: the law of B(t) - t B(1).  W(t) + t T is
-    diagonalized at each stored time, with eigenvalue ordering asserted.
+    diagonalized at each stored time; eigvalsh returns ascending values, and
+    an exact tie between two of them raises.
     The state is W's packed triangle, so memory is O(n^2) whatever the
     number of steps.
     """
@@ -192,8 +193,7 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
             w += g
         eig = _hermitian_eigvalsh(M, W[0], W[1], W[2] + t * T)
         if np.any(np.diff(eig) <= 0):
-            raise ArithmeticError(
-                f"eigenvalue ordering violated at t={t}: refine the time step")
+            raise ArithmeticError(f"exact eigenvalue tie at t={t}")
         paths[:, j] = eig
         t_prev = t
     return PathBundle(times=times, paths=paths, seed=seed)

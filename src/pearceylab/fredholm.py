@@ -4,7 +4,10 @@ resolvent quantities for the Pearcey, Airy, and finite-n kernels.
 The determinant det(I - K restricted to E) is discretized per interval with
 Gauss-Legendre nodes and square-root-weight symmetrization, so the finite
 matrix is similar to the integral operator and stays well conditioned.  Every
-reported value carries an m-versus-2m refinement error estimate.
+reported gap probability carries an m-versus-2m refinement error estimate.
+Families of equal-time determinants (the PDE lab's stencil lattice, the
+endpoint identity's shifted sets) share one p/q tabulation and stacked
+factorizations through _log_gaps.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import QuadratureError, QuadratureSpec, _gl
-from .kernels import (_pearcey_kernel_from_tables, airy_kernel, airy_kernel_matrix,
-                      pearcey_kernel_grid, pearcey_kernel_matrix, pq_tables)
+from .kernels import (_coincident, _pearcey_kernel_from_tables, _pq_checked, airy_kernel,
+                      airy_kernel_matrix, pearcey_kernel_grid, pearcey_kernel_matrix,
+                      pq_tables)
 
 __all__ = [
     "IntervalUnion", "NystromGrid", "GapResult", "ResolventData",
@@ -140,6 +144,23 @@ def _nystrom_logdet(K, weights):
     return logdet
 
 
+def _log_gaps(ts, nodes, weights, spec):
+    """log det(I - K_E) of the equal-time Pearcey kernel at each time of ts,
+    as an array (times, rows, sets), on the Nystrom grids of sets E
+    given as nodes and weights of shape (rows, sets, nodes).  One checked p/q
+    tabulation over all the nodes (kernels._pq_checked) serves every time, the
+    diagonal-limit entries (kernels._coincident) are found once, and at each
+    time the matrices of a row of sets are filled and factored as one stack."""
+    sames = [_coincident(x, x) for x in nodes]
+    out = []
+    for t, (P, Q) in zip(ts, _pq_checked(ts, nodes.ravel(), spec)):
+        P, Q = P.reshape(4, *nodes.shape), Q.reshape(4, *nodes.shape)
+        out.append([_nystrom_logdet(_pearcey_kernel_from_tables(
+                        t, x, P[:, r], x, Q[:, r], same), w)
+                    for r, (x, w, same) in enumerate(zip(nodes, weights, sames))])
+    return np.array(out)
+
+
 def _block_logdet(block, sets, order):
     """log det(I - (chi_{E_i} K_ij chi_{E_j})_{i,j}) on Gauss-Legendre grids of
     the given order per interval; block(i, j, xs, ys) is the K_ij matrix."""
@@ -230,7 +251,8 @@ def resolvent_quantities(t: float, E: IntervalUnion, m: int = 40,
                          spec: QuadratureSpec | None = None) -> ResolventData:
     """p_hat = (I-K_E)^{-1} p, q_hat = (I-K_E^T)^{-1} q on the grid and at the
     endpoints, u = <p_hat, q chi_E>, and the resolvent kernel matrix R with
-    (I - K_E)(I + R) = I checked on the grid."""
+    (I - K_E)(I + R) = I checked on the grid.  One solve gives R, and p_hat
+    and q_hat follow from it."""
     spec = spec or QuadratureSpec()
     grid = NystromGrid.build(E, m)
     x = grid.nodes
@@ -243,10 +265,10 @@ def resolvent_quantities(t: float, E: IntervalUnion, m: int = 40,
     A = np.eye(len(x)) - KW
     cond = float(np.linalg.cond(A))
     p_vec, q_vec = P[0], Q[0]
-    p_hat = np.linalg.solve(A, p_vec)
-    AT = np.eye(len(x)) - (w[:, None] * K).T
-    q_hat = np.linalg.solve(AT, q_vec)
     R = np.linalg.solve(A, K)
+    # (I - K W)^{-1} = I + R W and (I - K^T W)^{-1} = I + R^T W
+    p_hat = p_vec + R @ (w * p_vec)
+    q_hat = q_vec + R.T @ (w * q_vec)
     resid = np.abs((np.eye(len(x)) - KW) @ (np.eye(len(x)) + R * w[None, :])
                    - np.eye(len(x))).max()
     if resid > 1e-10:
@@ -270,11 +292,14 @@ def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64, h: float = 
         d^2/de^2 log det(I - K_{E+e}) |_{e=0} = sum_k (-1)^k p_hat(a_k) q_hat(a_k).
 
     The left side uses a 5-point centered second difference of the log gap
-    under a uniform endpoint shift; returns (lhs, rhs, du_lhs, relative errors).
+    under a uniform endpoint shift, whose five determinants are one _log_gaps
+    call; returns (lhs, rhs, du), du the centered difference of u under the
+    same shift.
     """
     spec = spec or QuadratureSpec()
-    vals = [_block_logdet(lambda i, j, xs, ys: pearcey_kernel_matrix(t, xs, ys, spec),
-                          [E.shifted(k * h)], m) for k in (-2, -1, 0, 1, 2)]
+    grids = [NystromGrid.build(E.shifted(k * h), m) for k in (-2, -1, 0, 1, 2)]
+    vals = _log_gaps([t], np.array([[g.nodes for g in grids]]),
+                     np.array([[g.weights for g in grids]]), spec)[0, 0]
     lhs = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
 
     def u_of(eps):

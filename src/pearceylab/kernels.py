@@ -650,7 +650,8 @@ def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
     """Contour rules through the quartic saddle.  For probe points with
     z != z0 the action acquires a linear tilt n (z - z0) Re(v - u0) that beats
     the |v|^{-n} tail decay at large radius, so the truncation radius is
-    capped near 1/dz, which maximizes the edge decay rate.
+    capped at 1/dz, which maximizes the edge decay rate, and floored at 4:
+    L = max(4, min(spec.truncation_radius, 1/dz)).
 
     The X's chords keep it a distance d from the U line, d no larger than the
     n^{-1/4}/mu width of the integrand's peak, so every leg carries uniform
@@ -659,10 +660,10 @@ def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
     q, u0, mu = crit.q, crit.u0, crit.mu
     L = spec.truncation_radius
     if dz_max > 0:
-        L = min(L, max(2.2, 1.0 / dz_max))
+        L = min(L, 1.0 / dz_max)
     work = QuadratureSpec(max(L, 4.0), spec.panels, spec.nodes_per_panel)
     L = work.truncation_radius
-    d = min(0.5, 0.8 / (mu * max(n, 2) ** 0.25), min(_corner(q), L) / 3.0)
+    d = min(0.5, 0.8 / (mu * n ** 0.25), min(_corner(q), L) / 3.0)
     fine, coarse = 24.0 * d / spec.panels, 12.0 / spec.panels
     _, v_path = build_contours(q, work, center=u0, pinch_gap=d)
     v_legs = [leg for a, b in v_path.segments()

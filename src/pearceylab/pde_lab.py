@@ -12,7 +12,8 @@ with dE = d/dy1 + d/dy2, eps_E = y1 d/dy1 + y2 d/dy2, and Wronskian
 {f, g}_X = X(f) g - f X(g).  At the true surface the residual is pure
 truncation error and contracts like h^2 under grid halving; a corrupted
 surface fails that contraction, which is the operational check that all sign
-conventions are right.
+conventions are right.  The lattice's log gaps are fredholm's stacked Nystrom
+determinants (fredholm._log_gaps); this module adds the finite differences.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import QuadratureSpec
-from .fredholm import IntervalUnion, NystromGrid, _nystrom_logdet
-from .kernels import _coincident, _pearcey_kernel_from_tables, _pq_checked, pearcey_pq
+from .fredholm import IntervalUnion, NystromGrid, _log_gaps, resolvent_quantities
+from .kernels import pearcey_pq
 
 __all__ = [
     "QSurface", "ResidualReport", "q_surface", "pearcey_pde_residual",
@@ -59,20 +60,6 @@ class ResidualReport:
     y2: float
 
 
-def _log_gaps(ts, nodes, weights, sames, spec):
-    """log det(I - K_E) at each time of ts on single-interval Nystrom grids,
-    nodes and weights of shape (rows, intervals, m), sames each row's
-    kernels._coincident: one p/q tabulation over all the nodes serves every
-    time, and each row of intervals is filled and factored as one stack."""
-    out = []
-    for t, (P, Q) in zip(ts, _pq_checked(ts, nodes.ravel(), spec)):
-        P, Q = P.reshape(4, *nodes.shape), Q.reshape(4, *nodes.shape)
-        out.append([_nystrom_logdet(_pearcey_kernel_from_tables(
-                        t, x, P[:, r], x, Q[:, r], same), w)
-                    for r, (x, w, same) in enumerate(zip(nodes, weights, sames))])
-    return out
-
-
 def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
               h_y: float, m: int = 48, spec: QuadratureSpec | None = None) -> QSurface:
     """Tabulate Q(t, y1, y2) = log gap on the stencil lattice.
@@ -81,14 +68,12 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
     y1 in E_center - E_halfwidth + h_y * {-2..2}, the offsets the PDE
     stencils reach, and likewise y2 around E_center + E_halfwidth, each
     interval on m >= 8 Gauss-Legendre nodes.  The intervals' Nystrom grids
-    are built once.  p and q are tabulated on all their nodes through one
-    checked call for all the times (kernels._pq_checked), whose x-only
-    factors the times share, and at each time the matrices of a row of
-    intervals (one y1) are filled and factored as one stack.  Which kernel
-    entries take the diagonal limit is found once per surface; the
-    denominators y - x are formed per row and time, since holding them all
-    would add 25 m^2 floats to the peak memory.  Gap probabilities below
-    1e-10 are rejected (log accuracy collapses there).
+    are built once, and all the times go through one fredholm._log_gaps call:
+    one checked p/q tabulation whose x-only factors the times share, and at
+    each time the matrices of a row of intervals (one y1) filled and factored
+    as one stack.  The denominators y - x are formed per row and time, since
+    holding them all would add 25 m^2 floats to the peak memory.  Gap
+    probabilities below 1e-10 are rejected (log accuracy collapses there).
     """
     if not (math.isfinite(h_t) and h_t > 0.0 and math.isfinite(h_y) and h_y > 0.0):
         raise ValueError(f"steps must be positive and finite, got h_t={h_t}, h_y={h_y}")
@@ -107,8 +92,7 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
     grids = [NystromGrid.build(IntervalUnion(iv), m) for iv in pairs]
     nodes = np.reshape([g.nodes for g in grids], (len(y1), len(y2), m))
     weights = np.reshape([g.weights for g in grids], nodes.shape)
-    sames = [_coincident(x, x) for x in nodes]
-    Q = np.array(_log_gaps(t_grid.tolist(), nodes, weights, sames, spec))
+    Q = _log_gaps(t_grid.tolist(), nodes, weights, spec)
     if Q.max() > 1e-12:
         raise ArithmeticError("log gap should be <= 0")
     if Q.min() < math.log(1e-10):
@@ -116,57 +100,41 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
     return QSurface(t_grid=t_grid, y1_grid=y1, y2_grid=y2, Q=Q, h_t=h_t, h_y=h_y)
 
 
-def _dE2(Q, i, j, k, h):
-    """(d/dy1 + d/dy2)^2 Q at lattice point (i, j, k)."""
-    d11 = (Q[i, j + 1, k] - 2 * Q[i, j, k] + Q[i, j - 1, k]) / h**2
-    d22 = (Q[i, j, k + 1] - 2 * Q[i, j, k] + Q[i, j, k - 1]) / h**2
-    d12 = (Q[i, j + 1, k + 1] - Q[i, j + 1, k - 1]
-           - Q[i, j - 1, k + 1] + Q[i, j - 1, k - 1]) / (4 * h**2)
-    return d11 + 2 * d12 + d22
-
-
-def _dE(Q, i, j, k, h):
-    return ((Q[i, j + 1, k] - Q[i, j - 1, k])
-            + (Q[i, j, k + 1] - Q[i, j, k - 1])) / (2 * h)
-
-
 def pearcey_pde_residual(surface: QSurface) -> ResidualReport:
     """Residual of the third-order PDE at every interior stencil point.
 
     All derivatives are second-order centered; the pure t^3 derivative uses
     the five-point stencil, so two t-values at each end of the grid and the
-    outer two y-offsets are consumed by the stencils.
+    outer two y-offsets are consumed by the stencils.  Every time is
+    assembled at once from slices of Q: G = dE^2 Q on the 3 x 3 block of
+    (y1, y2) points around the centre, dE Q at the centre, and the t-shifts
+    [4:], [3:-1], [1:-3], [:-4] of the times [2:-2].
     """
-    Q = surface.Q
     h, ht = surface.h_y, surface.h_t
-    n_t = len(surface.t_grid)
     jc = len(surface.y1_grid) // 2
     kc = len(surface.y2_grid) // 2
     y1c, y2c = surface.y1_grid[jc], surface.y2_grid[kc]
-    if n_t < 5:
+    if len(surface.t_grid) < 5:
         raise ValueError("need at least 5 time points for the t^3 stencil")
-    res, ts = [], []
-    for i in range(2, n_t - 2):
-        t = surface.t_grid[i]
-        Qt3 = (Q[i + 2, jc, kc] - 2 * Q[i + 1, jc, kc]
-               + 2 * Q[i - 1, jc, kc] - Q[i - 2, jc, kc]) / (2 * ht**3)
-        G = {}
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for dk in (-1, 0, 1):
-                    if abs(dj) + abs(dk) <= 1:
-                        G[(di, dj, dk)] = _dE2(Q, i + di, jc + dj, kc + dk, h)
-        Gc = G[(0, 0, 0)]
-        dE_G = ((G[(0, 1, 0)] - G[(0, -1, 0)]) + (G[(0, 0, 1)] - G[(0, 0, -1)])) / (2 * h)
-        eps_G = (y1c * (G[(0, 1, 0)] - G[(0, -1, 0)])
-                 + y2c * (G[(0, 0, 1)] - G[(0, 0, -1)])) / (2 * h)
-        dt_G = (G[(1, 0, 0)] - G[(-1, 0, 0)]) / (2 * ht)
-        W = (_dE(Q, i + 1, jc, kc, h) - _dE(Q, i - 1, jc, kc, h)) / (2 * ht)
-        wron = dE_G * W - Gc * dt_G
-        res.append(Qt3 + 0.125 * (eps_G - 2 * t * dt_G - 2 * Gc) - 0.5 * wron)
-        ts.append(t)
-    res = np.asarray(res)
-    return ResidualReport(t_values=np.asarray(ts), residuals=res,
+    Q = surface.Q[:, jc - 2:jc + 3, kc - 2:kc + 3]
+    C = Q[:, 1:-1, 1:-1]
+    d11 = (Q[:, 2:, 1:-1] - 2 * C + Q[:, :-2, 1:-1]) / h**2
+    d22 = (Q[:, 1:-1, 2:] - 2 * C + Q[:, 1:-1, :-2]) / h**2
+    d12 = (Q[:, 2:, 2:] - Q[:, 2:, :-2] - Q[:, :-2, 2:] + Q[:, :-2, :-2]) / (4 * h**2)
+    G = d11 + 2 * d12 + d22
+    dE = ((Q[:, 3, 2] - Q[:, 1, 2]) + (Q[:, 2, 3] - Q[:, 2, 1])) / (2 * h)
+    q, g = Q[:, 2, 2], G[:, 1, 1]
+    Qt3 = (q[4:] - 2 * q[3:-1] + 2 * q[1:-3] - q[:-4]) / (2 * ht**3)
+    Gc = g[2:-2]
+    G1 = G[2:-2, 2, 1] - G[2:-2, 0, 1]
+    G2 = G[2:-2, 1, 2] - G[2:-2, 1, 0]
+    dE_G = (G1 + G2) / (2 * h)
+    eps_G = (y1c * G1 + y2c * G2) / (2 * h)
+    dt_G = (g[3:-1] - g[1:-3]) / (2 * ht)
+    W = (dE[3:-1] - dE[1:-3]) / (2 * ht)
+    ts = surface.t_grid[2:-2]
+    res = Qt3 + 0.125 * (eps_G - 2 * ts * dt_G - 2 * Gc) - 0.5 * (dE_G * W - Gc * dt_G)
+    return ResidualReport(t_values=ts, residuals=res,
                           max_abs=float(np.abs(res).max()), h_t=ht, h_y=h,
                           y1=float(y1c), y2=float(y2c))
 
@@ -181,7 +149,6 @@ def small_interval_checks(t: float, x: float, h_list, m: int = 48,
     coefficient's sign follows the heat equations dp/dt = -p''/2,
     dq/dt = +q''/2 (to leading order du/dt = int_E (p_t q + p q_t)).
     """
-    from .fredholm import resolvent_quantities
     spec = spec or QuadratureSpec()
     f = pearcey_pq(t, x, spec)
     p, dp, d2p = f.p, f.dp, f.d2p

@@ -64,12 +64,6 @@ class ActionDerivatives:
     S_ty: float
     S_xyy: float
     S_tyy: float
-    S_x: float
-    S_xx: float
-    S_tx: float
-    S_xxy: float
-    S_txy: float
-    S_tty: float
 
     def criticality_order(self, tol=1e-8):
         """Largest l with S_y = ... = d_y^{l+1} S = 0 at the base point."""
@@ -235,9 +229,7 @@ def two_target_action_derivatives(a: float, b: float, p: float) -> ActionDerivat
     c = crit.c0
     phi = t0 / c
     cp = (1.0 - 2.0 * t0) / (4.0 * c)
-    cpp = (-2.0 * c - (1.0 - 2.0 * t0) * cp) / (4.0 * c * c)
     php = 1.0 / (phi * (1.0 - t0) ** 2)
-    phpp = -php * php / phi + 2.0 * php / (1.0 - t0)
     ua = u0 - a * phi
     ub = u0 - b * phi
     pa, pb = p, 1.0 - p
@@ -250,18 +242,9 @@ def two_target_action_derivatives(a: float, b: float, p: float) -> ActionDerivat
     S_ty = x0 * cp / c**2 + php * (pa * a / ua**2 + pb * b / ub**2)
     S_xyy = 0.0
     S_tyy = -2.0 * php * (pa * a / ua**3 + pb * b / ub**3)
-    S_x = -u0 / c
-    S_xx = 0.0
-    S_tx = u0 * cp / c**2
-    S_xxy = 0.0
-    S_txy = cp / c**2
-    S_tty = (x0 * (cpp / c**2 - 2.0 * cp**2 / c**3)
-             + phpp * (pa * a / ua**2 + pb * b / ub**2)
-             + 2.0 * php**2 * (pa * a**2 / ua**3 + pb * b**2 / ub**3))
     return ActionDerivatives(x_c=x0, y_c=u0, t_c=t0, S_y=S_y, S_yy=S_yy,
                              S_yyy=S_yyy, S_yyyy=S_yyyy, S_xy=S_xy, S_ty=S_ty,
-                             S_xyy=S_xyy, S_tyy=S_tyy, S_x=S_x, S_xx=S_xx,
-                             S_tx=S_tx, S_xxy=S_xxy, S_txy=S_txy, S_tty=S_tty)
+                             S_xyy=S_xyy, S_tyy=S_tyy)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +321,10 @@ def contour_descent_check(q: float, contour, samples: int = 200,
                           u_contour=None) -> DescentReport:
     """Verify Re F decreases away from the saddle along the u-line, and -Re F
     decreases away from it along every v-segment (including horizontal
-    continuations), sampling `samples` >= 2 points per segment."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2: one point per segment compares nothing")
+    continuations), sampling `samples` >= 8 points per segment: at 2 to 6 a
+    rising contour can fall between the samples and pass."""
+    if samples < 8:
+        raise ValueError("samples must be >= 8: fewer points per segment can miss a rise")
     if u_contour is None:
         u_contour, _ = build_contours(q, QuadratureSpec(), center=contour.center)
     center = contour.center
@@ -350,7 +334,7 @@ def contour_descent_check(q: float, contour, samples: int = 200,
     # u-line: Re F(u0 + i y) must fall away from y = 0 in both directions
     L = max(abs(u_contour.nodes[0] - center), abs(u_contour.nodes[-1] - center))
     for sgn in (1.0, -1.0):
-        y = np.linspace(0.0, sgn * L.real if hasattr(L, "real") else sgn * L, samples)
+        y = np.linspace(0.0, sgn * L, samples)
         vals = centered_action(1j * y, q).real
         worst = max(worst, _check_monotone(vals, np.abs(y), "u-line", 0, details))
         npts += samples
@@ -376,26 +360,21 @@ def contour_descent_check(q: float, contour, samples: int = 200,
 # convergence study
 
 
-def _default_probe():
-    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    return {"taus": (0.0,), "xis": grid, "etas": grid}
+_PROBE = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
-def convergence_study(a: float, b: float, p: float, n_list, probe=None,
+def convergence_study(a: float, b: float, p: float, n_list, taus=(0.0,),
                       spec: QuadratureSpec | None = None) -> ConvergenceStudy:
     """Max deviation of the conjugated, rescaled finite-n kernel from the
-    Pearcey kernel over a probe grid, for each n; least-squares slope of
-    log(error) against log(n) over the last three rows.
+    Pearcey kernel over the probe grid xi, eta in _PROBE at each time tau of
+    taus, for each n; least-squares slope of log(error) against log(n) over
+    the last three rows.
 
     Group sizes n1 + n2 = n are group_sizes' integers; each row uses the
     critical data of its effective fraction n1/n, which converges to p.  The Pearcey target
     is fraction-independent (universality), so rows remain comparable.
     """
     spec = spec or QuadratureSpec()
-    probe = probe or _default_probe()
-    taus = probe.get("taus", (0.0,))
-    xis = np.asarray(probe.get("xis", (-1.0, -0.5, 0.0, 0.5, 1.0)), dtype=float)
-    etas = np.asarray(probe.get("etas", (-1.0, -0.5, 0.0, 0.5, 1.0)), dtype=float)
     n_list = [int(n) for n in n_list]
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])) or min(n_list) < 16:
         raise ValueError("n_list must be ascending with every n >= 16")
@@ -406,15 +385,13 @@ def convergence_study(a: float, b: float, p: float, n_list, probe=None,
         err = 0.0
         for tau in taus:
             t, _ = rescale_map(crit, n, tau, 0.0)
-            xs = np.array([rescale_map(crit, n, tau, xi)[1] for xi in xis])
-            ys = np.array([rescale_map(crit, n, tau, eta)[1] for eta in etas])
+            xs = np.array([rescale_map(crit, n, tau, xi)[1] for xi in _PROBE])
             params = FiniteKernelParams(n=n, a=a, b=b, p=p_eff, t_k=t, t_l=t)
-            vals, ls = finite_n_kernel_grid(params, xs, ys, spec)
-            logD = np.array([log_conjugation_factor(crit, n, tau, xi) for xi in xis])
-            logDe = np.array([log_conjugation_factor(crit, n, tau, eta) for eta in etas])
+            vals, ls = finite_n_kernel_grid(params, xs, xs, spec)
+            logD = np.array([log_conjugation_factor(crit, n, tau, xi) for xi in _PROBE])
             resc = (crit.c0 * crit.mu * n**-0.25
-                    * vals * np.exp(ls + logD[:, None] - logDe[None, :]))
-            KP = pearcey_kernel_grid(tau, tau, xis, etas, spec)
+                    * vals * np.exp(ls + logD[:, None] - logD[None, :]))
+            KP = pearcey_kernel_grid(tau, tau, _PROBE, _PROBE, spec)
             err = max(err, float(np.abs(resc - KP).max()))
         rows.append(ConvergenceRow(n=n, max_abs_error=err))
     tail = rows[-3:] if len(rows) >= 3 else rows

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from pearceylab.cli import build_parser, dispatch
+from pearceylab.scaling import convergence_study
 
 
 def run(tmp_path, args, name="out.txt"):
@@ -55,6 +56,7 @@ class TestDispatch:
         ["track", "--targets=-1,1", "--fractions", "0.5,0.5", "--tmin", "0.2",
          "--tmax", "3", "--steps", "40"],
         ["descent-check", "--q", "2", "--samples", "1"],
+        ["descent-check", "--q", "2", "--samples", "7"],
     ])
     def test_bad_step_order_or_threads_exit_2(self, args, capsys):
         assert dispatch(args) == 2
@@ -121,6 +123,18 @@ class TestDispatch:
         code, text = run(tmp_path, ["descent-check", "--q", "2", "--samples", "50"])
         assert code == 0
         assert "passed=True" in text
+
+    def test_converge_taus(self, tmp_path):
+        # each row is the largest error over the given times
+        code, text = run(tmp_path, ["converge", "--a", "1", "--b=-1", "--p", "0.5",
+                                    "--n", "64,256", "--taus", "0,0.5"])
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[2:4]]
+        per_tau = [convergence_study(1.0, -1.0, 0.5, [64, 256], taus=(tau,))
+                   for tau in (0.0, 0.5)]
+        assert [int(n) for n, _ in rows] == [64, 256]
+        for k, (_, err) in enumerate(rows):
+            assert float(err) == max(st.rows[k].max_abs_error for st in per_tau)
 
     def test_wronskian(self, tmp_path):
         code, text = run(tmp_path, ["wronskian", "--t", "0", "--x", "0"])

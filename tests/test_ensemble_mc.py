@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pearceylab import ensemble_mc
 from pearceylab.ensemble_mc import (_gue_parts, _rng, density_compare,
                                     endpoint_fractions, fit_cusp_exponent,
                                     group_sizes,
@@ -129,6 +130,17 @@ class TestBridgePaths:
         b = sample_bridge_paths(30, SYM02, 20, 3)
         assert b.paths.shape == (30, 20)
         assert (np.diff(b.paths, axis=0) > 0).all()
+
+    def test_exact_tie_raises(self, monkeypatch):
+        # eigvalsh returns ascending values, so only an exact tie can fail
+        def tied(M, x, y, diag):
+            eig = np.sort(np.asarray(diag, dtype=float))
+            eig[1] = eig[0]
+            return eig
+
+        monkeypatch.setattr(ensemble_mc, "_hermitian_eigvalsh", tied)
+        with pytest.raises(ArithmeticError, match="exact eigenvalue tie"):
+            sample_bridge_paths(6, SYM02, 10, 0)
 
     def test_marginal_matches_spectrum(self):
         n, steps, draws = 60, 20, 60

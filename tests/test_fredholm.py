@@ -5,11 +5,11 @@ import pytest
 import scipy.integrate as si
 
 from pearceylab._quad import QuadratureError
-from pearceylab.fredholm import (IntervalUnion, NystromGrid, airy_gap_on_ray,
-                                 gap_csv_lines,
+from pearceylab.fredholm import (IntervalUnion, NystromGrid, _block_logdet, _log_gaps,
+                                 airy_gap_on_ray, gap_csv_lines,
                                  endpoint_identity_check, gap_probability, multitime_gap,
                                  pearcey_kernel_handle, resolvent_quantities)
-from pearceylab.kernels import pearcey_kernel_matrix, pearcey_pq
+from pearceylab.kernels import pearcey_kernel_matrix, pearcey_pq, pq_tables
 
 
 class TestIntervalUnion:
@@ -119,6 +119,17 @@ class TestResolvent:
                        - np.eye(n)).max()
         assert resid < 1e-10
 
+    @pytest.mark.parametrize("t, ep", [(0.0, (-1.0, 1.0)), (-0.5, (-1.5, -0.2, 0.3, 1.1))])
+    def test_transformed_functions_solve_their_systems(self, spec, t, ep):
+        # p_hat and q_hat come from R; they must solve (I - K W) p_hat = p
+        # and (I - K^T W) q_hat = q
+        rd = resolvent_quantities(t, IntervalUnion(ep), 40, spec)
+        x, w = rd.grid.nodes, rd.grid.weights
+        K = pearcey_kernel_matrix(t, x, x, spec)
+        P, Q = pq_tables(t, x, spec)
+        assert np.abs(rd.p_hat - K @ (w * rd.p_hat) - P[0]).max() < 1e-12
+        assert np.abs(rd.q_hat - K.T @ (w * rd.q_hat) - Q[0]).max() < 1e-12
+
     def test_u_equals_inner_product(self, spec):
         rd = resolvent_quantities(0.0, IntervalUnion((-1.0, 1.0)), 40, spec)
         P0 = rd.p_hat
@@ -148,6 +159,21 @@ class TestEndpointIdentity:
         lhs, rhs, du = endpoint_identity_check(0.0, IntervalUnion((-1.0, 1.0)), m=64, spec=spec)
         assert lhs == pytest.approx(-rhs, rel=1e-5)
         assert du == pytest.approx(rhs, rel=1e-5)
+
+    @pytest.mark.parametrize("t, ep", [(0.3, (-1.0, 0.8)), (-0.5, (-1.5, -0.2, 0.3, 1.1))])
+    def test_shifted_log_gaps_match_block_logdet(self, spec, t, ep):
+        # the identity's five shifted determinants are one _log_gaps call;
+        # each must equal its own block determinant
+        E, h, m = IntervalUnion(ep), 1e-3, 64
+        shifts = [E.shifted(k * h) for k in (-2, -1, 0, 1, 2)]
+        grids = [NystromGrid.build(S, m) for S in shifts]
+        got = _log_gaps([t], np.array([[g.nodes for g in grids]]),
+                        np.array([[g.weights for g in grids]]), spec)
+        assert got.shape == (1, 1, 5)
+        for S, v in zip(shifts, got[0, 0]):
+            one = _block_logdet(lambda i, j, xs, ys: pearcey_kernel_matrix(t, xs, ys, spec),
+                                [S], m)
+            assert v == pytest.approx(one, rel=1e-14, abs=0.0)
 
     def test_identity_second_anchor(self, spec):
         lhs, rhs, du = endpoint_identity_check(1.0, IntervalUnion((0.0, 2.0)), m=64, spec=spec)

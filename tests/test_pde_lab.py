@@ -7,7 +7,7 @@ from pearceylab import kernels
 from pearceylab.fredholm import (IntervalUnion, NystromGrid, _nystrom_logdet,
                                  gap_probability, pearcey_kernel_handle,
                                  resolvent_quantities)
-from pearceylab.pde_lab import (pearcey_pde_residual, q_surface,
+from pearceylab.pde_lab import (QSurface, pearcey_pde_residual, q_surface,
                                 residual_csv_lines, small_interval_checks,
                                 wronskian_coefficient)
 from pearceylab.kernels import _pearcey_kernel_from_tables, pq_tables
@@ -107,7 +107,47 @@ class TestInputChecks:
             q_surface((-0.1, 0.1), 0.0, 1.0, 0.05, 0.05, m=m)
 
 
+def _loop_residuals(surface):
+    """The residual assembled one time and one stencil point at a time, in
+    the same operation order as pearcey_pde_residual's array slices."""
+    Q, h, ht = surface.Q, surface.h_y, surface.h_t
+    jc, kc = len(surface.y1_grid) // 2, len(surface.y2_grid) // 2
+    y1c, y2c = surface.y1_grid[jc], surface.y2_grid[kc]
+
+    def dE2(i, j, k):
+        d11 = (Q[i, j + 1, k] - 2 * Q[i, j, k] + Q[i, j - 1, k]) / h**2
+        d22 = (Q[i, j, k + 1] - 2 * Q[i, j, k] + Q[i, j, k - 1]) / h**2
+        d12 = (Q[i, j + 1, k + 1] - Q[i, j + 1, k - 1]
+               - Q[i, j - 1, k + 1] + Q[i, j - 1, k - 1]) / (4 * h**2)
+        return d11 + 2 * d12 + d22
+
+    def dE(i):
+        return ((Q[i, jc + 1, kc] - Q[i, jc - 1, kc])
+                + (Q[i, jc, kc + 1] - Q[i, jc, kc - 1])) / (2 * h)
+
+    out = []
+    for i in range(2, len(surface.t_grid) - 2):
+        t = surface.t_grid[i]
+        Qt3 = (Q[i + 2, jc, kc] - 2 * Q[i + 1, jc, kc]
+               + 2 * Q[i - 1, jc, kc] - Q[i - 2, jc, kc]) / (2 * ht**3)
+        Gc = dE2(i, jc, kc)
+        G1 = dE2(i, jc + 1, kc) - dE2(i, jc - 1, kc)
+        G2 = dE2(i, jc, kc + 1) - dE2(i, jc, kc - 1)
+        dt_G = (dE2(i + 1, jc, kc) - dE2(i - 1, jc, kc)) / (2 * ht)
+        W = (dE(i + 1) - dE(i - 1)) / (2 * ht)
+        wron = (G1 + G2) / (2 * h) * W - Gc * dt_G
+        out.append(Qt3 + 0.125 * ((y1c * G1 + y2c * G2) / (2 * h) - 2 * t * dt_G - 2 * Gc)
+                   - 0.5 * wron)
+    return np.array(out)
+
+
 class TestResidual:
+    @pytest.mark.parametrize("factor", [1.0, 1.01])
+    def test_equals_per_time_loop(self, surface_pair, factor):
+        for s in (*surface_pair, q_surface((-0.2, 0.15), 0.0, 1.0, 0.05, 0.05, m=48)):
+            s = s.scaled(factor)
+            assert np.array_equal(pearcey_pde_residual(s).residuals, _loop_residuals(s))
+
     def test_contraction(self, surface_pair):
         r0 = pearcey_pde_residual(surface_pair[0]).max_abs
         r1 = pearcey_pde_residual(surface_pair[1]).max_abs
@@ -118,6 +158,27 @@ class TestResidual:
         b1 = pearcey_pde_residual(surface_pair[1].scaled(1.01)).max_abs
         assert not (3.0 < b0 / b1 < 5.0)
         assert b0 / b1 < 2.0
+
+    @pytest.mark.parametrize("m", [0.0, 0.2])
+    def test_closed_form_surface(self, m):
+        # Q = c t^3 + t s^2 + k s^3 + 0.4 (y2 - y1)^2 + m y1^3, s = y1 + y2:
+        # every stencil is exact for it (the O(h^2) term of dE Q is t-free
+        # and drops out of W), and the residual is
+        # 6c + 28 t - 3k (y1c + y2c) + m (11.25 y1c - 12 y2c); the m term
+        # tells y1 from y2 in the Euler term eps_E
+        c, k, h_t, h_y = 0.5, 0.25, 0.1, 0.1
+        t = -0.2 + h_t * np.arange(7)
+        y1 = -0.75 + h_y * np.arange(-2, 3)
+        y2 = 1.25 + h_y * np.arange(-2, 3)
+        T, Y1, Y2 = np.meshgrid(t, y1, y2, indexing="ij")
+        s = Y1 + Y2
+        Q = c * T**3 + T * s**2 + k * s**3 + 0.4 * (Y2 - Y1) ** 2 + m * Y1**3
+        rep = pearcey_pde_residual(QSurface(t, y1, y2, Q, h_t, h_y))
+        assert np.array_equal(rep.t_values, t[2:-2])
+        assert (rep.y1, rep.y2) == (-0.75, 1.25)
+        expect = (6 * c + 28 * t[2:-2] - 3 * k * (-0.75 + 1.25)
+                  + m * (11.25 * -0.75 - 12 * 1.25))
+        assert np.abs(rep.residuals - expect).max() < 6e-12
 
     def test_csv_format(self, surface_pair):
         rep = pearcey_pde_residual(surface_pair[0])

@@ -112,8 +112,7 @@ class TestSolveScaling:
     def test_quartic_toy(self):
         derivs = ActionDerivatives(x_c=0, y_c=0, t_c=0, S_y=0, S_yy=0, S_yyy=0,
                                    S_yyyy=6.0, S_xy=-1.0, S_ty=0.0, S_xyy=0.0,
-                                   S_tyy=0.0, S_x=0.0, S_xx=0.0, S_tx=0.0,
-                                   S_xxy=0.0, S_txy=0.0, S_tty=0.0)
+                                   S_tyy=0.0)
         co = solve_scaling(derivs, 2, tau=0.0)
         assert abs(co.alpha_y) == pytest.approx(1.0, abs=1e-14)
         assert co.beta_x == pytest.approx(1.0, abs=1e-14)
@@ -124,8 +123,7 @@ class TestSolveScaling:
     def test_degenerate_sxy(self):
         derivs = ActionDerivatives(x_c=0, y_c=0, t_c=0, S_y=0, S_yy=0, S_yyy=0,
                                    S_yyyy=-6.0, S_xy=0.0, S_ty=1.0, S_xyy=0.0,
-                                   S_tyy=1.0, S_x=0.0, S_xx=0.0, S_tx=0.0,
-                                   S_xxy=0.0, S_txy=0.0, S_tty=0.0)
+                                   S_tyy=1.0)
         with pytest.raises(DegenerateActionError):
             solve_scaling(derivs, 2, tau=1.0)
 
@@ -271,12 +269,23 @@ class TestDescentCheck:
         rep = contour_descent_check(q, bad, samples=150)
         assert not rep.passed
 
-    @pytest.mark.parametrize("samples", [0, 1])
+    @pytest.mark.parametrize("samples", range(8))
     def test_fewer_than_two_samples_rejected(self, samples, spec):
-        # one point per segment compares nothing, so it must not report a pass
+        # below 8 points per segment a rising contour can pass (the two bad
+        # contours below do at 2 to 6 and 2 to 3), so those counts are refused
         u, v = build_contours(2.0, spec)
-        with pytest.raises(ValueError, match="samples must be >= 2"):
+        with pytest.raises(ValueError, match="samples must be >= 8"):
             contour_descent_check(2.0, v, samples=samples, u_contour=u)
+
+    def test_bad_contours_fail_at_every_accepted_count(self):
+        wedge = ContourPath(nodes=(6 + 0.05j, 0.05j, 6 + 0.0499j),
+                            label="v-loop-q=1", center=0.0)
+        s = 2.0 / math.sqrt(3)
+        left = ContourPath(nodes=(s * (1 + 1j), s * (1 + 1j) - 4.0),
+                           label="v-loop-q>1", center=0.0)
+        for samples in range(8, 65):
+            assert not contour_descent_check(1.0, wedge, samples=samples).passed, samples
+            assert not contour_descent_check(2.0, left, samples=samples).passed, samples
 
 
 class TestConvergence:
