@@ -10,6 +10,7 @@ panels that double in width away from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -95,8 +96,10 @@ class QuadratureSpec:
     nodes_per_panel: int = 32
 
     def __post_init__(self):
-        if self.truncation_radius < 4.0:
-            raise ValueError("truncation_radius must be >= 4")
+        if not 4.0 <= self.truncation_radius < math.inf:
+            raise ValueError("truncation_radius must be finite and >= 4")
+        if self.panels < 1 or self.nodes_per_panel < 1:
+            raise ValueError("panels and nodes_per_panel must be >= 1")
         if self.panels * self.nodes_per_panel < 64:
             raise ValueError("panels*nodes_per_panel must be >= 64")
 

@@ -4,13 +4,15 @@ Every output begins with one manifest comment line recording the tool
 version, the subcommand, its full flag set, and the seed, so identical
 manifests reproduce identical files for deterministic subcommands (wall time
 is reported on stderr, never in the output).  Numbers print with 17
-significant digits; interval unions parse as `y1,y2;y3,y4`.
+significant digits; interval unions parse as `y1,y2;y3,y4`.  Quadrature
+resolution is QuadratureSpec()'s default.  Exit codes: 2 for usage errors,
+which argparse and the library's own input checks (ValueError) decide, and 1
+for numerical failures (ArithmeticError, QuadratureError, LinAlgError).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -64,44 +66,22 @@ def _parse_interval_union(text):
     return fh.IntervalUnion(tuple(eps))
 
 
-def _bridge_time(text):
-    t = float(text)
-    if not 0.0 < t < 1.0:
-        raise argparse.ArgumentTypeError(f"bridge time must lie in (0, 1), got {text}")
-    return t
-
-
-def _positive_finite(text):
-    v = float(text)
-    if not (math.isfinite(v) and v > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+def _thread_count(text):
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be >= 1, got {text}")
     return v
 
 
-def _int_at_least(low, what):
-    def parse(text):
-        v = int(text)
-        if v < low:
-            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {text}")
-        return v
-    parse.__name__ = what
-    return parse
-
-
-_nystrom_order = _int_at_least(8, "Nystrom order")
-_thread_count = _int_at_least(1, "thread count")
-_sample_count = _int_at_least(8, "sample count")
+def _parse_grid(text):
+    lo, hi, num = text.split(",")
+    return np.linspace(float(lo), float(hi), int(num))
 
 
 def _config_from(args):
     return sp.TargetConfig(targets=_parse_floats(args.targets),
                            fractions=_parse_floats(args.fractions),
                            time=getattr(args, "t", 0.5))
-
-
-def _quad_spec(args):
-    return QuadratureSpec(truncation_radius=args.L, panels=args.panels,
-                          nodes_per_panel=args.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +121,35 @@ def _cmd_track(args):
 
 
 def _cmd_kernel(args):
-    spec = _quad_spec(args)
-    xs = np.linspace(*_parse_floats(args.xgrid)[:2], int(_parse_floats(args.xgrid)[2]))
-    ys = np.linspace(*_parse_floats(args.ygrid)[:2], int(_parse_floats(args.ygrid)[2]))
+    spec = QuadratureSpec()
+    xs, ys = _parse_grid(args.xgrid), _parse_grid(args.ygrid)
     if args.form == "double":
         vals = kn.pearcey_kernel_grid(args.s, args.t, xs, ys, spec)
+    elif args.s != args.t:
+        raise ValueError("kernel --form pq requires --s equal to --t")
     else:
         vals = kn.pearcey_kernel_matrix(args.t, xs, ys, spec)
     return kn.kernel_grid_csv_lines(args.s, args.t, xs, ys, vals, spec)
 
 
 def _cmd_gap(args):
-    spec = _quad_spec(args)
     E = _parse_interval_union(args.E)
-    res = fh.gap_probability(fh.pearcey_kernel_handle(args.t, spec), E, args.m)
+    res = fh.gap_probability(fh.pearcey_kernel_handle(args.t), E, args.m)
     return _kv_block([("value", res.value), ("log_value", res.log_value),
                       ("error_estimate", res.error_estimate)])
 
 
 def _cmd_multigap(args):
-    spec = _quad_spec(args)
     times = _parse_floats(args.times)
     sets = [_parse_interval_union(s) for s in args.sets.split("|")]
-    res = fh.multitime_gap(times, sets, args.m, spec)
+    res = fh.multitime_gap(times, sets, args.m)
     return _kv_block([("value", res.value), ("log_value", res.log_value),
                       ("error_estimate", res.error_estimate)])
 
 
 def _cmd_resolvent(args):
-    spec = _quad_spec(args)
     E = _parse_interval_union(args.E)
-    rd = fh.resolvent_quantities(args.t, E, args.m, spec)
+    rd = fh.resolvent_quantities(args.t, E, args.m)
     lines = _kv_block([("u", rd.u), ("condition", rd.condition)])
     for k, a in enumerate(E.endpoints):
         lines.append(f"p_hat_a{k+1}={rd.p_hat_end[k]:.17g}")
@@ -180,23 +158,21 @@ def _cmd_resolvent(args):
 
 
 def _cmd_pde_residual(args):
-    spec = _quad_spec(args)
     y1, y2 = _parse_floats(args.E)
     center, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
     h = args.h
     surf = pl.q_surface((args.t0 - 2 * h, args.t0 + 2 * h), center, half, h, h,
-                        m=args.m, spec=spec)
+                        m=args.m)
     return pl.residual_csv_lines(pl.pearcey_pde_residual(surf))
 
 
 def _cmd_lemma_checks(args):
-    spec = _quad_spec(args)
     E = _parse_interval_union(args.E)
-    lhs, rhs, du = fh.endpoint_identity_check(args.t, E, args.m, spec=spec)
+    lhs, rhs, du = fh.endpoint_identity_check(args.t, E, args.m)
     lines = _kv_block([("d2E_log_gap", lhs), ("sum_phat_qhat", rhs), ("dE_u", du),
                        ("rel_err_magnitude", abs(abs(lhs) - abs(rhs)) / abs(rhs))])
     rows, tgt1, tgt2 = pl.small_interval_checks(args.t, args.x,
-                                                (1e-2, 5e-3, 2.5e-3), args.m, spec)
+                                                (1e-2, 5e-3, 2.5e-3), args.m)
     lines.append("h,dEu_over_h,du_dt_over_h")
     for h, c1, c2 in rows:
         lines.append(f"{h:.17g},{c1:.17g},{c2:.17g}")
@@ -205,7 +181,7 @@ def _cmd_lemma_checks(args):
 
 
 def _cmd_wronskian(args):
-    val = pl.wronskian_coefficient(args.t, args.x, spec=_quad_spec(args))
+    val = pl.wronskian_coefficient(args.t, args.x)
     return _kv_block([("value", val)])
 
 
@@ -230,7 +206,7 @@ def _cmd_exponents(args):
 
 
 def _cmd_descent_check(args):
-    u, v = kn.build_contours(args.q, QuadratureSpec(truncation_radius=args.L))
+    u, v = kn.build_contours(args.q, QuadratureSpec())
     rep = sc.contour_descent_check(args.q, v, args.samples, u_contour=u)
     lines = _kv_block([("passed", rep.passed), ("worst", rep.worst),
                        ("checked_points", rep.checked_points)])
@@ -240,10 +216,9 @@ def _cmd_descent_check(args):
 
 
 def _cmd_converge(args):
-    spec = _quad_spec(args)
     n_list = [int(v) for v in args.n.split(",")]
     study = sc.convergence_study(args.a, args.b, args.p, n_list,
-                                 _parse_floats(args.taus or "0"), spec)
+                                 _parse_floats(args.taus or "0"))
     return sc.convergence_csv_lines(study)
 
 
@@ -282,12 +257,6 @@ _HANDLERS = {
 }
 
 
-def _add_quad_flags(p):
-    p.add_argument("--L", type=float, default=6.0)
-    p.add_argument("--panels", type=int, default=8)
-    p.add_argument("--nodes", type=int, default=32)
-
-
 @lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
@@ -298,11 +267,9 @@ def build_parser():
                          "(results are thread-count independent)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def new(name, quad=False, **kw):
-        p = sub.add_parser(name, **kw)
+    def new(name):
+        p = sub.add_parser(name)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if quad:
-            _add_quad_flags(p)
         return p
 
     p = new("cusp")
@@ -311,7 +278,7 @@ def build_parser():
     p = new("density")
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--t", type=_bridge_time, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--zmin", type=float, required=True)
     p.add_argument("--zmax", type=float, required=True)
     p.add_argument("--num", type=int, default=201)
@@ -322,37 +289,37 @@ def build_parser():
     p = new("track")
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--tmin", type=_positive_finite, required=True)
-    p.add_argument("--tmax", type=_positive_finite, required=True)
-    p = new("kernel", quad=True)
+    p.add_argument("--tmin", type=float, required=True)
+    p.add_argument("--tmax", type=float, required=True)
+    p = new("kernel")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--xgrid", required=True, help="lo,hi,num")
     p.add_argument("--ygrid", required=True, help="lo,hi,num")
     p.add_argument("--form", choices=("double", "pq"), default="double")
-    p = new("gap", quad=True)
+    p = new("gap")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
-    p.add_argument("--m", type=_nystrom_order, default=40)
-    p = new("multigap", quad=True)
+    p.add_argument("--m", type=int, default=40)
+    p = new("multigap")
     p.add_argument("--times", required=True)
     p.add_argument("--sets", required=True, help="interval unions separated by |")
-    p.add_argument("--m", type=_nystrom_order, default=32)
-    p = new("resolvent", quad=True)
+    p.add_argument("--m", type=int, default=32)
+    p = new("resolvent")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
-    p.add_argument("--m", type=_nystrom_order, default=48)
-    p = new("pde-residual", quad=True)
+    p.add_argument("--m", type=int, default=48)
+    p = new("pde-residual")
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--E", required=True, help="y1,y2 (one interval)")
-    p.add_argument("--h", type=_positive_finite, default=0.05)
-    p.add_argument("--m", type=_nystrom_order, default=48)
-    p = new("lemma-checks", quad=True)
+    p.add_argument("--h", type=float, default=0.05)
+    p.add_argument("--m", type=int, default=48)
+    p = new("lemma-checks")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--E", required=True)
     p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--m", type=_nystrom_order, default=48)
-    p = new("wronskian", quad=True)
+    p.add_argument("--m", type=int, default=48)
+    p = new("wronskian")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p = new("scaling-solve")
@@ -362,10 +329,9 @@ def build_parser():
     p = new("exponents")
     p.add_argument("--l", type=int, required=True)
     p = new("descent-check")
-    p.add_argument("--L", type=float, default=6.0)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--samples", type=_sample_count, default=200)
-    p = new("converge", quad=True)
+    p.add_argument("--samples", type=int, default=200)
+    p = new("converge")
     for f in ("a", "b", "p"):
         p.add_argument(f"--{f}", type=float, required=True)
     p.add_argument("--n", required=True, help="comma-separated sizes")
@@ -374,7 +340,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--t", type=_bridge_time, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p = new("sample-paths")
@@ -387,7 +353,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--fractions", required=True)
-    p.add_argument("--t", type=_bridge_time, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=200)
     return ap
@@ -398,10 +364,6 @@ def dispatch(argv):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.cmd == "kernel" and args.form == "pq" and args.s != args.t:
-            ap.error("kernel --form pq requires --s equal to --t")
-        if args.cmd == "track" and args.tmin >= args.tmax:
-            ap.error("track requires --tmin below --tmax")
     except SystemExit as e:
         return int(e.code or 0)
     started = time.time()
@@ -409,9 +371,12 @@ def dispatch(argv):
                      if k not in ("out", "cmd", "threads") and v is not None)
     try:
         lines = _HANDLERS[args.cmd](args)
-    except (ArithmeticError, QuadratureError, ValueError) as exc:
+    except (ArithmeticError, QuadratureError, np.linalg.LinAlgError) as exc:
         print(f"pearceylab {args.cmd}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:   # the library's input checks
+        print(f"pearceylab {args.cmd}: usage error: {exc}", file=sys.stderr)
+        return 2
     manifest = RunManifest(subcommand=args.cmd, flags=flags,
                            seed=getattr(args, "seed", None),
                            version=__version__, wall_time=time.time() - started)

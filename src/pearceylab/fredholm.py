@@ -70,14 +70,15 @@ class IntervalUnion:
 
 @dataclass(frozen=True)
 class NystromGrid:
-    """Per-interval Gauss-Legendre nodes and weights, order m per interval."""
+    """Per-interval Gauss-Legendre nodes and weights, order m >= 8 per interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    m: int
 
     @classmethod
     def build(cls, E: IntervalUnion, m: int):
+        if m < 8:
+            raise ValueError("m must be >= 8")
         gx, gw = _gl(m)
         xs, ws = [], []
         for a, b in E.intervals():
@@ -86,7 +87,7 @@ class NystromGrid:
             ws.append(half * gw)
         nodes = np.concatenate(xs) if xs else np.empty(0)
         weights = np.concatenate(ws) if ws else np.empty(0)
-        return cls(nodes=nodes, weights=weights, m=m)
+        return cls(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,6 @@ def gap_probability(kernel, E: IntervalUnion, m: int = 40) -> GapResult:
     """
     if E.empty:
         return GapResult(value=1.0, log_value=0.0, error_estimate=0.0)
-    if m < 8:
-        raise ValueError("m must be >= 8")
     return _refined_gap(lambda i, j, xs, ys: kernel(xs, ys), [E], m)
 
 

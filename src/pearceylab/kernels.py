@@ -835,16 +835,18 @@ def _finite_adaptive(params, x, y, spec):
     of the nearest singularity of 1/(U - V) relative to their width.  So the
     rules carry uniform panels whose widths follow d, 2.5 d at spec.panels = 8
     and in proportion to 1/spec.panels: lobe sides and the line over the
-    lobes' heights plus 3 d at most 2.5 d, lobe tops and bottoms 5 d, the rest
-    of the line 10 d.  A pierced lobe and the line keep these widths but are
+    lobes' heights plus 3 d at most 2.5 d, lobe tops and bottoms 5 d but no
+    wider than the lobe height, their distance from the poles, the rest of
+    the line 10 d.  A pierced lobe and the line keep these widths but are
     split at the two crossings, where 1/(U - V) is singular; toward each, the
     panels start d/4 wide and double (_crossing_legs).
     Measured accuracy, at the points of the two benchmark profiles (n = 8, 9)
     and at n = 50 on the cusp-vs-adaptive overlap (1, -1, 1/2), t = 1/3,
     |z| <= 0.3 and at three pierced points of (1, 0, 1/9), t = 1/2: plain and
     split up to 3.5e-13 against a rule with panels no wider than d/4, pierced
-    7e-16 against QuadratureSpec(8, 24, 64).  Other points are unmeasured,
-    and lobes lower than d are under-resolved.
+    7e-16 against QuadratureSpec(8, 24, 64), and split lobes 0.127 high at
+    n = 50 on (1, -1, 1/2), t = 1/2, up to 2.1e-11 against the same rule.
+    Other points are unmeasured.
     """
     n, n1, n2 = params.n, params.n1, params.n2
     sideU, gU = _adaptive_side(params, params.t_l, y)
@@ -905,14 +907,15 @@ def _finite_adaptive(params, x, y, spec):
         excess + pierced_penalty * np.array([c[1] for c in candidates])))]
     h = lobes[0][2]
     # panel widths (see above): lobe sides and the U line beside them pass
-    # each other at d; tops and bottoms meet it at a corner or a crossing
+    # each other at d; tops and bottoms meet it at a corner or a crossing,
+    # and pass the poles at the lobe height
     near = 20.0 * d / spec.panels
     r = kapV / kapU     # V-variable lengths in the U variable
     cross_v = cross_u = None
     if pierced:     # crossings at sig_v +- ih, panels from d/4 at spec.panels = 8
         cross_v, cross_u = (sig_v, near / 10.0), (h * r, near * r / 10.0)
     legs = [leg for x0_, x1_, hh in lobes
-            for leg in _rect_lobe_legs(x0_, x1_, hh, (near, 2.0 * near), cross_v)]
+            for leg in _rect_lobe_legs(x0_, x1_, hh, (near, min(2.0 * near, hh)), cross_v)]
     rule_v = _legs_rule(legs, spec.nodes_per_panel)
     rule_u = _legs_rule(_banded_uline(sig, L, (h + 3.0 * d) * r, near * r, 4.0 * near * r,
                                       cross_u), spec.nodes_per_panel)

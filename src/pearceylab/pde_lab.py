@@ -77,8 +77,6 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
     """
     if not (math.isfinite(h_t) and h_t > 0.0 and math.isfinite(h_y) and h_y > 0.0):
         raise ValueError(f"steps must be positive and finite, got h_t={h_t}, h_y={h_y}")
-    if m < 8:
-        raise ValueError("m must be >= 8")
     spec = spec or QuadratureSpec()
     t_lo, t_hi = t_range
     n_t = int(round((t_hi - t_lo) / h_t)) + 1

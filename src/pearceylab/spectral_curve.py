@@ -386,8 +386,8 @@ def track_merges(config: TargetConfig, T_min: float, T_max: float):
     has indices 1 + 2j and 2 + 2j, j the number of earlier gaps open there:
     those with T_c at most this one within 1e-12 relative.
     """
-    if not (0.0 < T_min < T_max):
-        raise ValueError("need 0 < T_min < T_max")
+    if not (0.0 < T_min < T_max < math.inf):
+        raise ValueError("need 0 < T_min < T_max < inf")
     a, eps = np.array(config.targets), np.array(config.fractions)
     lo, hi = a[:-1], a[1:]
     while True:

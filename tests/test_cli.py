@@ -2,8 +2,10 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pearceylab import cli
 from pearceylab.cli import build_parser, dispatch
 from pearceylab.scaling import convergence_study
 
@@ -57,13 +59,36 @@ class TestDispatch:
          "--tmax", "3", "--steps", "40"],
         ["descent-check", "--q", "2", "--samples", "1"],
         ["descent-check", "--q", "2", "--samples", "7"],
+        # the library's own input checks (ValueError) and the parsing in handlers
+        ["gap", "--t", "0", "--E=-1"],
+        ["gap", "--t", "0", "--E=a,b"],
+        ["multigap", "--times=1,-1", "--sets=-1,1|-1,1"],
+        ["density", "--targets=1,-1", "--fractions", "0.5,0.5", "--t", "0.2",
+         "--zmin", "-1", "--zmax", "1"],
+        ["pde-residual", "--t0", "0", "--E=-1,0,1,2"],
+        ["sample-spectrum", "--n", "1", "--targets=-1,1", "--fractions", "0.5,0.5",
+         "--t", "0.3"],
+        ["sample-paths", "--n", "10", "--targets=-1,1", "--fractions", "0.5,0.5",
+         "--steps", "5"],
+        ["converge", "--a", "1", "--b=-1", "--p", "0.5", "--n", "8"],
+        ["exponents", "--l", "0"],
+        ["cusp", "--a", "1", "--b", "1", "--p", "0.5"],
+        ["support", "--alpha", "1", "--beta", "2", "--p", "0.5"],
+        ["track", "--targets=-1,1", "--fractions", "0.5,0.6", "--tmin", "0.2", "--tmax", "3"],
+        ["wronskian", "--t", "0", "--x", "60"],
+        ["kernel", "--s", "0", "--t", "0", "--xgrid=-3,3", "--ygrid=-3,3,3"],
+        # resolution is fixed: no subcommand takes --L, --panels or --nodes
+        ["gap", "--t", "0", "--E=-1,1", "--panels", "-8", "--nodes", "-8"],
+        ["gap", "--t", "0", "--E=-1,1", "--L", "nan"],
+        ["gap", "--t", "0", "--E=-1,1", "--panels", "8"],
     ])
     def test_bad_step_order_or_threads_exit_2(self, args, capsys):
         assert dispatch(args) == 2
         assert capsys.readouterr().out == ""
 
-    def test_pde_residual_thread_count_independent(self, tmp_path):
-        line = ["pde-residual", "--t0", "0", "--E=-1,1", "--h", "0.05"]
+    def test_sample_spectrum_thread_count_independent(self, tmp_path):
+        line = ["sample-spectrum", "--n", "20", "--targets=-1,1", "--fractions", "0.5,0.5",
+                "--t", "0.3", "--count", "4"]
         _, one = run(tmp_path, ["--threads", "1", *line], "one.txt")
         _, two = run(tmp_path, ["--threads", "2", *line], "two.txt")
         assert one.startswith("# pearceylab=") and one == two
@@ -85,9 +110,22 @@ class TestDispatch:
         assert (vars(build_parser().parse_args(cusp))
                 == vars(build_parser.__wrapped__().parse_args(cusp)))
 
-    def test_numerical_error_exit_1(self, tmp_path):
-        code, _ = run(tmp_path, ["cusp", "--a", "1", "--b", "1", "--p", "0.5"])
-        assert code == 1
+    def test_numerical_error_exit_1(self, capsys):
+        for args in (
+                # double-contour kernel past its envelope: QuadratureError
+                ["kernel", "--s", "0", "--t", "0", "--xgrid=18,20,3", "--ygrid=18,20,3"],
+                # det(I - K_E) below 1e-12: ArithmeticError
+                ["resolvent", "--t", "0", "--E=-12,12", "--m", "16"]):
+            assert dispatch(args) == 1, args
+            assert capsys.readouterr().out == ""
+
+    def test_linalg_error_exit_1(self, monkeypatch, capsys):
+        # LinAlgError is a ValueError, yet a numerical failure
+        def singular(args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setitem(cli._HANDLERS, "exponents", singular)
+        assert dispatch(["exponents", "--l", "2"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_manifest_determinism(self, tmp_path):
         _, t1 = run(tmp_path, ["exponents", "--l", "2"], "a.txt")

@@ -32,6 +32,18 @@ class TestIntervalUnion:
         assert np.sum(g.weights) == pytest.approx(4.0, rel=1e-13)
         assert (g.weights > 0).all()
 
+    def test_order_below_8_rejected_by_every_entry(self):
+        # the one order check sits in NystromGrid.build
+        E = IntervalUnion((-1.0, 1.0))
+        calls = [lambda: NystromGrid.build(E, 7),
+                 lambda: gap_probability(pearcey_kernel_handle(0.0), E, 4),
+                 lambda: multitime_gap((-1.0, 1.0), [E, E], 4),
+                 lambda: resolvent_quantities(0.0, E, 4),
+                 lambda: endpoint_identity_check(0.0, E, 4)]
+        for call in calls:
+            with pytest.raises(ValueError, match="m must be >= 8"):
+                call()
+
 
 class TestGapProbability:
     def test_empty_set(self, spec):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -92,5 +94,12 @@ def test_quadrature_spec_validation():
         QuadratureSpec(truncation_radius=2.0)
     with pytest.raises(ValueError):
         QuadratureSpec(panels=1, nodes_per_panel=4)
+    # each factor is checked, not only their product (64 in the first three)
+    for bad in [dict(panels=-8, nodes_per_panel=-8), dict(panels=-1, nodes_per_panel=-64),
+                dict(panels=-64, nodes_per_panel=-1), dict(truncation_radius=math.nan),
+                dict(truncation_radius=math.inf)]:
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+    assert QuadratureSpec(4.0, 1, 64).panels == 1
     s = QuadratureSpec()
     assert s.refined().nodes_per_panel == 2 * s.nodes_per_panel

@@ -352,6 +352,14 @@ class TestTrackMerges:
         for ev in events:
             assert (ev.left_index, ev.right_index) == ((1, 2) if ev.z_c < 0 else (3, 4))
 
+    @pytest.mark.parametrize("T_min, T_max", [(0.0, 3.0), (3.0, 1.0), (1.0, 1.0),
+                                              (0.2, math.inf), (0.2, math.nan),
+                                              (math.nan, 3.0)])
+    def test_bad_range_rejected(self, T_min, T_max):
+        cfg = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.5)
+        with pytest.raises(ValueError, match="T_min < T_max"):
+            track_merges(cfg, T_min, T_max)
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_asymmetric_gap_minima(self, k):
         rng = np.random.default_rng(k)
