@@ -103,10 +103,8 @@ def _hermitian_eigvalsh(M, x, y, diag):
     return np.linalg.eigvalsh(M.T)
 
 
-def source_matrix_diag(n, config: TargetConfig, t=None):
-    bt = config.scaled_targets(t)
-    sizes = group_sizes(n, config.fractions)
-    return np.repeat(bt, sizes)
+def source_matrix_diag(n, config: TargetConfig):
+    return np.repeat(config.scaled_targets(), group_sizes(n, config.fractions))
 
 
 def sample_spectrum(n: int, config: TargetConfig, seed: int,
@@ -154,7 +152,7 @@ def density_compare(samples, predicted) -> float:
 
 
 def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
-                        index: int = 0, t_max: float = None) -> PathBundle:
+                        index: int = 0, t_max: float | None = None) -> PathBundle:
     """Eigenvalue trajectories of a Hermitian Brownian bridge pinned at the
     scaled target matrix diag(b_i sqrt(n)).
 
@@ -174,7 +172,9 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
     """
     if steps < 10:
         raise ValueError("steps must be >= 10")
-    t_max = t_max if t_max is not None else steps / (steps + 1.0)
+    t_max = steps / (steps + 1.0) if t_max is None else t_max
+    if not 0.0 < t_max < 1.0:
+        raise ValueError(f"t_max must be finite with 0 < t_max < 1, got {t_max}")
     times = np.linspace(0.0, t_max, steps + 1)[1:]
     T = np.repeat(np.asarray(config.targets) * math.sqrt(n),
                   group_sizes(n, config.fractions))

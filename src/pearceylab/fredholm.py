@@ -5,22 +5,23 @@ The determinant det(I - K restricted to E) is discretized per interval with
 Gauss-Legendre nodes and square-root-weight symmetrization, so the finite
 matrix is similar to the integral operator and stays well conditioned.  Every
 reported gap probability carries an m-versus-2m refinement error estimate.
-Families of equal-time determinants (the PDE lab's stencil lattice, the
-endpoint identity's shifted sets) share one p/q tabulation and stacked
-factorizations through _log_gaps.
+Families of equal-time sets share one p/q tabulation and stacked
+factorizations: the PDE lab's stencil lattice through _log_gaps, and the
+resolvent quantities of the endpoint identity's shifted sets through
+_resolvents, of which resolvent_quantities is the one-set case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._quad import QuadratureError, QuadratureSpec, _gl
 from .kernels import (_coincident, _pearcey_kernel_from_tables, _pq_checked, airy_kernel,
-                      airy_kernel_matrix, pearcey_kernel_grid, pearcey_kernel_matrix,
-                      pq_tables)
+                      airy_kernel_matrix, pearcey_kernel_grid, pearcey_kernel_matrix)
 
 __all__ = [
     "IntervalUnion", "NystromGrid", "GapResult", "ResolventData",
@@ -80,14 +81,9 @@ class NystromGrid:
         if m < 8:
             raise ValueError("m must be >= 8")
         gx, gw = _gl(m)
-        xs, ws = [], []
-        for a, b in E.intervals():
-            half, mid = 0.5 * (b - a), 0.5 * (b + a)
-            xs.append(mid + half * gx)
-            ws.append(half * gw)
-        nodes = np.concatenate(xs) if xs else np.empty(0)
-        weights = np.concatenate(ws) if ws else np.empty(0)
-        return cls(nodes=nodes, weights=weights)
+        hm = [(0.5 * (b - a), 0.5 * (b + a)) for a, b in E.intervals()]
+        return cls(nodes=np.concatenate([mid + h * gx for h, mid in hm] or [np.empty(0)]),
+                   weights=np.concatenate([h * gw for h, _ in hm] or [np.empty(0)]))
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,9 @@ class GapResult:
 @dataclass(frozen=True)
 class ResolventData:
     """Transformed functions p_hat, q_hat on the grid and at the E endpoints,
-    the scalar u = <p_hat, q chi_E>, and the resolvent kernel matrix R."""
+    the scalar u = <p_hat, q chi_E>, the resolvent kernel matrix R, log
+    det(I - K_E), and A = I - K_E W, whose condition number is an SVD taken
+    only where it is read."""
 
     grid: NystromGrid
     p_hat: np.ndarray
@@ -111,7 +109,12 @@ class ResolventData:
     q_hat_end: np.ndarray
     u: float
     R: np.ndarray
-    condition: float
+    log_det: float
+    A: np.ndarray
+
+    @cached_property
+    def condition(self) -> float:
+        return float(np.linalg.cond(self.A))
 
 
 # ---------------------------------------------------------------------------
@@ -246,68 +249,69 @@ def multitime_gap(times, sets, m: int = 40,
 # resolvent quantities (Pearcey, single time)
 
 
+def _resolvents(t, sets, m, spec):
+    """ResolventData of the equal-time Pearcey kernel at time t on each of the
+    sets E (one endpoint count for all).  One checked p/q tabulation and one
+    kernel fill cover every set's nodes and endpoints; the node blocks K are
+    factored and solved as one stack, with det(I - K W) > 1e-12 and
+    (I - K W)(I + R W) = I checked, and p_hat = (I + R W) p,
+    q_hat = (I + R^T W) q.  The p/q rule follows the stack's largest |x|, so a
+    set's values depend on its stack-mates within pq_tables' tolerance."""
+    grids = [NystromGrid.build(E, m) for E in sets]
+    w = np.array([g.weights for g in grids])
+    n = w.shape[1]
+    xe = np.array([np.concatenate([g.nodes, E.endpoints]) for g, E in zip(grids, sets)])
+    P, Q = (T.reshape(4, *xe.shape) for T in next(_pq_checked((t,), xe.ravel(), spec)))
+    Ke = _pearcey_kernel_from_tables(t, xe, P, xe, Q)
+    K = Ke[:, :n, :n]
+    log_det = _nystrom_logdet(K, w)
+    if (np.exp(log_det) <= 1e-12).any():
+        raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
+    A = np.eye(n) - K * w[:, None, :]
+    R = np.linalg.solve(A, K)
+    resid = np.abs(A @ (np.eye(n) + R * w[:, None, :]) - np.eye(n)).max()
+    if resid > 1e-10:
+        raise ArithmeticError(f"resolvent identity residual {resid:.2e} exceeds 1e-10")
+    p, q = P[0, :, :n], Q[0, :, :n]
+    # stacked matrix-vector products as @ on a length-1 axis (no np.matvec before numpy 2.2)
+    p_hat = p + (R @ (w * p)[..., None])[..., 0]
+    q_hat = q + ((w * q)[:, None] @ R)[:, 0]
+    p_hat_end = P[0, :, n:] + (Ke[:, n:, :n] @ (w * p_hat)[..., None])[..., 0]
+    # contiguous copy: on the strided view BLAS rounds the product differently
+    q_hat_end = Q[0, :, n:] + ((w * q_hat)[:, None] @ Ke[:, :n, n:].copy())[:, 0]
+    u = np.sum(w * p_hat * q, axis=-1)
+    return [ResolventData(grid=g, p_hat=p_hat[i], q_hat=q_hat[i], p_hat_end=p_hat_end[i],
+                          q_hat_end=q_hat_end[i], u=float(u[i]), R=R[i],
+                          log_det=float(log_det[i]), A=A[i])
+            for i, g in enumerate(grids)]
+
+
 def resolvent_quantities(t: float, E: IntervalUnion, m: int = 40,
                          spec: QuadratureSpec | None = None) -> ResolventData:
     """p_hat = (I-K_E)^{-1} p, q_hat = (I-K_E^T)^{-1} q on the grid and at the
-    endpoints, u = <p_hat, q chi_E>, and the resolvent kernel matrix R with
-    (I - K_E)(I + R) = I checked on the grid.  One solve gives R, and p_hat
-    and q_hat follow from it."""
-    spec = spec or QuadratureSpec()
-    grid = NystromGrid.build(E, m)
-    x = grid.nodes
-    w = grid.weights
-    P, Q = pq_tables(t, x, spec)
-    K = _pearcey_kernel_from_tables(t, x, P, x, Q)
-    if math.exp(_nystrom_logdet(K, w)) <= 1e-12:
-        raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
-    KW = K * w[None, :]
-    A = np.eye(len(x)) - KW
-    cond = float(np.linalg.cond(A))
-    p_vec, q_vec = P[0], Q[0]
-    R = np.linalg.solve(A, K)
-    # (I - K W)^{-1} = I + R W and (I - K^T W)^{-1} = I + R^T W
-    p_hat = p_vec + R @ (w * p_vec)
-    q_hat = q_vec + R.T @ (w * q_vec)
-    resid = np.abs((np.eye(len(x)) - KW) @ (np.eye(len(x)) + R * w[None, :])
-                   - np.eye(len(x))).max()
-    if resid > 1e-10:
-        raise ArithmeticError(f"resolvent identity residual {resid:.2e} exceeds 1e-10")
-    ends = np.asarray(E.endpoints)
-    Pe, Qe = pq_tables(t, ends, spec)
-    K_end_rows = _pearcey_kernel_from_tables(t, ends, Pe, x, Q)
-    p_hat_end = Pe[0] + K_end_rows @ (w * p_hat)
-    K_end_cols = _pearcey_kernel_from_tables(t, x, P, ends, Qe)
-    q_hat_end = Qe[0] + K_end_cols.T @ (w * q_hat)
-    u = float(np.sum(w * p_hat * q_vec))
-    return ResolventData(grid=grid, p_hat=p_hat, q_hat=q_hat,
-                         p_hat_end=p_hat_end, q_hat_end=q_hat_end,
-                         u=u, R=R, condition=cond)
+    endpoints, u = <p_hat, q chi_E>, log det(I - K_E), and the resolvent
+    kernel matrix R with (I - K_E)(I + R) = I checked on the grid: the
+    one-set case of _resolvents."""
+    return _resolvents(t, [E], m, spec or QuadratureSpec())[0]
 
 
-def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64, h: float = 1e-3,
-                  spec: QuadratureSpec | None = None):
+def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64,
+                            spec: QuadratureSpec | None = None):
     """Both sides of the endpoint identity
 
-        d^2/de^2 log det(I - K_{E+e}) |_{e=0} = sum_k (-1)^k p_hat(a_k) q_hat(a_k).
+        d^2/de^2 log det(I - K_{E+e}) |_{e=0} = sum_k (-1)^k p_hat(a_k) q_hat(a_k),
 
-    The left side uses a 5-point centered second difference of the log gap
-    under a uniform endpoint shift, whose five determinants are one _log_gaps
-    call; returns (lhs, rhs, du), du the centered difference of u under the
-    same shift.
+    as (lhs, rhs, du): lhs the 5-point centered second difference of the log
+    gaps of E + k h, k = -2..2, h = 1e-3, which are one _resolvents call, and
+    du = (u(E + h) - u(E - h)) / 2h.
     """
-    spec = spec or QuadratureSpec()
-    grids = [NystromGrid.build(E.shifted(k * h), m) for k in (-2, -1, 0, 1, 2)]
-    vals = _log_gaps([t], np.array([[g.nodes for g in grids]]),
-                     np.array([[g.weights for g in grids]]), spec)[0, 0]
-    lhs = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
-
-    def u_of(eps):
-        return resolvent_quantities(t, E.shifted(eps), m, spec).u
-
-    du = (u_of(h) - u_of(-h)) / (2 * h)
-    rd = resolvent_quantities(t, E, m, spec)
+    h, spec = 1e-3, spec or QuadratureSpec()
+    rds = _resolvents(t, [E.shifted(k * h) for k in (-2, -1, 0, 1, 2)], m, spec)
+    v = [rd.log_det for rd in rds]
+    lhs = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+    du = (rds[3].u - rds[1].u) / (2 * h)
     signs = np.array([(-1.0) ** (k + 1) for k in range(len(E.endpoints))])
-    rhs = float(np.sum(signs * rd.p_hat_end * rd.q_hat_end))
+    rhs = float(np.sum(signs * rds[2].p_hat_end * rds[2].q_hat_end))
     return lhs, rhs, du
 
 
@@ -325,10 +329,8 @@ def airy_gap_on_ray(s: float, m: int = 48) -> GapResult:
 
 def gap_csv_lines(rows):
     """CSV `t,y1,...,y2r,log_gap,err` for (t, IntervalUnion, GapResult) rows."""
-    out = []
     width = max(len(E.endpoints) for _, E, _ in rows)
-    head = ",".join(f"y{i+1}" for i in range(width))
-    out.append(f"t,{head},log_gap,err")
+    out = ["t," + ",".join(f"y{i+1}" for i in range(width)) + ",log_gap,err"]
     for t, E, res in rows:
         ys = ",".join(f"{y:.17g}" for y in E.endpoints)
         out.append(f"{t:.17g},{ys},{res.log_value:.17g},{res.error_estimate:.17g}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import QuadratureSpec
-from .fredholm import IntervalUnion, NystromGrid, _log_gaps, resolvent_quantities
+from .fredholm import IntervalUnion, NystromGrid, _log_gaps, _resolvents, resolvent_quantities
 from .kernels import pearcey_pq
 
 __all__ = [
@@ -79,6 +79,8 @@ def q_surface(t_range, E_center: float, E_halfwidth: float, h_t: float,
         raise ValueError(f"steps must be positive and finite, got h_t={h_t}, h_y={h_y}")
     spec = spec or QuadratureSpec()
     t_lo, t_hi = t_range
+    if not t_lo <= t_hi:
+        raise ValueError(f"t_range must have t_lo <= t_hi, got {t_range}")
     n_t = int(round((t_hi - t_lo) / h_t)) + 1
     t_grid = t_lo + h_t * np.arange(n_t)
     offs = h_y * np.arange(-2, 3)
@@ -145,7 +147,8 @@ def small_interval_checks(t: float, x: float, h_list, m: int = 48,
     + O(h^2): returns rows (h, dEu/h, du_dt/h) plus the two kernel-side
     targets; Richardson extrapolation is left to the caller/tests.  The time
     coefficient's sign follows the heat equations dp/dt = -p''/2,
-    dq/dt = +q''/2 (to leading order du/dt = int_E (p_t q + p q_t)).
+    dq/dt = +q''/2 (to leading order du/dt = int_E (p_t q + p q_t)).  Per h,
+    u at E +- eps is one fredholm._resolvents call.
     """
     spec = spec or QuadratureSpec()
     f = pearcey_pq(t, x, spec)
@@ -153,17 +156,13 @@ def small_interval_checks(t: float, x: float, h_list, m: int = 48,
     qv, dq, d2q = f.q, f.dq, f.d2q
     target_dE = dp * qv + p * dq          # (pq)'(x)
     target_dt = 0.5 * (p * d2q - d2p * qv)
-    rows = []
+    rows, dt_h = [], 5e-4
     for h in h_list:
-        E = IntervalUnion((x, x + h))
-        eps = h * 0.05
-        u_p = resolvent_quantities(t, E.shifted(eps), m, spec).u
-        u_m = resolvent_quantities(t, E.shifted(-eps), m, spec).u
-        dEu = (u_p - u_m) / (2 * eps)
-        dt_h = 5e-4
-        u_tp = resolvent_quantities(t + dt_h, E, m, spec).u
-        u_tm = resolvent_quantities(t - dt_h, E, m, spec).u
-        dut = (u_tp - u_tm) / (2 * dt_h)
+        E, eps = IntervalUnion((x, x + h)), h * 0.05
+        up, um = _resolvents(t, [E.shifted(eps), E.shifted(-eps)], m, spec)
+        dEu = (up.u - um.u) / (2 * eps)
+        dut = (resolvent_quantities(t + dt_h, E, m, spec).u
+               - resolvent_quantities(t - dt_h, E, m, spec).u) / (2 * dt_h)
         rows.append((h, dEu / h, dut / h))
     return rows, target_dE, target_dt
 

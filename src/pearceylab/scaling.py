@@ -65,13 +65,13 @@ class ActionDerivatives:
     S_xyy: float
     S_tyy: float
 
-    def criticality_order(self, tol=1e-8):
+    def criticality_order(self):
         """Largest l with S_y = ... = d_y^{l+1} S = 0 at the base point."""
         derivs = [self.S_y, self.S_yy, self.S_yyy, self.S_yyyy]
         scale = max(1.0, *(abs(d) for d in derivs))
         l = 0
-        while l + 1 < len(derivs) and abs(derivs[l + 1]) < tol * scale:
-            if abs(derivs[l]) >= tol * scale:
+        while l + 1 < len(derivs) and abs(derivs[l + 1]) < 1e-8 * scale:
+            if abs(derivs[l]) >= 1e-8 * scale:
                 break
             l += 1
         return l

@@ -74,10 +74,9 @@ class TargetConfig:
     def k(self):
         return len(self.targets)
 
-    def scaled_targets(self, t=None):
+    def scaled_targets(self):
         """Matrix-coordinate source eigenvalues bt_i = b_i * sqrt(2t/(1-t))."""
-        t = self.time if t is None else t
-        s = math.sqrt(2.0 * t / (1.0 - t))
+        s = math.sqrt(2.0 * self.time / (1.0 - self.time))
         return tuple(b * s for b in self.targets)
 
 

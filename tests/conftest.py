@@ -1,12 +1,29 @@
 import numpy as np
 import pytest
 
+from pearceylab import fredholm, kernels
 from pearceylab._quad import QuadratureSpec
 
 
 @pytest.fixture(scope="session")
 def spec():
     return QuadratureSpec()
+
+
+@pytest.fixture
+def pq_calls(monkeypatch):
+    """A list that grows by one at each kernels._pq_checked call (one checked
+    p/q tabulation), wherever a module holds the function."""
+    calls = []
+    original = kernels._pq_checked
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in (kernels, fredholm):
+        monkeypatch.setattr(mod, "_pq_checked", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -142,6 +142,12 @@ class TestBridgePaths:
         with pytest.raises(ArithmeticError, match="exact eigenvalue tie"):
             sample_bridge_paths(6, SYM02, 10, 0)
 
+    @pytest.mark.parametrize("t_max", [1.0, 0.0, 1.5, -0.1, math.nan, math.inf])
+    def test_t_max_outside_unit_interval_rejected(self, t_max):
+        # these raised an eigenvalue tie, a math domain error or LinAlgError
+        with pytest.raises(ValueError, match="t_max"):
+            sample_bridge_paths(6, SYM02, 10, 0, t_max=t_max)
+
     def test_marginal_matches_spectrum(self):
         n, steps, draws = 60, 20, 60
         b0 = sample_bridge_paths(n, SYM02, steps, 3, t_max=0.95)

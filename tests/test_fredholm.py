@@ -5,11 +5,49 @@ import pytest
 import scipy.integrate as si
 
 from pearceylab._quad import QuadratureError
-from pearceylab.fredholm import (IntervalUnion, NystromGrid, _block_logdet, _log_gaps,
-                                 airy_gap_on_ray, gap_csv_lines,
+from pearceylab.fredholm import (IntervalUnion, NystromGrid, _block_logdet, _nystrom_logdet,
+                                 _resolvents, airy_gap_on_ray, gap_csv_lines,
                                  endpoint_identity_check, gap_probability, multitime_gap,
                                  pearcey_kernel_handle, resolvent_quantities)
-from pearceylab.kernels import pearcey_kernel_matrix, pearcey_pq, pq_tables
+from pearceylab.kernels import (_pearcey_kernel_from_tables, pearcey_kernel_matrix,
+                                pearcey_pq, pq_tables)
+
+RESOLVENT_CASES = [(0.0, (-1.0, 1.0)), (-0.5, (-1.5, -0.2, 0.3, 1.1))]
+FIELDS = ("p_hat", "q_hat", "p_hat_end", "q_hat_end", "u", "R", "condition", "log_det")
+
+
+def reference_resolvent(t, E, m, spec):
+    """The single-set resolvent body before the stacked path: grid and
+    endpoints tabulated apart, one 2-d solve; returns the ResolventData
+    fields it computed, with the log det its determinant check took."""
+    grid = NystromGrid.build(E, m)
+    x = grid.nodes
+    w = grid.weights
+    P, Q = pq_tables(t, x, spec)
+    K = _pearcey_kernel_from_tables(t, x, P, x, Q)
+    log_det = _nystrom_logdet(K, w)
+    if math.exp(log_det) <= 1e-12:
+        raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
+    KW = K * w[None, :]
+    A = np.eye(len(x)) - KW
+    cond = float(np.linalg.cond(A))
+    p_vec, q_vec = P[0], Q[0]
+    R = np.linalg.solve(A, K)
+    p_hat = p_vec + R @ (w * p_vec)
+    q_hat = q_vec + R.T @ (w * q_vec)
+    resid = np.abs((np.eye(len(x)) - KW) @ (np.eye(len(x)) + R * w[None, :])
+                   - np.eye(len(x))).max()
+    if resid > 1e-10:
+        raise ArithmeticError(f"resolvent identity residual {resid:.2e} exceeds 1e-10")
+    ends = np.asarray(E.endpoints)
+    Pe, Qe = pq_tables(t, ends, spec)
+    K_end_rows = _pearcey_kernel_from_tables(t, ends, Pe, x, Q)
+    p_hat_end = Pe[0] + K_end_rows @ (w * p_hat)
+    K_end_cols = _pearcey_kernel_from_tables(t, x, P, ends, Qe)
+    q_hat_end = Qe[0] + K_end_cols.T @ (w * q_hat)
+    u = float(np.sum(w * p_hat * q_vec))
+    return dict(p_hat=p_hat, q_hat=q_hat, p_hat_end=p_hat_end, q_hat_end=q_hat_end,
+                u=u, R=R, condition=cond, log_det=log_det)
 
 
 class TestIntervalUnion:
@@ -144,11 +182,41 @@ class TestResolvent:
 
     def test_u_equals_inner_product(self, spec):
         rd = resolvent_quantities(0.0, IntervalUnion((-1.0, 1.0)), 40, spec)
-        P0 = rd.p_hat
-        _, Q = np.zeros(0), None
-        from pearceylab.kernels import pq_tables
         _, Qt = pq_tables(0.0, rd.grid.nodes, spec)
-        assert rd.u == pytest.approx(np.sum(rd.grid.weights * P0 * Qt[0]), abs=1e-13)
+        assert rd.u == pytest.approx(np.sum(rd.grid.weights * rd.p_hat * Qt[0]), abs=1e-13)
+
+    @pytest.mark.parametrize("t, ep", RESOLVENT_CASES)
+    def test_equals_single_set_reference(self, spec, t, ep):
+        # the one-set case of the stacked path is the separate-tabulation,
+        # 2-d body bit for bit
+        E = IntervalUnion(ep)
+        rd = resolvent_quantities(t, E, 40, spec)
+        ref = reference_resolvent(t, E, 40, spec)
+        for field in FIELDS:
+            assert np.array_equal(getattr(rd, field), ref[field]), field
+
+    # at t = 10 the stack's largest |x| calls for 15 p/q panels where four of
+    # the five sets alone take 14: those agree within the p/q tolerance (the
+    # largest deviation, in R, is 1.9e-9), the others to rounding
+    @pytest.mark.parametrize("t, ep, tol", [(*case, 1e-13) for case in RESOLVENT_CASES]
+                             + [(10.0, (12.8, 13.7), 1e-8)])
+    def test_stacked_sets_match_one_set_calls(self, spec, t, ep, tol):
+        E = IntervalUnion(ep)
+        sets = [E.shifted(k * 0.05) for k in (-2, -1, 0, 1, 2)]
+        stacked = _resolvents(t, sets, 40, spec)
+        single = [resolvent_quantities(t, S, 40, spec) for S in sets]
+        for a, b in zip(stacked, single):
+            assert np.array_equal(a.grid.nodes, b.grid.nodes)
+        for field in FIELDS:
+            got = np.array([getattr(rd, field) for rd in stacked])
+            want = np.array([getattr(rd, field) for rd in single])
+            # relative to the five sets' largest value: on a symmetric E, u is
+            # rounding residue
+            assert np.abs(got - want).max() <= tol * np.abs(want).max(), field
+
+    def test_one_tabulation_per_call(self, spec, pq_calls):
+        resolvent_quantities(0.3, IntervalUnion((-0.8, 0.9)), 48, spec)
+        assert len(pq_calls) == 1
 
 
 class TestEndpointIdentity:
@@ -174,18 +242,20 @@ class TestEndpointIdentity:
 
     @pytest.mark.parametrize("t, ep", [(0.3, (-1.0, 0.8)), (-0.5, (-1.5, -0.2, 0.3, 1.1))])
     def test_shifted_log_gaps_match_block_logdet(self, spec, t, ep):
-        # the identity's five shifted determinants are one _log_gaps call;
-        # each must equal its own block determinant
+        # the identity's five shifted sets are one _resolvents call; each
+        # set's log det must equal its own block determinant
         E, h, m = IntervalUnion(ep), 1e-3, 64
         shifts = [E.shifted(k * h) for k in (-2, -1, 0, 1, 2)]
-        grids = [NystromGrid.build(S, m) for S in shifts]
-        got = _log_gaps([t], np.array([[g.nodes for g in grids]]),
-                        np.array([[g.weights for g in grids]]), spec)
-        assert got.shape == (1, 1, 5)
-        for S, v in zip(shifts, got[0, 0]):
+        rds = _resolvents(t, shifts, m, spec)
+        assert len(rds) == 5
+        for S, rd in zip(shifts, rds):
             one = _block_logdet(lambda i, j, xs, ys: pearcey_kernel_matrix(t, xs, ys, spec),
                                 [S], m)
-            assert v == pytest.approx(one, rel=1e-14, abs=0.0)
+            assert rd.log_det == pytest.approx(one, rel=1e-14, abs=0.0)
+
+    def test_one_tabulation(self, spec, pq_calls):
+        endpoint_identity_check(0.3, IntervalUnion((-0.8, 0.9)), 64, spec)
+        assert len(pq_calls) == 1
 
     def test_identity_second_anchor(self, spec):
         lhs, rhs, du = endpoint_identity_check(1.0, IntervalUnion((0.0, 2.0)), m=64, spec=spec)

@@ -106,6 +106,12 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="m must be >= 8"):
             q_surface((-0.1, 0.1), 0.0, 1.0, 0.05, 0.05, m=m)
 
+    @pytest.mark.parametrize("t_range", [(0.2, 0.0), (0.0, math.nan)])
+    def test_time_range_ascending(self, t_range):
+        # (0.2, 0.0) died in a zero-size reduction inside numpy
+        with pytest.raises(ValueError, match="t_lo <= t_hi"):
+            q_surface(t_range, 0.0, 1.0, 0.05, 0.05, m=16)
+
 
 def _loop_residuals(surface):
     """The residual assembled one time and one stencil point at a time, in
@@ -188,6 +194,27 @@ class TestResidual:
 
 
 class TestSmallInterval:
+    @staticmethod
+    def _per_call_rows(t, x, h_list, m, spec):
+        """The rows with four one-set resolvent calls per h."""
+        rows = []
+        for h in h_list:
+            E, eps, dt_h = IntervalUnion((x, x + h)), h * 0.05, 5e-4
+            dEu = (resolvent_quantities(t, E.shifted(eps), m, spec).u
+                   - resolvent_quantities(t, E.shifted(-eps), m, spec).u) / (2 * eps)
+            dut = (resolvent_quantities(t + dt_h, E, m, spec).u
+                   - resolvent_quantities(t - dt_h, E, m, spec).u) / (2 * dt_h)
+            rows.append((h, dEu / h, dut / h))
+        return rows
+
+    @pytest.mark.parametrize("t, x, h_list, m", [(0.0, 0.0, (1e-2, 5e-3, 2.5e-3), 32),
+                                                 (1.0, 0.5, (1e-2, 5e-3), 48)])
+    def test_rows_equal_per_call_loop(self, spec, pq_calls, t, x, h_list, m):
+        rows, _, _ = small_interval_checks(t, x, h_list, m, spec)
+        # the targets' pearcey_pq, then three tabulations per h
+        assert len(pq_calls) == 1 + 3 * len(h_list)
+        assert np.array_equal(rows, self._per_call_rows(t, x, h_list, m, spec))
+
     def test_dE_u_coefficient(self, spec):
         rows, tgt_dE, tgt_dt = small_interval_checks(0.0, 0.0, (1e-2, 5e-3, 2.5e-3),
                                                      m=32, spec=spec)
