@@ -13,6 +13,7 @@ for numerical failures (ArithmeticError, QuadratureError, LinAlgError).
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
@@ -23,14 +24,25 @@ import numpy as np
 
 from . import __version__
 from ._quad import QuadratureError, QuadratureSpec
-from . import ensemble_mc as mc
-from . import fredholm as fh
-from . import pde_lab as pl
-from . import scaling as sc
-from . import spectral_curve as sp
-from . import kernels as kn
 
 __all__ = ["RunManifest", "dispatch", "main"]
+
+
+class _Layer:
+    """A layer module imported on its first attribute access, so that a
+    subcommand compiles only the layers its handler calls into.  Each access
+    reads the module's attribute anew, as a module alias would, so a
+    function replaced on the module is the one called."""
+
+    def __init__(self, name):
+        self._name = f"{__package__}.{name}"
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+mc, fh, pl, sc, sp, kn = map(_Layer, ("ensemble_mc", "fredholm", "pde_lab", "scaling",
+                                      "spectral_curve", "kernels"))
 
 
 @dataclass(frozen=True)
