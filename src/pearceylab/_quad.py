@@ -89,7 +89,12 @@ def segment_rule(z0, z1, panels, nodes_per_panel):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Contour-quadrature resolution: truncation radius L, composite panels
-    per ray/segment, and GL nodes per panel."""
+    per ray/segment, and GL nodes per panel.
+
+    The truncation radius and panel count size the contour rules only (the
+    double-contour Pearcey kernel and the finite-n contours); the p/q rule
+    takes its length and panels from t and max |x| and only its nodes per
+    panel from here (kernels._pq_L, kernels._pq_panels)."""
 
     truncation_radius: float = 6.0
     panels: int = 8

@@ -165,25 +165,36 @@ def _log_gaps(ts, nodes, weights, spec):
     return np.array(out)
 
 
-def _block_logdet(block, sets, order):
+def _block_logdet(block, sets, orders):
     """log det(I - (chi_{E_i} K_ij chi_{E_j})_{i,j}) on Gauss-Legendre grids of
-    the given order per interval; block(i, j, xs, ys) is the K_ij matrix."""
-    grids = [NystromGrid.build(E, order) for E in sets]
-    offs = np.cumsum([0] + [g.nodes.size for g in grids])
-    K = np.zeros((offs[-1], offs[-1]))
-    for i, gi in enumerate(grids):
-        for j, gj in enumerate(grids):
-            if gi.nodes.size and gj.nodes.size:
-                K[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block(i, j, gi.nodes, gj.nodes)
-    return _nystrom_logdet(K, np.concatenate([g.weights for g in grids]))
+    each of the given orders per interval, as a list in the order of orders;
+    block(i, j, xs, ys) is the K_ij matrix.  Each pair of sets takes one block
+    call, on the nodes of every order at once, and each order's matrix is
+    read from the diagonal sub-blocks of that call's result."""
+    grids = [[NystromGrid.build(E, n) for n in orders] for E in sets]
+    sizes = np.array([[g.nodes.size for g in gs] for gs in grids])
+    cuts = np.cumsum(np.pad(sizes, ((0, 0), (1, 0))), axis=1)    # orders in a set's nodes
+    offs = np.cumsum(np.pad(sizes, ((1, 0), (0, 0))), axis=0)    # sets in an order's matrix
+    nodes = [np.concatenate([g.nodes for g in gs]) for gs in grids]
+    Ks = [np.zeros((n, n)) for n in offs[-1]]
+    for i, j in np.ndindex(len(sets), len(sets)):
+        if nodes[i].size and nodes[j].size:
+            Kij = block(i, j, nodes[i], nodes[j])
+            for k, K in enumerate(Ks):
+                K[offs[i, k]:offs[i + 1, k], offs[j, k]:offs[j + 1, k]] = \
+                    Kij[cuts[i, k]:cuts[i, k + 1], cuts[j, k]:cuts[j, k + 1]]
+    return [_nystrom_logdet(K, np.concatenate([gs[k].weights for gs in grids]))
+            for k, K in enumerate(Ks)]
 
 
 def _refined_gap(block, sets, m):
     """Block determinant at order m, with |value(m) - value(2m)| as the error
     estimate (Bornemann's m-versus-2m check for analytic kernels); a
     disagreement beyond 1e-6, in the values or in their logarithms, raises.
-    The log gate is what holds a small determinant to its digits."""
-    l1, l2 = _block_logdet(block, sets, m), _block_logdet(block, sets, 2 * m)
+    The log gate is what holds a small determinant to its digits.  Both
+    orders come from one block call per pair of sets (_block_logdet), so a
+    Pearcey gap tabulates p/q once and a cross-time block contracts once."""
+    l1, l2 = _block_logdet(block, sets, (m, 2 * m))
     v1, v2 = math.exp(l1), math.exp(l2)
     err = abs(v1 - v2)
     if err > 1e-6:
@@ -199,9 +210,10 @@ def _refined_gap(block, sets, m):
 def gap_probability(kernel, E: IntervalUnion, m: int = 40) -> GapResult:
     """det(I - K|_E) by symmetrized Nystrom discretization.
 
-    `kernel` is a callable (xs, ys) -> matrix.  The value at order m is
-    reported with |value(m) - value(2m)| as the error estimate; disagreement
-    beyond 1e-6 in the values or in their logarithms raises.
+    `kernel` is a callable (xs, ys) -> matrix, called once, on the order-m
+    and order-2m nodes together.  The value at order m is reported with
+    |value(m) - value(2m)| as the error estimate; disagreement beyond 1e-6
+    in the values or in their logarithms raises.
     """
     if E.empty:
         return GapResult(value=1.0, log_value=0.0, error_estimate=0.0)
@@ -251,20 +263,36 @@ def multitime_gap(times, sets, m: int = 40,
 
 def _resolvents(t, sets, m, spec):
     """ResolventData of the equal-time Pearcey kernel at time t on each of the
-    sets E (one endpoint count for all).  One checked p/q tabulation and one
-    kernel fill cover every set's nodes and endpoints; the node blocks K are
-    factored and solved as one stack, with det(I - K W) > 1e-12 and
-    (I - K W)(I + R W) = I checked, and p_hat = (I + R W) p,
-    q_hat = (I + R^T W) q.  The p/q rule follows the stack's largest |x|, so a
-    set's values depend on its stack-mates within pq_tables' tolerance."""
+    sets E (one endpoint count for all).  One checked p/q tabulation covers
+    every set's nodes and endpoints and its order-2m nodes.  One kernel fill
+    covers the nodes and endpoints; the node blocks K are factored and solved
+    as one stack, with det(I - K W) > 1e-12 and (I - K W)(I + R W) = I
+    checked, and p_hat = (I + R W) p, q_hat = (I + R^T W) q.  The order-2m
+    blocks are filled and factored as a second stack, without a solve, and a
+    log det disagreeing with its order-m value by more than 1e-6 raises, the
+    log gate of _refined_gap.  The p/q rule follows the stack's largest |x|,
+    so a set's values depend on its stack-mates within pq_tables' tolerance."""
     grids = [NystromGrid.build(E, m) for E in sets]
+    fine = [NystromGrid.build(E, 2 * m) for E in sets]
     w = np.array([g.weights for g in grids])
     n = w.shape[1]
     xe = np.array([np.concatenate([g.nodes, E.endpoints]) for g, E in zip(grids, sets)])
-    P, Q = (T.reshape(4, *xe.shape) for T in next(_pq_checked((t,), xe.ravel(), spec)))
+    x2 = np.array([f.nodes for f in fine])
+    # the order-2m nodes go first: the GEMMs of the tabulation round a column
+    # by its place among their blocks of columns, and for even m they shift
+    # the other columns by whole blocks, which then round as they would in a
+    # tabulation without them
+    tables = next(_pq_checked((t,), np.concatenate([x2.ravel(), xe.ravel()]), spec))
+    P2, Q2 = (T[:, :x2.size].reshape(4, *x2.shape) for T in tables)
+    P, Q = (T[:, x2.size:].reshape(4, *xe.shape) for T in tables)
     Ke = _pearcey_kernel_from_tables(t, xe, P, xe, Q)
     K = Ke[:, :n, :n]
     log_det = _nystrom_logdet(K, w)
+    gap = np.abs(log_det - _nystrom_logdet(_pearcey_kernel_from_tables(t, x2, P2, x2, Q2),
+                                           np.array([f.weights for f in fine]))).max()
+    if gap > 1e-6:
+        raise QuadratureError(
+            f"Nystrom refinement log disagreement {gap:.2e} between m={m} and 2m", achieved=gap)
     if (np.exp(log_det) <= 1e-12).any():
         raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
     A = np.eye(n) - K * w[:, None, :]

@@ -256,17 +256,22 @@ class PearceyPQ:
         return abs(rp), abs(rq)
 
 
-def _pq_L(t, x, spec):
-    return max(spec.truncation_radius,
-               (4.0 * abs(x)) ** (1.0 / 3.0) + 2.0,
-               math.sqrt(2.0 * max(-t, 0.0)) + 3.0,
-               math.sqrt(2.0 * max(t, 0.0)) + 3.0)
+def _pq_L(t, x, floor=4.5):
+    """Truncation length of the p/q integrals at time t and largest |x|: past
+    it the Gaussian decay exp(-v^4/4) outweighs exp(|t| v^2/2) and p's growth
+    exp(|x| v/sqrt 2).  The floor sits well past the 3.6 where exp(-v^4/4)
+    drops below 1e-17, so that every |t| <= 0.6 with |x| <= 3.7 shares one
+    length and a PDE stencil there is one run of _pq_quadrature.
+    pearcey_kernel_grid floors its contours at spec.truncation_radius."""
+    return max(floor, (4.0 * abs(x)) ** (1.0 / 3.0) + 2.0, math.sqrt(2.0 * abs(t)) + 3.0)
 
 
 def _pq_panels(t, x, L, spec):
+    """Panels per half-line of the p/q rule: 8 nodes per oscillation of the
+    integrand on [-L, L], and at least 2."""
     osc = L * (abs(x) / math.sqrt(2.0) + abs(t) * L / 2.0)
     need = int(osc / (2.0 * math.pi) * 8) + 1
-    return max(spec.panels, -(-need // spec.nodes_per_panel))
+    return max(2, -(-need // spec.nodes_per_panel))
 
 
 def _exp_outer(z, a, xs, out):
@@ -298,14 +303,17 @@ def _separable_sum(c, inner, outer, T):
     return np.einsum("kpx,px->kx", T.reshape(*c.shape[:2], -1), outer)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _pq_rule(t, L, panels, nodes_per_panel):
     """The node set shared by p and q, 2*panels uniform Gauss-Legendre panels
     of half-width h = L/(2 panels) on [-L, L], as (mid, hg, cq, cp): panel
     midpoints, in-panel offsets h g_j (node v = mid_p + h g_j), and the
     coefficients c[k, p, j] = v^k w_j base(v) of q (real Gaussian base) and
     p (complex base; the weights change sign on the positive half, where its
-    X-contour branch runs inward).  Read-only: cached across calls."""
+    X-contour branch runs inward).  Read-only: cached across calls, and the
+    cache holds the 38-40 rules of one round of the pearcey-fredholm
+    benchmark (a rule and its refinement per distinct time), under 1 MB in
+    all at the default spec."""
     gx, gw = _gl(nodes_per_panel)
     h = L / (2 * panels)
     mid = -L + h * (2.0 * np.arange(2 * panels) + 1.0)
@@ -333,7 +341,8 @@ _Q_K = -((-1j) ** _K) / (2.0 * math.pi)
 def _pq_quadrature(ts, xs, spec):
     """Raw quadrature of p^{(k)}(x), q^{(k)}(x), k < 4, over the array xs,
     yielded as (P, Q) for each time of ts in turn, on rules whose truncation
-    length and panel count are set by t and max |x|.  Derivatives insert
+    length and panel count are set by t and max |x| alone (_pq_L,
+    _pq_panels); spec gives only the nodes per panel.  Derivatives insert
     powers of the integration variable; P is real, Q keeps the imaginary part
     the quadrature leaves.
 
@@ -352,7 +361,7 @@ def _pq_quadrature(ts, xs, spec):
     xmax = float(np.abs(xs).max(initial=0.0))
     rules = []
     for t in ts:
-        L = _pq_L(t, xmax, spec)
+        L = _pq_L(t, xmax)
         panels = _pq_panels(t, xmax, L, spec)
         rules.append(((L, panels), _pq_rule(t, L, panels, spec.nodes_per_panel)))
     for _, run in groupby(rules, key=lambda r: r[0]):
@@ -419,7 +428,10 @@ def pq_tables(t, xs, spec=None):
     real cosine sums; the smallest and largest node must agree with the
     table at spec.refined(), an independent rule of twice the nodes per
     panel.  Checking the extremes suffices because the truncation length and
-    panel count are set by max |x|.  Tolerances scale with
+    panel count are set by t and max |x| (_pq_L, _pq_panels), not by spec's
+    truncation radius or panel count, which size the contour rules: at
+    |t| <= 0.6 and |x| <= 3.7 the rule is 2 panels per half-line on
+    [-4.5, 4.5], 128 nodes at the default 32 per panel.  Tolerances scale with
     max(1, |p^{(k)}|, |q^{(k)}|) at each node.
     """
     return next(_pq_checked((t,), np.asarray(xs, dtype=float), spec or QuadratureSpec()))
@@ -452,13 +464,14 @@ def _pearcey_legs(L, d, width):
 def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None = None):
     """Extended Pearcey kernel K_{s,t}(x, y) on a grid, double-contour form.
 
-    The contours are _pearcey_legs at the truncation length L that p and q
-    use (_pq_L): the U line from -iL to iL and the X with corners at |V| = L,
-    indented by d = min(1, L/6).  The integrand is entire and no V node comes
-    closer than d to the line, so uniform Gauss-Legendre panels converge
-    geometrically on every leg and nothing is graded.  Panels are at most
-    4L/spec.panels wide, narrowed by max|x|/5 or max(|s|, |t|)/3 where either
-    exceeds 1: the exponentials then oscillate and cancel faster.
+    The contours are _pearcey_legs at the truncation length L of p and q
+    (_pq_L), floored at spec.truncation_radius: the U line from -iL to iL and
+    the X with corners at |V| = L, indented by d = min(1, L/6).  The
+    integrand is entire and no V node comes closer than d to the line, so
+    uniform Gauss-Legendre panels converge geometrically on every leg and
+    nothing is graded.  Panels are at most 4L/spec.panels wide, narrowed by
+    max|x|/5 or max(|s|, |t|)/3 where either exceeds 1: the exponentials
+    then oscillate and cancel faster.
 
     The x- and y-dependent exponentials, weights folded in, go through one
     Cauchy contraction, so a full grid costs little more than a point.
@@ -472,7 +485,7 @@ def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None 
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     xm = float(np.abs(xs).max()) if xs.size else 0.0
     ym = float(np.abs(ys).max()) if ys.size else 0.0
-    L = max(_pq_L(t, ym, spec), _pq_L(s, xm, spec))
+    L = max(_pq_L(t, ym, spec.truncation_radius), _pq_L(s, xm, spec.truncation_radius))
     width = 4.0 * L / (spec.panels * max(1.0, max(xm, ym) / 5.0, max(abs(s), abs(t)) / 3.0))
     u_legs, v_legs = _pearcey_legs(L, min(1.0, L / 6.0), width)
     U, WU = _legs_rule(u_legs, spec.nodes_per_panel)
@@ -527,17 +540,14 @@ def _pearcey_kernel_from_tables(t, xs, P, ys, Q, same=None):
     ys; the entries same = _coincident(xs, ys), found here unless given, use
     the diagonal limit p q''' - p' q'' + p'' q' - t p q'.  Leading axes of xs and
     ys, which P[k] and Q[k] then carry too, stack grids into a stack of
-    matrices, filled in place."""
+    matrices, filled in place.  The numerator p q'' - p' q' + p'' q - t p q
+    is the rank-3 product [p, -p', p''] [q'' - t q, q', q]^T: one matrix
+    product where four outer products and their sums took a pass each."""
     if same is None:
         same = _coincident(xs, ys)
-    out = P[0][..., :, None] * Q[2][..., None, :]
-    tmp = np.empty_like(out)
-    out -= np.multiply(P[1][..., :, None], Q[1][..., None, :], out=tmp)
-    out += np.multiply(P[2][..., :, None], Q[0][..., None, :], out=tmp)
-    np.multiply(P[0][..., :, None], Q[0][..., None, :], out=tmp)
-    tmp *= t
-    out -= tmp
-    den = np.subtract(ys[..., None, :], xs[..., :, None], out=tmp)
+    out = (np.stack([P[0], -P[1], P[2]], axis=-1)
+           @ np.stack([Q[2] - t * Q[0], Q[1], Q[0]], axis=-2))
+    den = np.subtract(ys[..., None, :], xs[..., :, None])
     den[same] = 1.0
     out /= den
     ii, jj = same[:-1], same[:-2] + same[-1:]

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from pearceylab import fredholm
 from pearceylab._quad import QuadratureError
 from pearceylab.fredholm import (IntervalUnion, NystromGrid, _block_logdet, _nystrom_logdet,
                                  _resolvents, airy_gap_on_ray, gap_csv_lines,
                                  endpoint_identity_check, gap_probability, multitime_gap,
                                  pearcey_kernel_handle, resolvent_quantities)
-from pearceylab.kernels import (_pearcey_kernel_from_tables, pearcey_kernel_matrix,
-                                pearcey_pq, pq_tables)
+from pearceylab.kernels import (_pearcey_kernel_from_tables, airy_kernel_matrix,
+                                pearcey_kernel_grid, pearcey_kernel_matrix, pearcey_pq,
+                                pq_tables)
 
 RESOLVENT_CASES = [(0.0, (-1.0, 1.0)), (-0.5, (-1.5, -0.2, 0.3, 1.1))]
 FIELDS = ("p_hat", "q_hat", "p_hat_end", "q_hat_end", "u", "R", "condition", "log_det")
@@ -115,6 +117,35 @@ class TestGapProbability:
         assert 0 < airy_gap_on_ray(-3.0).value < airy_gap_on_ray(-1.0).value \
             < airy_gap_on_ray(1.0).value < 1.0 + 1e-12
 
+    def test_one_kernel_call(self, spec, pq_calls):
+        # the order-m and order-2m matrices come from one handle call, so one
+        # p/q tabulation
+        calls = []
+
+        def handle(xs, ys):
+            calls.append(len(xs))
+            return pearcey_kernel_matrix(0.3, xs, ys, spec)
+
+        gap_probability(handle, IntervalUnion((-1.5, -0.2, 0.3, 1.1)), 40)
+        assert calls == [2 * (40 + 80)]
+        assert len(pq_calls) == 1
+
+    @pytest.mark.parametrize("sets, block", [
+        ([IntervalUnion((-1.0, 1.0))],
+         lambda i, j, xs, ys: pearcey_kernel_matrix(0.0, xs, ys)),
+        ([IntervalUnion((-1.5, -0.2, 0.3, 1.1))],
+         lambda i, j, xs, ys: pearcey_kernel_matrix(-0.5, xs, ys)),
+        ([IntervalUnion((-2.0, 6.0))], lambda i, j, xs, ys: airy_kernel_matrix(xs, ys)),
+        ([IntervalUnion((-1.0, 0.5)), IntervalUnion(()), IntervalUnion((-0.5, 1.0))],
+         lambda i, j, xs, ys: (pearcey_kernel_matrix(i - 1.0, xs, ys) if i == j
+                               else pearcey_kernel_grid(i - 1.0, j - 1.0, xs, ys))),
+    ])
+    def test_orders_match_separate_determinants(self, sets, block):
+        # both orders from one block call per pair of sets match a call per order
+        both = _block_logdet(block, sets, (24, 48))
+        apart = [_block_logdet(block, sets, (n,))[0] for n in (24, 48)]
+        assert np.abs(np.subtract(both, apart)).max() <= 1e-13
+
     def test_small_gap_log_refinement_gate(self):
         # values agree to 3e-9 at m=16 but their logs differ by 0.30
         for s, m in ((-6.0, 16), (-10.0, 24)):
@@ -144,6 +175,19 @@ class TestMultitimeGap:
         a = multitime_gap([-1.0, 1.0], [E1, E1], 20, spec)
         b = multitime_gap([-1.0, 1.0], [E2, E2], 20, spec)
         assert 0.0 < b.value < a.value < 1.0
+
+    def test_one_block_call_per_pair(self, spec, monkeypatch, pq_calls):
+        # two times: two equal-time blocks (one p/q tabulation each) and two
+        # cross-time contractions, each covering both orders
+        calls = []
+        for name in ("pearcey_kernel_matrix", "pearcey_kernel_grid"):
+            fn = getattr(fredholm, name)
+            monkeypatch.setattr(fredholm, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        E = IntervalUnion((-1.0, 1.0))
+        multitime_gap([-1.0, 1.0], [E, E], 20, spec)
+        assert sorted(calls) == ["pearcey_kernel_grid"] * 2 + ["pearcey_kernel_matrix"] * 2
+        assert len(pq_calls) == 2
 
     def test_unsorted_times_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -218,6 +262,35 @@ class TestResolvent:
         resolvent_quantities(0.3, IntervalUnion((-0.8, 0.9)), 48, spec)
         assert len(pq_calls) == 1
 
+    def test_refinement_gate(self, spec):
+        # at t = -10 the order-40 and order-80 log dets on (-1, 1) differ by 6e-6
+        E = IntervalUnion((-1.0, 1.0))
+        with pytest.raises(QuadratureError, match="log disagreement") as info:
+            resolvent_quantities(-10.0, E, 40, spec)
+        assert info.value.achieved > 1e-6
+        with pytest.raises(QuadratureError, match="log disagreement"):
+            endpoint_identity_check(-10.0, E, 64, spec)
+
+    @pytest.mark.parametrize("t", [-9.0, 0.0, 1.0])
+    def test_gate_leaves_values(self, spec, t):
+        # the gate's order-2m nodes share the tabulation but not the values:
+        # each set's quantities are the gate-free one-set body's bit for bit,
+        # and so are the identity's lhs and du; its rhs, read from the centre
+        # of the five-set stack, rounds differently, which the ill-conditioned
+        # resolvent at t = -9 amplifies to 1e-8
+        E = IntervalUnion((-1.0, 1.0))
+        rd, ref = resolvent_quantities(t, E, 40, spec), reference_resolvent(t, E, 40, spec)
+        for field in FIELDS:
+            assert np.array_equal(getattr(rd, field), ref[field]), field
+        h = 1e-3
+        refs = [reference_resolvent(t, E.shifted(k * h), 64, spec) for k in (-2, -1, 0, 1, 2)]
+        v = [r["log_det"] for r in refs]
+        lhs, rhs, du = endpoint_identity_check(t, E, 64, spec)
+        assert lhs == (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+        assert du == (refs[3]["u"] - refs[1]["u"]) / (2 * h)
+        assert rhs == pytest.approx(refs[2]["q_hat_end"] @ (refs[2]["p_hat_end"] * [-1.0, 1.0]),
+                                    rel=1e-7)
+
 
 class TestEndpointIdentity:
     def test_kernel_factorization(self, spec):
@@ -249,8 +322,8 @@ class TestEndpointIdentity:
         rds = _resolvents(t, shifts, m, spec)
         assert len(rds) == 5
         for S, rd in zip(shifts, rds):
-            one = _block_logdet(lambda i, j, xs, ys: pearcey_kernel_matrix(t, xs, ys, spec),
-                                [S], m)
+            one, = _block_logdet(lambda i, j, xs, ys: pearcey_kernel_matrix(t, xs, ys, spec),
+                                 [S], (m,))
             assert rd.log_det == pytest.approx(one, rel=1e-14, abs=0.0)
 
     def test_one_tabulation(self, spec, pq_calls):

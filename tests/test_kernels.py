@@ -29,7 +29,7 @@ def _pq_direct(t, xs, spec):
     and p on the two half-line rules (weights negated on the positive half)."""
     xs = np.asarray(xs, dtype=float)
     xmax = float(np.abs(xs).max(initial=0.0))
-    L = kernels._pq_L(t, xmax, spec)
+    L = kernels._pq_L(t, xmax)
     panels = kernels._pq_panels(t, xmax, L, spec)
     k = np.arange(4)[:, None]
     v, wv = panel_rule(-L, L, 2 * panels, spec.nodes_per_panel)
@@ -74,7 +74,8 @@ def _pearcey_grid_graded(s, t, xs, ys, spec):
     and the legs graded toward the centre and the chord ends (1,280 V nodes
     and 512 U nodes at the default spec), with a dense Cauchy coupling."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    L = max(kernels._pq_L(t, np.abs(ys).max(), spec), kernels._pq_L(s, np.abs(xs).max(), spec))
+    L = max(kernels._pq_L(t, np.abs(ys).max(), spec.truncation_radius),
+            kernels._pq_L(s, np.abs(xs).max(), spec.truncation_radius))
     inner = L * 2.0 ** (1 - spec.panels)
     d = min(1.0, L / 6.0)
     panels, npp = spec.panels, spec.nodes_per_panel
@@ -166,9 +167,9 @@ class TestPearceyPQ:
                 assert _pq_scaled_gap(t, rng.uniform(-5.0, 5.0, 40), sp) < 1e-13
 
     def test_separable_quadrature_more_panels(self, spec):
-        # t=10 with x up to 12 needs more panels than spec.panels
+        # t=10 with x up to 12 needs more than 8 panels per half-line
         t, xs = 10.0, np.append(np.random.default_rng(8).uniform(-12.0, 12.0, 39), 12.0)
-        assert kernels._pq_panels(t, 12.0, kernels._pq_L(t, 12.0, spec), spec) > spec.panels
+        assert kernels._pq_panels(t, 12.0, kernels._pq_L(t, 12.0), spec) > 8
         assert _pq_scaled_gap(t, xs, spec) < 1e-11
 
     @pytest.mark.parametrize("fault, message", [
@@ -179,8 +180,8 @@ class TestPearceyPQ:
     def test_each_check_fires(self, spec, monkeypatch, fault, message):
         # a fault at one time, alone (through pq_tables) or among several
         # (through _pq_checked), trips its check and names that time; the
-        # last case's faulty time sits on a rule of its own (L grows past
-        # |t| = 4.5)
+        # last case's faulty time sits on a rule of its own (L grows with |t|
+        # past 1.125)
         raw = kernels._pq_quadrature
         xs = np.linspace(-2.0, 2.0, 9)
         cases = [((0.7,), 0.7), ((-0.3, 0.2, 0.7, 1.1), 0.7), ((-0.3, 0.2, 0.7), -0.3),
@@ -213,13 +214,47 @@ class TestPearceyPQ:
             assert re.search(rf"t={re.escape(str(bad))}(,|$)", str(info.value))
             assert len(passed) == times.index(bad)      # every earlier time passed its checks
 
+    @staticmethod
+    def _parent_rule(t, x):
+        """(L, panels per half-line) of the p/q rule when it was floored at the
+        default QuadratureSpec's truncation radius 6 and 8 panels."""
+        L = max(6.0, (4.0 * abs(x)) ** (1.0 / 3.0) + 2.0, math.sqrt(2.0 * abs(t)) + 3.0)
+        need = int(L * (abs(x) / math.sqrt(2.0) + abs(t) * L / 2.0) / (2.0 * math.pi) * 8) + 1
+        return L, max(8, -(-need // 32))
+
+    @pytest.mark.parametrize("t", np.linspace(-10.0, 10.0, 9))
+    def test_rule_size_against_parent_sizing(self, spec, monkeypatch, t):
+        # the rule sized by its integrand alone stays within twice the
+        # floored rule's error (or 1e-14) of a larger reference rule, each
+        # node scaled as pq_tables scales its tolerances
+        pq_L, pq_panels = kernels._pq_L, kernels._pq_panels
+
+        def tables(xs, L, panels, npp):
+            monkeypatch.setattr(kernels, "_pq_L", lambda t, x: L)
+            monkeypatch.setattr(kernels, "_pq_panels", lambda t, x, L, spec: panels)
+            return next(kernels._pq_quadrature((t,), xs, QuadratureSpec(nodes_per_panel=npp)))
+
+        for x in (0.0, 5.0, 10.0, 15.0, 20.0):
+            xs = np.linspace(-x, x, 9)
+            L = pq_L(t, x)
+            new = (L, pq_panels(t, x, L, spec))
+            old = self._parent_rule(t, x)
+            if abs(t) >= 10.0:
+                assert new == old
+            P, Q = tables(xs, old[0] + 2.0, 2 * old[1] + 4, 48)
+            scale = np.maximum(1.0, np.maximum(np.abs(P).max(axis=0), np.abs(Q).max(axis=0)))
+            err = [max((np.abs(P1 - P).max(axis=0) / scale).max(),
+                       (np.abs(Q1 - Q).max(axis=0) / scale).max())
+                   for P1, Q1 in (tables(xs, *rule, 32) for rule in (new, old))]
+            assert err[0] <= max(2.0 * err[1], 1e-14), (x, new, old, err)
+
     def test_multi_time_tables_match_single_time(self, spec):
-        # times on four rules (L grows with |t| beyond 4.5), one of them in
-        # three separate runs
+        # times on four rules (L grows with |t| beyond 1.4 at these x), one
+        # of them in three separate runs
         xs = np.random.default_rng(9).uniform(-5.0, 5.0, 31)
-        times = (-4.6, -4.55, -4.5, -1.0, 0.0, 0.7, 4.6, 10.0, -4.6)
+        times = (-1.6, -1.5, -1.4, -1.0, 0.0, 0.7, 1.6, 10.0, -1.6)
         xmax = float(np.abs(xs).max())
-        assert len({kernels._pq_L(t, xmax, spec) for t in times}) == 4
+        assert len({kernels._pq_L(t, xmax) for t in times}) == 4
         tables = list(kernels._pq_checked(times, xs, spec))
         assert len(tables) == len(times)
         for t, (P, Q) in zip(times, tables):
