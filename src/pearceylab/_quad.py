@@ -91,10 +91,13 @@ class QuadratureSpec:
     """Contour-quadrature resolution: truncation radius L, composite panels
     per ray/segment, and GL nodes per panel.
 
-    The truncation radius and panel count size the contour rules only (the
-    double-contour Pearcey kernel and the finite-n contours); the p/q rule
-    takes its length and panels from t and max |x| and only its nodes per
-    panel from here (kernels._pq_L, kernels._pq_panels)."""
+    The truncation radius and panel count size the contour rules only.  The
+    radius is the floor of the double-contour Pearcey kernel's contour
+    length and the bound on the finite-n contours' length; each caller
+    passes the length it settles on to kernels.build_contours, which takes
+    no spec.  The panel count sets the contour panels' widths.  The p/q
+    rule takes its length and panels from t and max |x| and only its nodes
+    per panel from here (kernels._pq_L, kernels._pq_panels)."""
 
     truncation_radius: float = 6.0
     panels: int = 8

@@ -85,9 +85,16 @@ def _thread_count(text):
     return v
 
 
+def _grid(lo, hi, num):
+    """num evenly spaced points from lo to hi; fewer than 1 is a usage error."""
+    if num < 1:
+        raise ValueError(f"a grid needs at least 1 point, got {num}")
+    return np.linspace(lo, hi, num)
+
+
 def _parse_grid(text):
     lo, hi, num = text.split(",")
-    return np.linspace(float(lo), float(hi), int(num))
+    return _grid(float(lo), float(hi), int(num))
 
 
 def _config_from(args):
@@ -109,7 +116,7 @@ def _cmd_cusp(args):
 
 def _cmd_density(args):
     cfg = _config_from(args)
-    zg = np.linspace(args.zmin, args.zmax, args.num)
+    zg = _grid(args.zmin, args.zmax, args.num)
     return sp.density_csv_lines(sp.sweep_density(cfg, zg))
 
 
@@ -218,7 +225,7 @@ def _cmd_exponents(args):
 
 
 def _cmd_descent_check(args):
-    u, v = kn.build_contours(args.q, QuadratureSpec())
+    u, v = kn.build_contours(args.q, QuadratureSpec().truncation_radius)
     rep = sc.contour_descent_check(args.q, v, args.samples, u_contour=u)
     lines = _kv_block([("passed", rep.passed), ("worst", rep.worst),
                        ("checked_points", rep.checked_points)])

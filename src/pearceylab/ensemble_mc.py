@@ -118,9 +118,16 @@ def sample_spectrum(n: int, config: TargetConfig, seed: int,
     return SpectrumSample(n=n, eigenvalues=eig, seed=seed, config=config)
 
 
+def _draws(draw, count, threads):
+    """draw(index) for index = 0 .. count - 1 through thread_map; an empty
+    request (count < 1) raises ValueError."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return thread_map(draw, range(count), threads)
+
+
 def sample_spectra(n, config, seed, count, threads=1):
-    return thread_map(lambda i: sample_spectrum(n, config, seed, index=i),
-                      range(count), threads)
+    return _draws(lambda i: sample_spectrum(n, config, seed, index=i), count, threads)
 
 
 def predicted_density_fn(config: TargetConfig, z_lo, z_hi):
@@ -200,9 +207,8 @@ def sample_bridge_paths(n: int, config: TargetConfig, steps: int, seed: int,
 
 
 def sample_bundles(n, config, steps, seed, count, t_max=None, threads=1):
-    return thread_map(
-        lambda i: sample_bridge_paths(n, config, steps, seed, index=i, t_max=t_max),
-        range(count), threads)
+    return _draws(lambda i: sample_bridge_paths(n, config, steps, seed, index=i, t_max=t_max),
+                  count, threads)
 
 
 def endpoint_fractions(bundle: PathBundle, config: TargetConfig, n: int):

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import QuadratureError, QuadratureSpec, _gl
+from ._quad import QuadratureError, QuadratureSpec, panel_rule
 from .kernels import (_coincident, _pearcey_kernel_from_tables, _pq_checked, airy_kernel,
                       airy_kernel_matrix, pearcey_kernel_grid, pearcey_kernel_matrix)
 
@@ -71,7 +71,8 @@ class IntervalUnion:
 
 @dataclass(frozen=True)
 class NystromGrid:
-    """Per-interval Gauss-Legendre nodes and weights, order m >= 8 per interval."""
+    """Per-interval Gauss-Legendre nodes and weights, order m >= 8 per interval:
+    one panel of _quad.panel_rule on each interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -80,10 +81,9 @@ class NystromGrid:
     def build(cls, E: IntervalUnion, m: int):
         if m < 8:
             raise ValueError("m must be >= 8")
-        gx, gw = _gl(m)
-        hm = [(0.5 * (b - a), 0.5 * (b + a)) for a, b in E.intervals()]
-        return cls(nodes=np.concatenate([mid + h * gx for h, mid in hm] or [np.empty(0)]),
-                   weights=np.concatenate([h * gw for h, _ in hm] or [np.empty(0)]))
+        rules = [panel_rule(a, b, 1, m) for a, b in E.intervals()] or [(np.empty(0),) * 2]
+        return cls(nodes=np.concatenate([x for x, _ in rules]),
+                   weights=np.concatenate([w for _, w in rules]))
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,6 @@ class ResolventData:
 
 def pearcey_kernel_handle(t: float, spec: QuadratureSpec | None = None):
     """Equal-time Pearcey kernel handle (p/q-form Nystrom fill)."""
-    spec = spec or QuadratureSpec()
 
     def handle(xs, ys):
         return pearcey_kernel_matrix(t, xs, ys, spec)
@@ -187,6 +186,15 @@ def _block_logdet(block, sets, orders):
             for k, K in enumerate(Ks)]
 
 
+def _log_gate(l1, l2, m):
+    """Raise QuadratureError where the order-m log determinants l1 and their
+    order-2m values l2 (scalars or stacks) disagree by more than 1e-6."""
+    gap = float(np.abs(np.subtract(l1, l2)).max())
+    if gap > 1e-6:
+        raise QuadratureError(
+            f"Nystrom refinement log disagreement {gap:.2e} between m={m} and 2m", achieved=gap)
+
+
 def _refined_gap(block, sets, m):
     """Block determinant at order m, with |value(m) - value(2m)| as the error
     estimate (Bornemann's m-versus-2m check for analytic kernels); a
@@ -200,10 +208,7 @@ def _refined_gap(block, sets, m):
     if err > 1e-6:
         raise QuadratureError(
             f"Nystrom refinement disagreement {err:.2e} between m={m} and 2m", achieved=err)
-    if abs(l1 - l2) > 1e-6:
-        raise QuadratureError(
-            f"Nystrom refinement log disagreement {abs(l1 - l2):.2e} between m={m} and 2m",
-            achieved=abs(l1 - l2))
+    _log_gate(l1, l2, m)
     return GapResult(value=v1, log_value=l1, error_estimate=err)
 
 
@@ -239,7 +244,6 @@ def multitime_gap(times, sets, m: int = 40,
     the extended kernel's Gaussian term becomes a delta as t_j -> t_i, and the
     merged determinant is the analytic limit.
     """
-    spec = spec or QuadratureSpec()
     times = [float(t) for t in times]
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
@@ -269,9 +273,10 @@ def _resolvents(t, sets, m, spec):
     as one stack, with det(I - K W) > 1e-12 and (I - K W)(I + R W) = I
     checked, and p_hat = (I + R W) p, q_hat = (I + R^T W) q.  The order-2m
     blocks are filled and factored as a second stack, without a solve, and a
-    log det disagreeing with its order-m value by more than 1e-6 raises, the
-    log gate of _refined_gap.  The p/q rule follows the stack's largest |x|,
-    so a set's values depend on its stack-mates within pq_tables' tolerance."""
+    log det disagreeing with its order-m value by more than 1e-6 raises
+    (_log_gate, as in _refined_gap).  The p/q rule follows the stack's
+    largest |x|, so a set's values depend on its stack-mates within
+    pq_tables' tolerance."""
     grids = [NystromGrid.build(E, m) for E in sets]
     fine = [NystromGrid.build(E, 2 * m) for E in sets]
     w = np.array([g.weights for g in grids])
@@ -288,11 +293,8 @@ def _resolvents(t, sets, m, spec):
     Ke = _pearcey_kernel_from_tables(t, xe, P, xe, Q)
     K = Ke[:, :n, :n]
     log_det = _nystrom_logdet(K, w)
-    gap = np.abs(log_det - _nystrom_logdet(_pearcey_kernel_from_tables(t, x2, P2, x2, Q2),
-                                           np.array([f.weights for f in fine]))).max()
-    if gap > 1e-6:
-        raise QuadratureError(
-            f"Nystrom refinement log disagreement {gap:.2e} between m={m} and 2m", achieved=gap)
+    _log_gate(log_det, _nystrom_logdet(_pearcey_kernel_from_tables(t, x2, P2, x2, Q2),
+                                       np.array([f.weights for f in fine])), m)
     if (np.exp(log_det) <= 1e-12).any():
         raise ArithmeticError("det(I - K_E) too small for resolvent quantities")
     A = np.eye(n) - K * w[:, None, :]

@@ -11,11 +11,13 @@ short vertical chord (right branch passing right of the line, left branch
 left of it).  The kernel value is independent of the indentation width
 (the integrand is analytic there), which we verify in tests.
 
-The Pearcey kernel truncates the X at |V| = L and the line at |U| = L, the
-length p and q use.  Its integrand is entire and the chords keep the two
-contours apart, so every leg carries uniform panels: Gauss-Legendre panels
-converge geometrically wherever the integrand is analytic in a strip around
-them, and grading toward the centre or the chord ends would resolve nothing.
+The Pearcey kernel truncates the X (the q = 1 case of build_contours) at
+|V| = L and the line at |U| = L, with L the p/q truncation length (_pq_L)
+floored at spec.truncation_radius, 6 by default, where p and q floor it at
+4.5.  Its integrand is entire and the chords keep the two contours apart,
+so every leg carries uniform panels: Gauss-Legendre panels converge
+geometrically wherever the integrand is analytic in a strip around them,
+and grading toward the centre or the chord ends would resolve nothing.
 
 With these orientations the equal-time Pearcey kernel satisfies
 
@@ -23,6 +25,8 @@ With these orientations the equal-time Pearcey kernel satisfies
 
 with p the X-contour integral and q the vertical-line integral; the kernel
 has a positive diagonal and obeys dK/dt = (-p'(x)q(y) + p(x)q'(y))/2.
+It is an integrable kernel sum_k F_k(x) G_k(y) / (y - x), as the Airy
+kernel is, and both fill their matrices through one _integrable_matrix.
 
 Finite-n kernels use the substitution U = c0*u*sqrt(n)/t0 onto contours
 through the quartic saddle u0 near the cusp, and saddle-adapted contours
@@ -93,19 +97,23 @@ def _corner(q):
     return q / (math.sqrt(q * q - q + 1.0) * abs(q - 1.0))
 
 
-def build_contours(q: float, spec: QuadratureSpec, center: complex = 0.0,
-                   pinch_gap: float = 0.0):
+def build_contours(q: float, L: float, center: complex = 0.0, pinch_gap: float = 0.0):
     """Steepest-descent contours for the quartic saddle at `center`.
 
-    Returns (u_contour, v_contour): the vertical line through the centre and
-    the X-shaped loop pair with corner parameter s = q/(r|q-1|) and horizontal
-    continuations (outward right for q > 1, outward left for q < 1).  A
-    positive pinch_gap indents each V branch away from the line by a vertical
-    chord at distance pinch_gap.
+    Returns (u_contour, v_contour): the vertical line through the centre from
+    center - iL to center + iL, and the X-shaped loop pair with corner
+    parameter s = q/(r|q-1|): diagonals to the corners center +- D(1 +- i),
+    D = min(s, L), and where s < L horizontal continuations of length L
+    (outward right for q > 1, outward left for q < 1).  q = 1 is the pure X
+    of the Pearcey kernel, with corners at |V - center| = L sqrt 2.  A
+    positive pinch_gap indents each V branch away from the line by a
+    vertical chord at distance min(pinch_gap, D/2).  A non-finite or
+    non-positive L raises ValueError.
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    L = spec.truncation_radius
+    if not 0.0 < L < math.inf:
+        raise ValueError("contour length L must be finite and positive")
     diag = min(_corner(q), L)          # diagonal half-extent measured in Re
     d = min(pinch_gap, diag / 2.0)
     u = ContourPath(nodes=(center - 1j * L, center + 1j * L), label="imaginary-axis",
@@ -449,29 +457,18 @@ def pearcey_pq(t: float, x: float, spec: QuadratureSpec | None = None) -> Pearce
 # Pearcey kernel, both representations
 
 
-def _pearcey_legs(L, d, width):
-    """Legs (for _legs_rule) of the Pearcey double contour as (u_legs, v_legs):
-    the U line from -iL to iL, and the X with corners at |V| = L whose
-    branches are indented by vertical chords at Re V = +-d.  Every leg
-    carries uniform panels no wider than `width`."""
-    c = L / math.sqrt(2.0)
-    arm = [c * (1 + 1j), d * (1 + 1j), d * (1 - 1j), c * (1 - 1j)]
-    v = [_uniform_leg(a, b, width)
-         for br in (arm, [-z for z in arm]) for a, b in zip(br[:-1], br[1:])]
-    return [_uniform_leg(-1j * L, 1j * L, width)], v
-
-
 def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None = None):
     """Extended Pearcey kernel K_{s,t}(x, y) on a grid, double-contour form.
 
-    The contours are _pearcey_legs at the truncation length L of p and q
-    (_pq_L), floored at spec.truncation_radius: the U line from -iL to iL and
-    the X with corners at |V| = L, indented by d = min(1, L/6).  The
-    integrand is entire and no V node comes closer than d to the line, so
-    uniform Gauss-Legendre panels converge geometrically on every leg and
-    nothing is graded.  Panels are at most 4L/spec.panels wide, narrowed by
-    max|x|/5 or max(|s|, |t|)/3 where either exceeds 1: the exponentials
-    then oscillate and cancel faster.
+    The contours run to the truncation length L of p and q (_pq_L), floored
+    at spec.truncation_radius: the U line from -iL to iL, and the q = 1 X of
+    build_contours at length L/sqrt 2, whose corners then sit at |V| = L,
+    indented by chords at d = min(1, L/6).  The integrand is entire and no
+    V node comes closer than d to the line, so uniform Gauss-Legendre
+    panels converge geometrically on every leg and nothing is graded.
+    Panels are at most 4L/spec.panels wide, narrowed by max|x|/5 or
+    max(|s|, |t|)/3 where either exceeds 1: the exponentials then oscillate
+    and cancel faster.
 
     The x- and y-dependent exponentials, weights folded in, go through one
     Cauchy contraction, so a full grid costs little more than a point.
@@ -487,9 +484,10 @@ def pearcey_kernel_grid(s: float, t: float, xs, ys, spec: QuadratureSpec | None 
     ym = float(np.abs(ys).max()) if ys.size else 0.0
     L = max(_pq_L(t, ym, spec.truncation_radius), _pq_L(s, xm, spec.truncation_radius))
     width = 4.0 * L / (spec.panels * max(1.0, max(xm, ym) / 5.0, max(abs(s), abs(t)) / 3.0))
-    u_legs, v_legs = _pearcey_legs(L, min(1.0, L / 6.0), width)
-    U, WU = _legs_rule(u_legs, spec.nodes_per_panel)
-    V, WV = _legs_rule(v_legs, spec.nodes_per_panel)
+    _, x_path = build_contours(1.0, L / math.sqrt(2.0), pinch_gap=min(1.0, L / 6.0))
+    U, WU = _legs_rule([_uniform_leg(-1j * L, 1j * L, width)], spec.nodes_per_panel)
+    V, WV = _legs_rule([_uniform_leg(a, b, width) for a, b in x_path.segments()],
+                       spec.nodes_per_panel)
     A = (WV * np.exp(V**4 / 4.0 - s * V**2 / 2.0))[:, None] * np.exp(np.outer(V, xs))
     B = (WU * np.exp(-U**4 / 4.0 + t * U**2 / 2.0))[:, None] * np.exp(-np.outer(U, ys))
     contraction, mass = _cauchy_contract(A, V, U, B)
@@ -529,31 +527,38 @@ def pearcey_kernel_pq_form(t: float, x: float, y: float,
 
 
 def _coincident(xs, ys):
-    """Index of the entries of xs x ys with x == y, where the p/q kernel takes
-    its diagonal limit; leading axes of xs and ys stack grids."""
+    """Index of the entries of xs x ys with x == y, where an integrable kernel
+    takes its diagonal limit; leading axes of xs and ys stack grids."""
     return np.nonzero(np.abs(ys[..., None, :] - xs[..., :, None])
                       < 1e-13 * (1.0 + np.abs(xs)[..., :, None]))
 
 
-def _pearcey_kernel_from_tables(t, xs, P, ys, Q, same=None):
-    """Equal-time kernel matrix from the p-table P at xs and the q-table Q at
-    ys; the entries same = _coincident(xs, ys), found here unless given, use
-    the diagonal limit p q''' - p' q'' + p'' q' - t p q'.  Leading axes of xs and
-    ys, which P[k] and Q[k] then carry too, stack grids into a stack of
-    matrices, filled in place.  The numerator p q'' - p' q' + p'' q - t p q
-    is the rank-3 product [p, -p', p''] [q'' - t q, q', q]^T: one matrix
-    product where four outer products and their sums took a pass each."""
+def _integrable_matrix(F, xs, G, dG, ys, same=None):
+    """Matrix of the integrable kernel sum_k F_k(x) G_k(y) / (y - x) over
+    xs x ys, from the tables F_k at xs and G_k, G_k' at ys (sequences of
+    arrays).  The numerator is one rank-len(F) matrix product, and the
+    entries same = _coincident(xs, ys), found here unless given, take the
+    limit sum_k F_k(x) G_k'(x), which holds because the numerator vanishes
+    on the diagonal.  Leading axes of xs and ys, which every table then
+    carries too, stack grids into a stack of matrices, filled in place."""
     if same is None:
         same = _coincident(xs, ys)
-    out = (np.stack([P[0], -P[1], P[2]], axis=-1)
-           @ np.stack([Q[2] - t * Q[0], Q[1], Q[0]], axis=-2))
+    out = np.stack(F, axis=-1) @ np.stack(G, axis=-2)
     den = np.subtract(ys[..., None, :], xs[..., :, None])
     den[same] = 1.0
     out /= den
     ii, jj = same[:-1], same[:-2] + same[-1:]
-    out[same] = (P[0][ii] * Q[3][jj] - P[1][ii] * Q[2][jj]
-                 + P[2][ii] * Q[1][jj] - t * P[0][ii] * Q[1][jj])
+    out[same] = sum(f[ii] * g[jj] for f, g in zip(F, dG))
     return out
+
+
+def _pearcey_kernel_from_tables(t, xs, P, ys, Q, same=None):
+    """Equal-time kernel matrix from the p-table P at xs and the q-table Q at
+    ys, stacked as xs and ys are: the integrable kernel with F = (p, -p', p'')
+    and G = (q'' - t q, q', q), whose diagonal limit is
+    p q''' - p' q'' + p'' q' - t p q'."""
+    return _integrable_matrix((P[0], -P[1], P[2]), xs, (Q[2] - t * Q[0], Q[1], Q[0]),
+                              (Q[3] - t * Q[1], Q[2], Q[1]), ys, same)
 
 
 def pearcey_kernel_matrix(t, xs, ys, spec=None):
@@ -562,7 +567,6 @@ def pearcey_kernel_matrix(t, xs, ys, spec=None):
 
     Entries with x == y use the analytic diagonal limit.
     """
-    spec = spec or QuadratureSpec()
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     P, Q = pq_tables(t, xs, spec)
@@ -582,22 +586,16 @@ def airy_kernel(x: float, y: float) -> float:
 
 
 def airy_kernel_matrix(xs, ys):
-    """Airy kernel matrix over xs x ys; Ai and Ai' come from
-    scipy.special.airy, once when ys equals xs, and entries with x == y use
-    the limit Ai'(x)^2 - x Ai(x)^2."""
+    """Airy kernel matrix over xs x ys: the integrable kernel with
+    F = (Ai', -Ai) and G = (Ai, Ai'), whose diagonal limit is
+    Ai'(x)^2 - x Ai(x)^2 since Ai'' = x Ai.  Ai and Ai' come from
+    scipy.special.airy, once when ys equals xs."""
     from scipy.special import airy     # imported here: only this kernel needs scipy
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ax, apx, _, _ = airy(xs)
     ay, apy = (ax, apx) if np.array_equal(xs, ys) else airy(ys)[:2]
-    den = xs[:, None] - ys[None, :]
-    num = np.outer(ax, apy) - np.outer(apx, ay)
-    same = np.abs(den) < 1e-13 * (1.0 + np.abs(xs)[:, None])
-    out = np.where(same, 0.0, num / np.where(same, 1.0, den))
-    if same.any():
-        ii, jj = np.nonzero(same)
-        out[ii, jj] = apx[ii] * apx[ii] - xs[ii] * ax[ii] * ax[ii]
-    return out
+    return _integrable_matrix((apx, -ax), xs, (ay, apy), (apy, ys * ay), ys)
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +644,24 @@ class FiniteKernelParams:
         return find_cusp(self.a, self.b, self.p_eff)
 
 
+def _two_target(params, t):
+    """The spectral curve's problem behind params at time t: targets (b, a)
+    with fractions (1 - p_eff, p_eff)."""
+    return TargetConfig(targets=(params.b, params.a),
+                        fractions=(1.0 - params.p_eff, params.p_eff), time=t)
+
+
+def _spectral_z(params, t, coord):
+    """Spectral-curve coordinate z = coord/(sqrt(n) c(t)), c(t) = sqrt(t(1-t)/2),
+    of a Brownian coordinate (or an array of them) at time t."""
+    return coord / (math.sqrt(params.n) * math.sqrt(t * (1.0 - t) / 2.0))
+
+
 @lru_cache(maxsize=64)
 def _descent_checked(q, L):
     """Steepest-descent check of the contours for q at radius L, once per pair."""
     from .scaling import contour_descent_check
-    u, v = build_contours(q, QuadratureSpec(truncation_radius=L), center=0.0)
+    u, v = build_contours(q, L)
     report = contour_descent_check(q, v, samples=64, u_contour=u)
     if not report.passed:
         raise ArithmeticError(f"steepest-descent check failed for q={q}: {report.worst}")
@@ -670,12 +681,10 @@ def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
     q, u0, mu = crit.q, crit.u0, crit.mu
     L = spec.truncation_radius
     if dz_max > 0:
-        L = min(L, 1.0 / dz_max)
-    work = QuadratureSpec(max(L, 4.0), spec.panels, spec.nodes_per_panel)
-    L = work.truncation_radius
+        L = max(min(L, 1.0 / dz_max), 4.0)
     d = min(0.5, 0.8 / (mu * n ** 0.25), min(_corner(q), L) / 3.0)
     fine, coarse = 24.0 * d / spec.panels, 12.0 / spec.panels
-    _, v_path = build_contours(q, work, center=u0, pinch_gap=d)
+    _, v_path = build_contours(q, L, center=u0, pinch_gap=d)
     v_legs = [leg for a, b in v_path.segments()
               for leg in _radial_legs(a, b, u0, 10.0 * d, fine, coarse)]
     return (_legs_rule(_banded_uline(u0, L, 10.0 * d, fine, coarse), spec.nodes_per_panel),
@@ -767,17 +776,14 @@ def _finite_cusp_grid(params, xs, ys, spec):
     _descent_checked(round(crit.q, 12), spec.truncation_radius)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    sqn = math.sqrt(params.n)
-    dz_max = 0.0
-    for t, coords in ((params.t_k, xs), (params.t_l, ys)):
-        c = math.sqrt(t * (1.0 - t) / 2.0)
-        dz_max = max(dz_max, float(np.abs(coords / (sqn * c) - crit.z0).max()))
+    dz_max = max(float(np.abs(_spectral_z(params, t, coords) - crit.z0).max())
+                 for t, coords in ((params.t_k, xs), (params.t_l, ys)))
     rule_u, rule_v = _cusp_rules(crit, params.n, spec, dz_max)
     # geometric enclosure check: poles must lie strictly inside the V wedges
     reach = min(_corner(crit.q), spec.truncation_radius) + spec.truncation_radius
     if not (0 < crit.alpha - crit.u0 < reach and 0 < crit.u0 - crit.beta < reach):
         raise ArithmeticError("v-loop does not enclose the rescaled targets")
-    side = (crit.c0 * sqn / crit.t0, crit.alpha, crit.beta)
+    side = (crit.c0 * math.sqrt(params.n) / crit.t0, crit.alpha, crit.beta)
     vals, ls, mass = _finite_contraction(params, rule_u, side, rule_v, side, xs, ys)
     _check_mantissas(vals, mass, ls, "cusp-tier")
     return vals, ls
@@ -824,9 +830,7 @@ def _banded_uline(sig, L, band, fine, coarse, cross=None):
 def _adaptive_side(params, t, coord):
     """(kappa, alpha, beta) of one side's action and its Stieltjes branch g."""
     c = math.sqrt(t * (1.0 - t) / 2.0)
-    cfg = TargetConfig(targets=(params.b, params.a),
-                       fractions=(1.0 - params.p_eff, params.p_eff), time=t)
-    g = solve_stieltjes(cfg, coord / (math.sqrt(params.n) * c)).g
+    g = solve_stieltjes(_two_target(params, t), _spectral_z(params, t, coord)).g
     return (c * math.sqrt(params.n) / t, params.a * t / c, params.b * t / c), g
 
 
@@ -962,9 +966,7 @@ def _in_cusp_window(params, x, y):
     # contour tail decays no faster than exp(-n(log(sqrt(2)/dz) - 1))
     w_tail = math.sqrt(2.0) * math.exp(-1.0 - 12.0 / n)
     for t, coord in ((params.t_k, x), (params.t_l, y)):
-        c = math.sqrt(t * (1 - t) / 2.0)
-        z = coord / (math.sqrt(n) * c)
-        dz = abs(z - z0)
+        dz = abs(_spectral_z(params, t, coord) - z0)
         if dz > 0.6 or n * dz * dz > 4.5 or dz > w_tail:
             return False
     return True
@@ -1024,17 +1026,13 @@ def finite_n_diagonal(n: int, a: float, b: float, p: float, t: float, lams,
     are reported as 0 (the equilibrium density certifies they are negligible),
     while a digit loss inside the support is re-raised.
     """
-    spec = spec or QuadratureSpec()
     params = FiniteKernelParams(n=n, a=a, b=b, p=p, t_k=t, t_l=t)
-    cfg = TargetConfig(targets=(b, a), fractions=(1.0 - params.p_eff, params.p_eff),
-                       time=t)
-    c = math.sqrt(t * (1 - t) / 2.0)
     out = np.empty(len(lams))
     for i, lam in enumerate(np.asarray(lams, dtype=float)):
         try:
             out[i] = finite_n_kernel(params, lam, lam, spec)
         except QuadratureError:
-            dens = solve_stieltjes(cfg, lam / (math.sqrt(n) * c)).density
+            dens = solve_stieltjes(_two_target(params, t), _spectral_z(params, t, lam)).density
             if dens > 1e-8:
                 raise
             out[i] = 0.0

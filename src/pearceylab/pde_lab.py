@@ -171,7 +171,6 @@ def wronskian_coefficient(t: float, x: float,
                           spec: QuadratureSpec | None = None) -> float:
     """The non-vanishing coefficient 2pq(pq)'' - 3(p'q')'(p'q'' - p''q')
     at (t, x), expanded through the product rule on tabulated derivatives."""
-    spec = spec or QuadratureSpec()
     f = pearcey_pq(t, x, spec)
     p, dp, d2p = f.p, f.dp, f.d2p
     qv, dq, d2q = f.q, f.dq, f.d2q

@@ -184,6 +184,8 @@ def solve_scaling(derivs: ActionDerivatives, l: int, tau: float) -> ScalingCoeff
     """
     if l not in _QUARTIC_NORM:
         raise ValueError("solve_scaling supports l = 1 (Airy) and l = 2 (Pearcey)")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     top = derivs.S_yyyy if l == 2 else derivs.S_yyy
     if top == 0:
         raise DegenerateActionError("vanishing top derivative")
@@ -326,7 +328,7 @@ def contour_descent_check(q: float, contour, samples: int = 200,
     if samples < 8:
         raise ValueError("samples must be >= 8: fewer points per segment can miss a rise")
     if u_contour is None:
-        u_contour, _ = build_contours(q, QuadratureSpec(), center=contour.center)
+        u_contour, _ = build_contours(q, QuadratureSpec().truncation_radius, contour.center)
     center = contour.center
     details = []
     worst = 0.0
@@ -374,7 +376,6 @@ def convergence_study(a: float, b: float, p: float, n_list, taus=(0.0,),
     critical data of its effective fraction n1/n, which converges to p.  The Pearcey target
     is fraction-independent (universality), so rows remain comparable.
     """
-    spec = spec or QuadratureSpec()
     n_list = [int(n) for n in n_list]
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])) or min(n_list) < 16:
         raise ValueError("n_list must be ascending with every n >= 16")

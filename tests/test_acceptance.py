@@ -114,7 +114,7 @@ def test_criterion_03_kernel_cross_representation():
 def test_criterion_04_descent_and_remainder(rng):
     ok = True
     for q in (0.5, 1.0, 2.0, 5.0):
-        u, v = build_contours(q, SPEC)
+        u, v = build_contours(q, SPEC.truncation_radius)
         rep = contour_descent_check(q, v, samples=200, u_contour=u)
         ok = ok and rep.passed
     count = 0

@@ -81,6 +81,19 @@ class TestDispatch:
         ["gap", "--t", "0", "--E=-1,1", "--panels", "-8", "--nodes", "-8"],
         ["gap", "--t", "0", "--E=-1,1", "--L", "nan"],
         ["gap", "--t", "0", "--E=-1,1", "--panels", "8"],
+        # non-finite tau, empty sample counts and empty grids
+        ["scaling-solve", "--a", "1", "--b", "0", "--p", "0.5", "--tau", "nan"],
+        ["scaling-solve", "--a", "1", "--b", "0", "--p", "0.5", "--tau", "inf"],
+        ["sample-spectrum", "--n", "20", "--targets=-1,1", "--fractions", "0.5,0.5",
+         "--t", "0.3", "--count", "-1"],
+        ["sample-spectrum", "--n", "20", "--targets=-1,1", "--fractions", "0.5,0.5",
+         "--t", "0.3", "--count", "0"],
+        ["compare-density", "--n", "20", "--targets=-1,1", "--fractions", "0.5,0.5",
+         "--t", "0.3", "--count", "0"],
+        ["kernel", "--s", "0", "--t", "0", "--xgrid=-3,3,0", "--ygrid=-3,3,3"],
+        ["kernel", "--s", "0", "--t", "0", "--xgrid=-3,3,3", "--ygrid=-3,3,-2"],
+        ["density", "--targets=-1,1", "--fractions", "0.5,0.5", "--t", "0.2",
+         "--zmin", "-1", "--zmax", "1", "--num", "0"],
     ])
     def test_bad_step_order_or_threads_exit_2(self, args, capsys):
         assert dispatch(args) == 2

@@ -53,6 +53,14 @@ class TestSampling:
         b = sample_spectrum(20, SYM02, 5, index=3).eigenvalues
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_request_rejected(self, count):
+        # count < 1 returned an empty list
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_spectra(20, SYM02, 0, count)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_bundles(6, SYM02, 10, 0, count)
+
     def test_group_sizes(self):
         assert group_sizes(9, (1 / 3, 2 / 3)) == (3, 6)
         assert sum(group_sizes(64, (1 / 9, 8 / 9))) == 64

@@ -382,12 +382,12 @@ class TestPearceyKernel:
         xs = np.linspace(-2.0, 2.0, 9)
         K = pearcey_kernel_grid(-1.0, 0.5, xs, xs, spec)
         gaps = []
-        legs = kernels._pearcey_legs
+        contours = kernels.build_contours
 
-        def half_gap(L, d, width):
-            gaps.append(d / 2.0)
-            return legs(L, d / 2.0, width)
-        monkeypatch.setattr(kernels, "_pearcey_legs", half_gap)
+        def half_gap(q, L, center=0.0, pinch_gap=0.0):
+            gaps.append(pinch_gap / 2.0)
+            return contours(q, L, center, pinch_gap / 2.0)
+        monkeypatch.setattr(kernels, "build_contours", half_gap)
         K_half = pearcey_kernel_grid(-1.0, 0.5, xs, xs, spec)
         assert gaps == [0.5]
         assert np.abs(K - K_half).max() < 1e-12
@@ -483,14 +483,54 @@ class TestAiry:
         assert airy_kernel(5.0, 5.0) < 1e-6
 
 
+class TestIntegrableMatrix:
+    @staticmethod
+    def _sine(xs, ys):
+        # the sine kernel sin(pi (x - y)) / (pi (x - y)) as an integrable
+        # kernel: F = (cos pi x, -sin pi x)/pi, G = (sin pi y, cos pi y),
+        # G' = pi (cos pi y, -sin pi y); its diagonal is 1
+        F = (np.cos(np.pi * xs) / np.pi, -np.sin(np.pi * xs) / np.pi)
+        G = (np.sin(np.pi * ys), np.cos(np.pi * ys))
+        dG = (np.pi * np.cos(np.pi * ys), -np.pi * np.sin(np.pi * ys))
+        return kernels._integrable_matrix(F, xs, G, dG, ys)
+
+    def test_sine_kernel(self):
+        xs = np.linspace(-2.0, 2.0, 11)
+        ys = np.concatenate([xs[::2], [0.1, 1.3]])
+        K = self._sine(xs, ys)
+        assert np.abs(K - np.sinc(xs[:, None] - ys[None, :])).max() < 1e-14
+        assert np.abs(np.diag(self._sine(xs, xs)) - 1.0).max() < 1e-14
+
+    def test_sine_kernel_stacked(self):
+        # leading axes stack grids: each matrix is its grid's own matrix
+        xs = np.array([np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.5, 5)])
+        ys = np.array([[-1.0, 0.0, 0.3], [0.5, 1.0, 2.2]])
+        K = self._sine(xs, ys)
+        assert K.shape == (2, 5, 3)
+        for x, y, k in zip(xs, ys, K):
+            assert np.abs(k - np.sinc(x[:, None] - y[None, :])).max() < 1e-14
+            assert np.array_equal(k, self._sine(x, y))
+
+    def test_one_fill_per_matrix(self, spec, monkeypatch):
+        calls = []
+        fill = kernels._integrable_matrix
+        monkeypatch.setattr(kernels, "_integrable_matrix", lambda *args: (
+            calls.append(len(args[0])) or fill(*args)))
+        xs = np.linspace(-2.0, 2.0, 7)
+        airy_kernel_matrix(xs, xs + 0.5)
+        assert calls == [2]
+        pearcey_kernel_matrix(0.3, xs, xs, spec)
+        assert calls == [2, 3]
+
+
 class TestContours:
     def test_q1_pure_diagonals(self, spec):
-        _, v = build_contours(1.0, spec)
+        _, v = build_contours(1.0, spec.truncation_radius)
         for branch in v.branches():
             assert len(branch) == 3  # no horizontal continuations
 
     def test_q2_corner_parameter(self, spec):
-        _, v = build_contours(2.0, spec)
+        _, v = build_contours(2.0, spec.truncation_radius)
         right = list(v.branches())[0]
         s = 2.0 / (math.sqrt(3) * 1.0)
         # first diagonal corner sits at center + s(1+i) up to truncation
@@ -505,13 +545,18 @@ class TestContours:
             return q / (r * abs(q - 1))
         assert s_of(0.5) == pytest.approx(s_of(2.0), abs=1e-14)
         assert s_of(2.0) == pytest.approx(2.0 / math.sqrt(3), abs=1e-14)
-        _, v_lo = build_contours(0.5, spec)
-        _, v_hi = build_contours(2.0, spec)
+        _, v_lo = build_contours(0.5, spec.truncation_radius)
+        _, v_hi = build_contours(2.0, spec.truncation_radius)
         # horizontals on opposite sides
         lo_nodes = np.array(v_lo.nodes)
         hi_nodes = np.array(v_hi.nodes)
         assert lo_nodes.real.min() < -spec.truncation_radius
         assert hi_nodes.real.max() > spec.truncation_radius
+
+    @pytest.mark.parametrize("L", [0.0, -6.0, math.nan, math.inf])
+    def test_length_must_be_finite_and_positive(self, L):
+        with pytest.raises(ValueError, match="contour length"):
+            build_contours(2.0, L)
 
     def test_contour_path_invariants(self):
         with pytest.raises(ValueError):
@@ -522,14 +567,20 @@ class TestContours:
         # from -iL to iL; the right X branch enters from e^{i pi/4} infinity
         # and leaves to e^{-i pi/4} infinity, the left one enters from
         # e^{-3i pi/4} and leaves to e^{3i pi/4}, each with corners at
-        # |V| = L and a chord at Re V = +-d between its two rays
-        seen = []
-        legs = kernels._pearcey_legs
-        monkeypatch.setattr(kernels, "_pearcey_legs",
-                            lambda L, d, width: seen.append((L, d)) or legs(L, d, width))
+        # |V| = L and a chord at Re V = +-d between its two rays; the X is
+        # the q = 1 case of build_contours
+        seen, legs = [], []
+        contours, rule = kernels.build_contours, kernels._legs_rule
+        monkeypatch.setattr(kernels, "build_contours", lambda q, L, center=0.0, pinch_gap=0.0: (
+            seen.append((q, pinch_gap)) or contours(q, L, center, pinch_gap)))
+        monkeypatch.setattr(kernels, "_legs_rule", lambda lg, nodes_per_panel: (
+            legs.append(lg) or rule(lg, nodes_per_panel)))
         pearcey_kernel_grid(0.0, 0.0, [0.0], [0.0], spec)
-        (L, d), = seen
-        u, v = legs(L, d, 1.0)
+        (q, d), = seen
+        u, v = legs
+        assert len(v) == 6
+        L = kernels._pq_L(0.0, 0.0, spec.truncation_radius)
+        assert q == 1.0
         assert [(a, b) for a, b, *_ in u] == [(-1j * L, 1j * L)]
         points = [[(a, b) for a, b, *_ in v[k:k + 3]] for k in (0, 3)]
         for branch, sign in zip(points, (1.0, -1.0)):

@@ -120,6 +120,13 @@ class TestSolveScaling:
         with pytest.raises(DegenerateActionError):
             solve_scaling(derivs, 2, tau=1.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # a NaN or infinite tau gave NaN coefficients and residuals
+        derivs = two_target_action_derivatives(1.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            solve_scaling(derivs, 2, tau=tau)
+
     def test_degenerate_sxy(self):
         derivs = ActionDerivatives(x_c=0, y_c=0, t_c=0, S_y=0, S_yy=0, S_yyy=0,
                                    S_yyyy=-6.0, S_xy=0.0, S_ty=1.0, S_xyy=0.0,
@@ -248,7 +255,7 @@ class TestRemainderBound:
 class TestDescentCheck:
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 5.0])
     def test_valid_contours_pass(self, q, spec):
-        u, v = build_contours(q, spec)
+        u, v = build_contours(q, spec.truncation_radius)
         rep = contour_descent_check(q, v, samples=200, u_contour=u)
         assert rep.passed, rep.details
 
@@ -273,7 +280,7 @@ class TestDescentCheck:
     def test_fewer_than_two_samples_rejected(self, samples, spec):
         # below 8 points per segment a rising contour can pass (the two bad
         # contours below do at 2 to 6 and 2 to 3), so those counts are refused
-        u, v = build_contours(2.0, spec)
+        u, v = build_contours(2.0, spec.truncation_radius)
         with pytest.raises(ValueError, match="samples must be >= 8"):
             contour_descent_check(2.0, v, samples=samples, u_contour=u)
 
