@@ -9,8 +9,7 @@ use (PEP 562), and a layer loads only the layers it imports itself:
 
 - `spectral_curve`: no other layer;
 - `ensemble_mc`: `_quad` and `spectral_curve`;
-- `kernels`: `_quad` and `spectral_curve` (`scaling` on the first finite-n
-  kernel value, for its descent check);
+- `kernels`: `_quad` and `spectral_curve`;
 - `fredholm`: `_quad`, `spectral_curve` and `kernels`;
 - `scaling`: `_quad`, `spectral_curve` and `kernels`;
 - `pde_lab`: `_quad`, `spectral_curve`, `kernels` and `fredholm`;

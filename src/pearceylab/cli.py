@@ -13,7 +13,6 @@ for numerical failures (ArithmeticError, QuadratureError, LinAlgError).
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 import time
@@ -28,21 +27,11 @@ from ._quad import QuadratureError, QuadratureSpec
 __all__ = ["RunManifest", "dispatch", "main"]
 
 
-class _Layer:
-    """A layer module imported on its first attribute access, so that a
-    subcommand compiles only the layers its handler calls into.  Each access
-    reads the module's attribute anew, as a module alias would, so a
-    function replaced on the module is the one called."""
-
-    def __init__(self, name):
-        self._name = f"{__package__}.{name}"
-
-    def __getattr__(self, attr):
-        return getattr(importlib.import_module(self._name), attr)
-
-
-mc, fh, pl, sc, sp, kn = map(_Layer, ("ensemble_mc", "fredholm", "pde_lab", "scaling",
-                                      "spectral_curve", "kernels"))
+# handlers reach a layer as `_pkg.<layer>`: the package imports it on first
+# use, so a subcommand compiles only the layers it calls into, and each call
+# reads the module's current attribute, so a function replaced on the module
+# is the one called
+_pkg = sys.modules[__package__]
 
 
 @dataclass(frozen=True)
@@ -75,7 +64,7 @@ def _parse_interval_union(text):
     eps = []
     for part in text.split(";"):
         eps.extend(float(v) for v in part.split(","))
-    return fh.IntervalUnion(tuple(eps))
+    return _pkg.fredholm.IntervalUnion(tuple(eps))
 
 
 def _thread_count(text):
@@ -98,9 +87,9 @@ def _parse_grid(text):
 
 
 def _config_from(args):
-    return sp.TargetConfig(targets=_parse_floats(args.targets),
-                           fractions=_parse_floats(args.fractions),
-                           time=getattr(args, "t", 0.5))
+    return _pkg.spectral_curve.TargetConfig(targets=_parse_floats(args.targets),
+                                            fractions=_parse_floats(args.fractions),
+                                            time=getattr(args, "t", 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +97,7 @@ def _config_from(args):
 
 
 def _cmd_cusp(args):
-    c = sp.find_cusp(args.a, args.b, args.p)
+    c = _pkg.spectral_curve.find_cusp(args.a, args.b, args.p)
     fields = ["q", "r", "p", "t0", "x0", "z0", "u0", "g0", "c0", "mu", "bigA",
               "alpha", "beta"]
     return _kv_block((f, getattr(c, f)) for f in fields)
@@ -117,11 +106,12 @@ def _cmd_cusp(args):
 def _cmd_density(args):
     cfg = _config_from(args)
     zg = _grid(args.zmin, args.zmax, args.num)
-    return sp.density_csv_lines(sp.sweep_density(cfg, zg))
+    samples = _pkg.spectral_curve.sweep_density(cfg, zg)
+    return _pkg.spectral_curve.density_csv_lines(samples)
 
 
 def _cmd_support(args):
-    s = sp.support_endpoints(args.alpha, args.beta, args.p)
+    s = _pkg.spectral_curve.support_endpoints(args.alpha, args.beta, args.p)
     lines = _kv_block([("endpoints", ",".join(f"{v:.17g}" for v in s.endpoints))])
     for i, (a, b) in enumerate(s.intervals):
         lines.append(f"interval{i}={a:.17g},{b:.17g}")
@@ -129,12 +119,13 @@ def _cmd_support(args):
 
 
 def _cmd_track(args):
-    cfg = sp.TargetConfig(targets=_parse_floats(args.targets),
-                          fractions=_parse_floats(args.fractions), time=0.5)
-    events = sp.track_merges(cfg, args.tmin, args.tmax)
+    cfg = _pkg.spectral_curve.TargetConfig(targets=_parse_floats(args.targets),
+                                           fractions=_parse_floats(args.fractions), time=0.5)
+    events = _pkg.spectral_curve.track_merges(cfg, args.tmin, args.tmax)
     lines = ["T_c,z_c,t_c,left_index,right_index"]
     for e in events:
-        lines.append(f"{e.T_c:.17g},{e.z_c:.17g},{sp.time_from_rescaled(e.T_c):.17g},"
+        t_c = _pkg.spectral_curve.time_from_rescaled(e.T_c)
+        lines.append(f"{e.T_c:.17g},{e.z_c:.17g},{t_c:.17g},"
                      f"{e.left_index},{e.right_index}")
     return lines
 
@@ -143,17 +134,18 @@ def _cmd_kernel(args):
     spec = QuadratureSpec()
     xs, ys = _parse_grid(args.xgrid), _parse_grid(args.ygrid)
     if args.form == "double":
-        vals = kn.pearcey_kernel_grid(args.s, args.t, xs, ys, spec)
+        vals = _pkg.kernels.pearcey_kernel_grid(args.s, args.t, xs, ys, spec)
     elif args.s != args.t:
         raise ValueError("kernel --form pq requires --s equal to --t")
     else:
-        vals = kn.pearcey_kernel_matrix(args.t, xs, ys, spec)
-    return kn.kernel_grid_csv_lines(args.s, args.t, xs, ys, vals, spec)
+        vals = _pkg.kernels.pearcey_kernel_matrix(args.t, xs, ys, spec)
+    return _pkg.kernels.kernel_grid_csv_lines(args.s, args.t, xs, ys, vals, spec)
 
 
 def _cmd_gap(args):
     E = _parse_interval_union(args.E)
-    res = fh.gap_probability(fh.pearcey_kernel_handle(args.t), E, args.m)
+    handle = _pkg.fredholm.pearcey_kernel_handle(args.t)
+    res = _pkg.fredholm.gap_probability(handle, E, args.m)
     return _kv_block([("value", res.value), ("log_value", res.log_value),
                       ("error_estimate", res.error_estimate)])
 
@@ -161,14 +153,14 @@ def _cmd_gap(args):
 def _cmd_multigap(args):
     times = _parse_floats(args.times)
     sets = [_parse_interval_union(s) for s in args.sets.split("|")]
-    res = fh.multitime_gap(times, sets, args.m)
+    res = _pkg.fredholm.multitime_gap(times, sets, args.m)
     return _kv_block([("value", res.value), ("log_value", res.log_value),
                       ("error_estimate", res.error_estimate)])
 
 
 def _cmd_resolvent(args):
     E = _parse_interval_union(args.E)
-    rd = fh.resolvent_quantities(args.t, E, args.m)
+    rd = _pkg.fredholm.resolvent_quantities(args.t, E, args.m)
     lines = _kv_block([("u", rd.u), ("condition", rd.condition)])
     for k, a in enumerate(E.endpoints):
         lines.append(f"p_hat_a{k+1}={rd.p_hat_end[k]:.17g}")
@@ -180,18 +172,18 @@ def _cmd_pde_residual(args):
     y1, y2 = _parse_floats(args.E)
     center, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
     h = args.h
-    surf = pl.q_surface((args.t0 - 2 * h, args.t0 + 2 * h), center, half, h, h,
-                        m=args.m)
-    return pl.residual_csv_lines(pl.pearcey_pde_residual(surf))
+    surf = _pkg.pde_lab.q_surface((args.t0 - 2 * h, args.t0 + 2 * h), center, half, h, h,
+                                  m=args.m)
+    return _pkg.pde_lab.residual_csv_lines(_pkg.pde_lab.pearcey_pde_residual(surf))
 
 
 def _cmd_lemma_checks(args):
     E = _parse_interval_union(args.E)
-    lhs, rhs, du = fh.endpoint_identity_check(args.t, E, args.m)
+    lhs, rhs, du = _pkg.fredholm.endpoint_identity_check(args.t, E, args.m)
     lines = _kv_block([("d2E_log_gap", lhs), ("sum_phat_qhat", rhs), ("dE_u", du),
                        ("rel_err_magnitude", abs(abs(lhs) - abs(rhs)) / abs(rhs))])
-    rows, tgt1, tgt2 = pl.small_interval_checks(args.t, args.x,
-                                                (1e-2, 5e-3, 2.5e-3), args.m)
+    rows, tgt1, tgt2 = _pkg.pde_lab.small_interval_checks(args.t, args.x,
+                                                          (1e-2, 5e-3, 2.5e-3), args.m)
     lines.append("h,dEu_over_h,du_dt_over_h")
     for h, c1, c2 in rows:
         lines.append(f"{h:.17g},{c1:.17g},{c2:.17g}")
@@ -200,15 +192,15 @@ def _cmd_lemma_checks(args):
 
 
 def _cmd_wronskian(args):
-    val = pl.wronskian_coefficient(args.t, args.x)
+    val = _pkg.pde_lab.wronskian_coefficient(args.t, args.x)
     return _kv_block([("value", val)])
 
 
 def _cmd_scaling_solve(args):
-    derivs = sc.two_target_action_derivatives(args.a, args.b, args.p)
-    co = sc.solve_scaling(derivs, 2, args.tau)
-    res = sc.scaling_conditions_residuals(co, derivs, args.tau)
-    crit = sp.find_cusp(args.a, args.b, args.p)
+    derivs = _pkg.scaling.two_target_action_derivatives(args.a, args.b, args.p)
+    co = _pkg.scaling.solve_scaling(derivs, args.tau)
+    res = _pkg.scaling.scaling_conditions_residuals(co, derivs, args.tau)
+    crit = _pkg.spectral_curve.find_cusp(args.a, args.b, args.p)
     return _kv_block([
         ("alpha_y", co.alpha_y), ("beta_x", co.beta_x), ("alpha_t", co.alpha_t),
         ("alpha_x", co.alpha_x), ("expect_alpha_y", 1.0 / crit.mu),
@@ -219,14 +211,14 @@ def _cmd_scaling_solve(args):
 
 
 def _cmd_exponents(args):
-    e = sc.critical_exponents(args.l)
+    e = _pkg.scaling.critical_exponents(args.l)
     return _kv_block([("l", e.l), ("gamma_y", e.gamma_y), ("gamma_x", e.gamma_x),
                       ("gamma_t", e.gamma_t)])
 
 
 def _cmd_descent_check(args):
-    u, v = kn.build_contours(args.q, QuadratureSpec().truncation_radius)
-    rep = sc.contour_descent_check(args.q, v, args.samples, u_contour=u)
+    u, v = _pkg.kernels.build_contours(args.q, QuadratureSpec().truncation_radius)
+    rep = _pkg.scaling.contour_descent_check(args.q, v, args.samples, u_contour=u)
     lines = _kv_block([("passed", rep.passed), ("worst", rep.worst),
                        ("checked_points", rep.checked_points)])
     if not rep.passed:
@@ -236,31 +228,32 @@ def _cmd_descent_check(args):
 
 def _cmd_converge(args):
     n_list = [int(v) for v in args.n.split(",")]
-    study = sc.convergence_study(args.a, args.b, args.p, n_list,
-                                 _parse_floats(args.taus or "0"))
-    return sc.convergence_csv_lines(study)
+    study = _pkg.scaling.convergence_study(args.a, args.b, args.p, n_list,
+                                           _parse_floats(args.taus or "0"))
+    return _pkg.scaling.convergence_csv_lines(study)
 
 
 def _cmd_sample_spectrum(args):
     cfg = _config_from(args)
-    samples = mc.sample_spectra(args.n, cfg, args.seed, args.count,
-                               threads=args.threads)
-    return mc.spectra_csv_lines(samples)
+    samples = _pkg.ensemble_mc.sample_spectra(args.n, cfg, args.seed, args.count,
+                                              threads=args.threads)
+    return _pkg.ensemble_mc.spectra_csv_lines(samples)
 
 
 def _cmd_sample_paths(args):
     cfg = _config_from(args)
-    bundle = mc.sample_bridge_paths(args.n, cfg, args.steps, args.seed)
-    return mc.paths_csv_lines(bundle)
+    bundle = _pkg.ensemble_mc.sample_bridge_paths(args.n, cfg, args.steps, args.seed)
+    return _pkg.ensemble_mc.paths_csv_lines(bundle)
 
 
 def _cmd_compare_density(args):
     cfg = _config_from(args)
-    samples = mc.sample_spectra(args.n, cfg, args.seed, args.count,
-                               threads=args.threads)
+    samples = _pkg.ensemble_mc.sample_spectra(args.n, cfg, args.seed, args.count,
+                                              threads=args.threads)
     pooled = np.concatenate([s.eigenvalues for s in samples])
-    grid = mc.predicted_density_fn(cfg, pooled.min() - 0.5, pooled.max() + 0.5)
-    ks = mc.density_compare(samples, grid)
+    grid = _pkg.ensemble_mc.predicted_density_fn(cfg, pooled.min() - 0.5,
+                                                 pooled.max() + 0.5)
+    ks = _pkg.ensemble_mc.density_compare(samples, grid)
     return _kv_block([("ks", ks), ("n", args.n), ("count", args.count)])
 
 

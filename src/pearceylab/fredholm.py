@@ -244,10 +244,12 @@ def multitime_gap(times, sets, m: int = 40,
     the extended kernel's Gaussian term becomes a delta as t_j -> t_i, and the
     merged determinant is the analytic limit.
     """
-    times = [float(t) for t in times]
+    times, sets = [float(t) for t in times], list(sets)
+    if len(times) != len(sets):
+        raise ValueError(f"need one set per time, got {len(times)} times, {len(sets)} sets")
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
-    times, sets = _merge_coincident(times, list(sets))
+    times, sets = _merge_coincident(times, sets)
     if len(times) > 4:
         raise ValueError("multi-time determinants are limited to 4 distinct times")
     if all(E.empty for E in sets):

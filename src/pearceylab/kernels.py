@@ -28,6 +28,16 @@ has a positive diagonal and obeys dK/dt = (-p'(x)q(y) + p(x)q'(y))/2.
 It is an integrable kernel sum_k F_k(x) G_k(y) / (y - x), as the Airy
 kernel is, and both fill their matrices through one _integrable_matrix.
 
+The check that the contours descend sits beside them.  With the q-only
+identities u0 - alpha = -1/r, u0 - beta = q/r, z0 - u0 = (q-1)/r, the
+action around the quartic saddle depends on q alone (centered_action):
+
+    F(u0 + w) - F(u0) = w^2/2 - w(q-1)/r + p log(1 - r w) + (1-p) log(1 + r w / q),
+
+and _descent_rises samples it along build_contours' line and X.  The
+finite-n cusp tier runs that scan once per (q, L), and
+scaling.contour_descent_check reports it.
+
 Finite-n kernels use the substitution U = c0*u*sqrt(n)/t0 onto contours
 through the quartic saddle u0 near the cusp, and saddle-adapted contours
 (vertical line through Re g(z) plus rectangular pole loops) elsewhere.
@@ -51,7 +61,7 @@ from .spectral_curve import (CriticalData, find_cusp, group_sizes, solve_stieltj
 
 __all__ = [
     "ContourPath", "PearceyPQ", "FiniteKernelParams",
-    "build_contours", "pearcey_pq",
+    "build_contours", "centered_action", "pearcey_pq",
     "pearcey_kernel", "pearcey_kernel_grid", "pearcey_kernel_pq_form",
     "airy_kernel",
     "finite_n_kernel", "finite_n_kernel_scaled", "finite_n_kernel_grid",
@@ -108,10 +118,10 @@ def build_contours(q: float, L: float, center: complex = 0.0, pinch_gap: float =
     of the Pearcey kernel, with corners at |V - center| = L sqrt 2.  A
     positive pinch_gap indents each V branch away from the line by a
     vertical chord at distance min(pinch_gap, D/2).  A non-finite or
-    non-positive L raises ValueError.
+    non-positive q or L raises ValueError.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     if not 0.0 < L < math.inf:
         raise ValueError("contour length L must be finite and positive")
     diag = min(_corner(q), L)          # diagonal half-extent measured in Re
@@ -130,6 +140,46 @@ def build_contours(q: float, L: float, center: complex = 0.0, pinch_gap: float =
     label = "v-loop-q=1" if q == 1.0 else ("v-loop-q>1" if q > 1 else "v-loop-q<1")
     v = ContourPath(nodes=nodes, label=label, center=center, branch_breaks=(len(right),))
     return u, v
+
+
+def centered_action(w, q):
+    """F(u0 + w) - F(u0) as a function of q alone (complex w allowed)."""
+    r = math.sqrt(q * q - q + 1.0)
+    p = 1.0 / (1.0 + q**3)
+    w = np.asarray(w, dtype=complex)
+    return (w * w / 2.0 - w * (q - 1.0) / r
+            + p * np.log(1.0 - r * w) + (1.0 - p) * np.log(1.0 + r * w / q))
+
+
+def _descent_rises(q, u, v, samples):
+    """Steepest-descent scan of the contours (u, v) for q: Re F must fall away
+    from the saddle along the u-line, and -Re F with arclength distance from
+    the centre along every v-segment (horizontal continuations included), each
+    sampled at `samples` points.  Returns (rises, checked_points), a rise
+    being (label, segment, distance, amount) wherever a sampled value exceeds
+    its predecessor by more than 1e-11 (1 + |value|)."""
+    center = v.center
+    L = max(abs(u.nodes[0] - center), abs(u.nodes[-1] - center))
+    runs = []   # (label, segment, distances from the centre, values that must fall)
+    for sgn in (1.0, -1.0):
+        y = np.linspace(0.0, sgn * L, samples)
+        runs.append(("u-line", 0, np.abs(y), centered_action(1j * y, q).real))
+    s = np.linspace(0.0, 1.0, samples)
+    for branch in v.branches():
+        pts = np.array(branch)
+        arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(pts)))])
+        i0 = int(np.argmin(np.abs(pts - center)))
+        for seg_idx, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
+            dist = np.abs(arc[seg_idx] + s * abs(b - a) - arc[i0])
+            vals = -centered_action(a + (b - a) * s - center, q).real
+            order = np.argsort(dist)
+            runs.append((v.label, seg_idx, dist[order], vals[order]))
+    rises = []
+    for label, seg_idx, dist, vals in runs:
+        rise = np.diff(vals)
+        for k in np.flatnonzero(rise > 1e-11 * (1.0 + np.abs(vals[:-1]))):
+            rises.append((label, seg_idx, float(dist[k + 1]), float(rise[k])))
+    return rises, samples * len(runs)
 
 
 def _legs_rule(legs, nodes_per_panel):
@@ -660,11 +710,10 @@ def _spectral_z(params, t, coord):
 @lru_cache(maxsize=64)
 def _descent_checked(q, L):
     """Steepest-descent check of the contours for q at radius L, once per pair."""
-    from .scaling import contour_descent_check
-    u, v = build_contours(q, L)
-    report = contour_descent_check(q, v, samples=64, u_contour=u)
-    if not report.passed:
-        raise ArithmeticError(f"steepest-descent check failed for q={q}: {report.worst}")
+    rises, _ = _descent_rises(q, *build_contours(q, L), 64)
+    if rises:
+        raise ArithmeticError(f"steepest-descent check failed for q={q}: "
+                              f"{max(r[3] for r in rises)}")
 
 
 def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
@@ -1021,22 +1070,13 @@ def finite_n_diagonal(n: int, a: float, b: float, p: float, t: float, lams,
                       spec: QuadratureSpec | None = None):
     """Diagonal profile H_n(lam, lam; t, t) over an array of positions.
 
-    Far outside the equilibrium support the diagonal is exponentially small
-    and the adaptive quadrature can lose all significant digits; such points
-    are reported as 0 (the equilibrium density certifies they are negligible),
-    while a digit loss inside the support is re-raised.
+    Far outside the equilibrium support the diagonal is exponentially small;
+    a point reads 0 only where the adaptive tier's negligibility bound
+    certifies it, and any QuadratureError propagates.
     """
     params = FiniteKernelParams(n=n, a=a, b=b, p=p, t_k=t, t_l=t)
-    out = np.empty(len(lams))
-    for i, lam in enumerate(np.asarray(lams, dtype=float)):
-        try:
-            out[i] = finite_n_kernel(params, lam, lam, spec)
-        except QuadratureError:
-            dens = solve_stieltjes(_two_target(params, t), _spectral_z(params, t, lam)).density
-            if dens > 1e-8:
-                raise
-            out[i] = 0.0
-    return out
+    return np.array([finite_n_kernel(params, lam, lam, spec)
+                     for lam in np.asarray(lams, dtype=float)])
 
 
 def kernel_grid_csv_lines(s, t, xs, ys, values, spec):

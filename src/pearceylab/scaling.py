@@ -1,19 +1,16 @@
 """Generic steepest-descent scaling analysis and the cusp universality harness.
 
-Covers the quartic-saddle machinery around the cusp: the centered action F and
-its derivatives, critical rescaling exponents for an order-l branch point, the
-coefficient solver for the change of variables, descent checks on the kernel
-contours, the Taylor-remainder bound, and the finite-n to Pearcey convergence
-study.
+Covers the quartic-saddle machinery around the cusp: the action F and its
+derivatives, critical rescaling exponents for an order-l branch point, the
+coefficient solver for the change of variables at the quartic point, the
+descent report on the kernel contours, the Taylor-remainder bound, and the
+finite-n to Pearcey convergence study.
 
-Centered action
----------------
-With q-only identities u0 - alpha = -1/r, u0 - beta = q/r, z0 - u0 = (q-1)/r,
-the variation of the action around the quartic saddle depends on q alone:
-
-    F(u0 + w) - F(u0) = w^2/2 - w(q-1)/r + p log(1 - r w) + (1-p) log(1 + r w / q),
-
-which is what all descent checks sample.
+The centered action F(u0 + w) - F(u0), which depends on q alone, and the
+descent scan that samples it live in `kernels` beside the contours they
+check (`kernels.centered_action`, `kernels._descent_rises`), so the finite-n
+kernels check their contours without loading this module;
+`contour_descent_check` reports that scan.
 """
 
 from __future__ import annotations
@@ -25,14 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 from ._quad import QuadratureSpec
-from .kernels import (FiniteKernelParams, build_contours, finite_n_kernel_grid,
-                      pearcey_kernel_grid)
+from .kernels import (FiniteKernelParams, _descent_rises, build_contours, centered_action,
+                      finite_n_kernel_grid, pearcey_kernel_grid)
 from .spectral_curve import CriticalData, find_cusp, group_sizes
 
 __all__ = [
     "ActionDerivatives", "ScalingExponents", "ScalingCoefficients",
     "ConvergenceRow", "ConvergenceStudy", "DescentReport", "DegenerateActionError",
-    "action_F", "centered_action", "critical_exponents", "solve_scaling",
+    "action_F", "critical_exponents", "solve_scaling",
     "scaling_conditions_residuals", "two_target_action_derivatives",
     "rescale_map", "inverse_rescale_map", "conjugation_factor", "log_conjugation_factor",
     "convergence_study", "remainder_bound_check", "contour_descent_check",
@@ -147,15 +144,6 @@ def action_F(u, crit: CriticalData, order: int = 4):
     return [complex(v) for v in out]
 
 
-def centered_action(w, q):
-    """F(u0 + w) - F(u0) as a function of q alone (complex w allowed)."""
-    r = math.sqrt(q * q - q + 1.0)
-    p = 1.0 / (1.0 + q**3)
-    w = np.asarray(w, dtype=complex)
-    return (w * w / 2.0 - w * (q - 1.0) / r
-            + p * np.log(1.0 - r * w) + (1.0 - p) * np.log(1.0 + r * w / q))
-
-
 # ---------------------------------------------------------------------------
 # exponents and the coefficient solver
 
@@ -170,31 +158,23 @@ def critical_exponents(l: int) -> ScalingExponents:
                             gamma_t=Fraction(l, l + 2))
 
 
-_QUARTIC_NORM = {1: 1.0 / 3.0, 2: -0.25}
+def solve_scaling(derivs: ActionDerivatives, tau: float) -> ScalingCoefficients:
+    """Coefficients of the critical change of variables at the quartic
+    (l = 2, Pearcey) point.
 
-
-def solve_scaling(derivs: ActionDerivatives, l: int, tau: float) -> ScalingCoefficients:
-    """Coefficients of the critical change of variables at an order-l point.
-
-    For l = 2 these are the four conditions: alpha_x S_xy + alpha_t tau S_ty = 0,
+    These solve the four conditions: alpha_x S_xy + alpha_t tau S_ty = 0,
     (alpha_y^4/24) S_yyyy = -1/4, (alpha_y^2/2)(alpha_t tau S_tyy +
     alpha_x S_xyy) = tau/2, and beta_x alpha_y S_xy = -1.  alpha_y takes the
-    positive real root (|.| of the target ratio when the sign of the top
-    derivative is non-standard, as in toy actions).  alpha_x is linear in tau.
+    positive real root |-6/S_yyyy|^(1/4) (|.| when the sign of S_yyyy is
+    non-standard, as in toy actions).  alpha_x is linear in tau.
     """
-    if l not in _QUARTIC_NORM:
-        raise ValueError("solve_scaling supports l = 1 (Airy) and l = 2 (Pearcey)")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    top = derivs.S_yyyy if l == 2 else derivs.S_yyy
-    if top == 0:
+    if derivs.S_yyyy == 0:
         raise DegenerateActionError("vanishing top derivative")
     if derivs.S_xy == 0:
         raise DegenerateActionError("vanishing S_xy")
-    fact = math.factorial(l + 2)
-    target = _QUARTIC_NORM[l]
-    ratio = fact * target / top
-    alpha_y = abs(ratio) ** (1.0 / (l + 2))
+    alpha_y = abs(-6.0 / derivs.S_yyyy) ** 0.25
     beta_x = -1.0 / (alpha_y * derivs.S_xy)
     D_t = derivs.S_tyy - derivs.S_ty * derivs.S_xyy / derivs.S_xy
     if abs(D_t) < 1e-14 * (abs(derivs.S_tyy) + abs(derivs.S_ty) + 1.0):
@@ -236,10 +216,8 @@ def two_target_action_derivatives(a: float, b: float, p: float) -> ActionDerivat
     ub = u0 - b * phi
     pa, pb = p, 1.0 - p
 
-    S_y = u0 - x0 / c + pa / ua + pb / ub
-    S_yy = 1.0 - pa / ua**2 - pb / ub**2
-    S_yyy = 2.0 * pa / ua**3 + 2.0 * pb / ub**3
-    S_yyyy = -6.0 * pa / ua**4 - 6.0 * pb / ub**4
+    # S(x0, . ; t0) is the cusp action F, so the y-derivatives are F's at u0
+    S_y, S_yy, S_yyy, S_yyyy = (d.real for d in action_F(u0, crit)[1:])
     S_xy = -1.0 / c
     S_ty = x0 * cp / c**2 + php * (pa * a / ua**2 + pb * b / ub**2)
     S_xyy = 0.0
@@ -309,16 +287,6 @@ def remainder_bound_check(q: float, delta: float, n: int):
 # descent check
 
 
-def _check_monotone(values, positions, label, seg_idx, details, tol=1e-11):
-    worst = 0.0
-    for k in range(len(values) - 1):
-        rise = values[k + 1] - values[k]
-        if rise > tol * (1.0 + abs(values[k])):
-            worst = max(worst, rise)
-            details.append((label, seg_idx, float(positions[k + 1]), float(rise)))
-    return worst
-
-
 def contour_descent_check(q: float, contour, samples: int = 200,
                           u_contour=None) -> DescentReport:
     """Verify Re F decreases away from the saddle along the u-line, and -Re F
@@ -329,33 +297,9 @@ def contour_descent_check(q: float, contour, samples: int = 200,
         raise ValueError("samples must be >= 8: fewer points per segment can miss a rise")
     if u_contour is None:
         u_contour, _ = build_contours(q, QuadratureSpec().truncation_radius, contour.center)
-    center = contour.center
-    details = []
-    worst = 0.0
-    npts = 0
-    # u-line: Re F(u0 + i y) must fall away from y = 0 in both directions
-    L = max(abs(u_contour.nodes[0] - center), abs(u_contour.nodes[-1] - center))
-    for sgn in (1.0, -1.0):
-        y = np.linspace(0.0, sgn * L, samples)
-        vals = centered_action(1j * y, q).real
-        worst = max(worst, _check_monotone(vals, np.abs(y), "u-line", 0, details))
-        npts += samples
-    # v-branches: -Re F must fall with arclength distance from the center
-    for branch in contour.branches():
-        pts = np.array(branch)
-        arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(pts)))])
-        i0 = int(np.argmin(np.abs(pts - center)))
-        for seg_idx, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
-            s = np.linspace(0.0, 1.0, samples)
-            zs = a + (b - a) * s
-            dist = np.abs(arc[seg_idx] + s * abs(b - a) - arc[i0])
-            vals = -centered_action(zs - center, q).real
-            order = np.argsort(dist)
-            worst = max(worst, _check_monotone(vals[order], dist[order],
-                                               contour.label, seg_idx, details))
-            npts += samples
-    return DescentReport(passed=not details, worst=worst,
-                         checked_points=npts, details=tuple(details[:16]))
+    rises, npts = _descent_rises(q, u_contour, contour, samples)
+    return DescentReport(passed=not rises, worst=max((r[3] for r in rises), default=0.0),
+                         checked_points=npts, details=tuple(rises[:16]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +323,14 @@ def convergence_study(a: float, b: float, p: float, n_list, taus=(0.0,),
     n_list = [int(n) for n in n_list]
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])) or min(n_list) < 16:
         raise ValueError("n_list must be ascending with every n >= 16")
+    # the Pearcey target does not depend on n: one grid per time
+    targets = [(tau, pearcey_kernel_grid(tau, tau, _PROBE, _PROBE, spec)) for tau in taus]
     rows = []
     for n in n_list:
         p_eff = group_sizes(n, (1.0 - p, p))[1] / n
         crit = find_cusp(a, b, p_eff)
         err = 0.0
-        for tau in taus:
+        for tau, KP in targets:
             t, _ = rescale_map(crit, n, tau, 0.0)
             xs = np.array([rescale_map(crit, n, tau, xi)[1] for xi in _PROBE])
             params = FiniteKernelParams(n=n, a=a, b=b, p=p_eff, t_k=t, t_l=t)
@@ -392,7 +338,6 @@ def convergence_study(a: float, b: float, p: float, n_list, taus=(0.0,),
             logD = np.array([log_conjugation_factor(crit, n, tau, xi) for xi in _PROBE])
             resc = (crit.c0 * crit.mu * n**-0.25
                     * vals * np.exp(ls + logD[:, None] - logD[None, :]))
-            KP = pearcey_kernel_grid(tau, tau, _PROBE, _PROBE, spec)
             err = max(err, float(np.abs(resc - KP).max()))
         rows.append(ConvergenceRow(n=n, max_abs_error=err))
     tail = rows[-3:] if len(rows) >= 3 else rows

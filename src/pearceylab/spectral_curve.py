@@ -61,6 +61,8 @@ class TargetConfig:
         object.__setattr__(self, "fractions", tuple(float(e) for e in self.fractions))
         if len(self.targets) != len(self.fractions) or not self.targets:
             raise ValueError("targets and fractions must be non-empty, same length")
+        if not all(map(math.isfinite, self.targets + self.fractions)):
+            raise ValueError("targets and fractions must be finite")
         if any(b2 <= b1 for b1, b2 in zip(self.targets, self.targets[1:])):
             raise ValueError("targets must be strictly increasing")
         if any(e <= 0 for e in self.fractions):
@@ -272,7 +274,7 @@ def discriminant_quartic(alpha: float, beta: float, p: float):
     out = np.asarray(out, dtype=float)
     lead = (alpha - beta) ** 2
     if abs(out[-1] - lead) > 1e-8 * max(1.0, lead):
-        raise AssertionError("discriminant leading coefficient mismatch")
+        raise ArithmeticError("discriminant leading coefficient mismatch")
     return out
 
 
@@ -283,6 +285,8 @@ def support_endpoints(alpha: float, beta: float, p: float) -> SupportSet:
     from the sign of Delta_1 between consecutive real roots rather than from
     any root-index labelling.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if not alpha > beta:
         raise ValueError("requires alpha > beta")
     if not 0.0 < p < 1.0:
@@ -292,7 +296,7 @@ def support_endpoints(alpha: float, beta: float, p: float) -> SupportSet:
     scale = 1.0 + np.abs(roots).max(initial=0.0)
     reals = np.sort(roots[np.abs(roots.imag) < 1e-7 * scale].real)
     if len(reals) < 2:
-        raise AssertionError("fewer than 2 real discriminant roots: invalid regime")
+        raise ArithmeticError("fewer than 2 real discriminant roots: invalid regime")
     poly = np.polynomial.polynomial
     intervals = []
     for lo, hi in zip(reals[:-1], reals[1:]):
@@ -317,6 +321,8 @@ def find_cusp(a: float, b: float, p: float) -> CriticalData:
     1/t0 = 1 + 2 (r(a-b)/(q+1))^2, and the cusp sits at x0*sqrt(n) with
     x0 = ((2a-b)q + (2b-a)) t0 / (q+1).
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got {a}, {b}")
     if not a > b:
         raise ValueError("requires a > b (single-target problems unsupported)")
     if not 0.0 < p < 1.0:
@@ -356,12 +362,12 @@ def branch_points(config: TargetConfig, T: float):
 
     Returns (roots, is_real) with roots sorted by real part.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     A, B = _branch_point_polys(config.targets, config.fractions)
     roots = _roots_ascending(np.polynomial.polynomial.polysub(T * A, B))
     if len(roots) != 2 * config.k:
-        raise AssertionError("branch-point polynomial degree mismatch")
+        raise ArithmeticError("branch-point polynomial degree mismatch")
     order = np.argsort(roots.real)
     roots = roots[order]
     scale = 1.0 + np.abs(roots).max()

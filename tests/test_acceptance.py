@@ -157,7 +157,7 @@ def test_criterion_06_scaling_solver(rng):
     for _ in range(20):
         a, b, p = random_abp(rng)
         crit = find_cusp(a, b, p)
-        co = solve_scaling(two_target_action_derivatives(a, b, p), 2, tau=1.0)
+        co = solve_scaling(two_target_action_derivatives(a, b, p), tau=1.0)
         worst = max(worst,
                     abs(co.alpha_y - 1 / crit.mu),
                     abs(co.beta_x - crit.c0 * crit.mu),

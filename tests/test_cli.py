@@ -7,6 +7,7 @@ import pytest
 
 from pearceylab import cli
 from pearceylab.cli import build_parser, dispatch
+from pearceylab.kernels import pearcey_kernel_matrix
 from pearceylab.scaling import convergence_study
 
 
@@ -94,6 +95,16 @@ class TestDispatch:
         ["kernel", "--s", "0", "--t", "0", "--xgrid=-3,3,3", "--ygrid=-3,3,-2"],
         ["density", "--targets=-1,1", "--fractions", "0.5,0.5", "--t", "0.2",
          "--zmin", "-1", "--zmax", "1", "--num", "0"],
+        # non-finite inputs printed NaN or passed, and one set per time
+        ["descent-check", "--q", "nan"],
+        ["descent-check", "--q", "inf"],
+        ["cusp", "--a", "inf", "--b", "0", "--p", "0.5"],
+        ["scaling-solve", "--a", "inf", "--b", "0", "--p", "0.5"],
+        ["density", "--targets=-1,inf", "--fractions", "0.5,0.5", "--t", "0.2",
+         "--zmin", "-1", "--zmax", "1"],
+        ["support", "--alpha", "inf", "--beta=0", "--p", "0.5"],
+        ["multigap", "--times=0", "--sets=-1,1|-2,2"],
+        ["multigap", "--times=-1,0,1", "--sets=-1,1"],
     ])
     def test_bad_step_order_or_threads_exit_2(self, args, capsys):
         assert dispatch(args) == 2
@@ -128,7 +139,9 @@ class TestDispatch:
                 # double-contour kernel past its envelope: QuadratureError
                 ["kernel", "--s", "0", "--t", "0", "--xgrid=18,20,3", "--ygrid=18,20,3"],
                 # det(I - K_E) below 1e-12: ArithmeticError
-                ["resolvent", "--t", "0", "--E=-12,12", "--m", "16"]):
+                ["resolvent", "--t", "0", "--E=-12,12", "--m", "16"],
+                # (alpha - beta)^2 underflows: ArithmeticError, not a traceback
+                ["support", "--alpha", "1e-300", "--beta=0", "--p", "0.5"]):
             assert dispatch(args) == 1, args
             assert capsys.readouterr().out == ""
 
@@ -208,6 +221,22 @@ class TestDispatch:
         _, t2 = run(tmp_path, args, "s2.txt")
         assert t1 == t2
         assert "seed=4" in t1.splitlines()[0]
+
+    def test_kernel_pq_form(self, tmp_path, spec):
+        # rows are pearcey_kernel_matrix's values to 17 digits, and the
+        # double-contour form's within 1e-8
+        grid = ["--s", "0.5", "--t", "0.5", "--xgrid=-2,2,5", "--ygrid=-1,1,3"]
+        code, pq = run(tmp_path, ["kernel", "--form", "pq", *grid], "pq.txt")
+        assert code == 0
+        code, double = run(tmp_path, ["kernel", *grid], "double.txt")
+        assert code == 0
+        xs, ys = np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 3)
+        K = pearcey_kernel_matrix(0.5, xs, ys, spec)
+        rows = [[float(v) for v in line.split(",")] for line in pq.splitlines()[3:]]
+        assert [row[:2] for row in rows] == [[x, y] for x in xs for y in ys]
+        assert [row[2] for row in rows] == list(K.ravel())
+        other = [float(line.split(",")[2]) for line in double.splitlines()[3:]]
+        assert np.abs(np.array(other) - K.ravel()).max() < 1e-8
 
     def test_kernel_grid(self, tmp_path):
         code, text = run(tmp_path, ["kernel", "--s", "0", "--t", "0",

@@ -193,6 +193,24 @@ class TestMultitimeGap:
         with pytest.raises(ValueError):
             multitime_gap([1.0, -1.0], [IntervalUnion((-1.0, 1.0))] * 2, 16, spec)
 
+    @pytest.mark.parametrize("times,count", [([0.0], 2), ([-1.0, 0.0, 1.0], 1)])
+    def test_one_set_per_time(self, spec, times, count):
+        # the unmatched times or sets were dropped, giving a one-set gap
+        with pytest.raises(ValueError, match="one set per time"):
+            multitime_gap(times, [IntervalUnion((-1.0, 1.0))] * count, 16, spec)
+
+    def test_more_than_four_distinct_times_rejected(self, spec, pq_calls):
+        E = IntervalUnion((-1.0, 1.0))
+        with pytest.raises(ValueError, match="limited to 4 distinct times"):
+            multitime_gap([-1.0, -0.5, 0.0, 0.5, 1.0], [E] * 5, 16, spec)
+        assert not pq_calls
+
+    def test_all_empty_sets(self, spec, pq_calls):
+        empty = IntervalUnion(())
+        res = multitime_gap([-1.0, 0.0, 1.0], [empty] * 3, 16, spec)
+        assert (res.value, res.log_value, res.error_estimate) == (1.0, 0.0, 0.0)
+        assert not pq_calls
+
 
 class TestResolvent:
     def test_small_interval_phat_is_p(self, spec):

@@ -558,6 +558,13 @@ class TestContours:
         with pytest.raises(ValueError, match="contour length"):
             build_contours(2.0, L)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+    def test_q_must_be_finite_and_positive(self, q):
+        # a NaN or infinite q built a NaN contour, which the descent check
+        # passed because every comparison on NaN is False
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            build_contours(q, 6.0)
+
     def test_contour_path_invariants(self):
         with pytest.raises(ValueError):
             ContourPath(nodes=(0.0, 0.0), label="imaginary-axis")
@@ -645,6 +652,16 @@ class TestFiniteN:
             finite_n_kernel(params, 0.0, 0.0)
         assert info.value.achieved == pytest.approx(1e-3)
 
+    def test_diagonal_failure_off_support_propagates(self, monkeypatch):
+        # a QuadratureError far off the support read 0 where the equilibrium
+        # density was below 1e-8; zeros come only from the adaptive tier's
+        # negligibility bound, and any failure propagates
+        def failing(*args, **kw):
+            raise QuadratureError("lost all significant digits", achieved=1.0)
+        monkeypatch.setattr(kernels, "finite_n_kernel", failing)
+        with pytest.raises(QuadratureError, match="lost all significant digits"):
+            finite_n_diagonal(8, 1.0, -1.0, 0.5, 1.0 / 3.0, [30.0])
+
     def test_tier_agreement_overlap(self):
         # the cusp tier against the adaptive tier's dense-rule values; with
         # legs graded by panel count it was 5.8e-10 off at z = +-0.3
@@ -692,13 +709,22 @@ class TestFiniteN:
         assert ks < 0.05
 
     def test_descent_check_gate(self):
-        # kernels delegate the descent check; a valid q passes silently
+        # the descent scan runs beside the contours; a valid q passes silently
         params = FiniteKernelParams(n=16, a=1.0, b=0.0, p=1.0 / 9.0,
                                     t_k=0.6, t_l=0.6)
         crit = params.critical()
         lam = crit.x0 * math.sqrt(16)
         val = finite_n_kernel(params, lam, lam, contours="cusp")
         assert np.isfinite(val) and val > 0
+
+    def test_descent_check_gate_fires(self, monkeypatch):
+        # a rise anywhere on the contours stops the cusp tier before any sum
+        params = FiniteKernelParams(n=16, a=1.0, b=0.0, p=1.0 / 9.0, t_k=0.6, t_l=0.6)
+        monkeypatch.setattr(kernels, "_descent_rises",
+                            lambda q, u, v, samples: ([("u-line", 0, 1.0, 2.5e-3)], 0))
+        kernels._descent_checked.cache_clear()
+        with pytest.raises(ArithmeticError, match="steepest-descent check failed.*0.0025"):
+            finite_n_kernel(params, 0.0, 0.0, contours="cusp")
 
     @pytest.mark.parametrize("n, a, b, p, t, lam", [
         (8, 1.0, -1.0, 0.5, 1.0 / 3.0, 1.94132),

@@ -122,8 +122,8 @@ class TestLayerIsolation:
 
     @pytest.mark.parametrize("workload,layers", [
         ("pearcey-fredholm", {"_quad", "spectral_curve", "kernels", "fredholm"}),
-        # the first finite-n value runs the descent check, which lives in scaling
-        ("finite-n-spectral", {"_quad", "spectral_curve", "kernels", "scaling"}),
+        # the first finite-n value runs the descent check, which lives in kernels
+        ("finite-n-spectral", {"_quad", "spectral_curve", "kernels"}),
         ("bridge-mc", {"_quad", "spectral_curve", "ensemble_mc"}),
     ])
     def test_benchmark_first_call(self, workload, layers):

@@ -8,9 +8,9 @@ from conftest import random_abp
 from pearceylab._quad import QuadratureSpec
 from pearceylab.fredholm import IntervalUnion, NystromGrid
 from pearceylab.kernels import (ContourPath, FiniteKernelParams, build_contours,
-                                finite_n_kernel)
+                                centered_action, finite_n_kernel)
 from pearceylab.scaling import (ActionDerivatives, DegenerateActionError,
-                                action_F, centered_action, contour_descent_check,
+                                action_F, contour_descent_check,
                                 convergence_csv_lines, convergence_study,
                                 conjugation_factor, critical_exponents,
                                 inverse_rescale_map, log_conjugation_factor,
@@ -92,7 +92,7 @@ class TestSolveScaling:
             a, b, p = random_abp(rng)
             crit = find_cusp(a, b, p)
             derivs = two_target_action_derivatives(a, b, p)
-            co = solve_scaling(derivs, 2, tau=1.0)
+            co = solve_scaling(derivs, tau=1.0)
             assert co.alpha_y == pytest.approx(1.0 / crit.mu, abs=1e-8)
             assert co.beta_x == pytest.approx(crit.c0 * crit.mu, abs=1e-8)
             assert co.alpha_t == pytest.approx(2 * crit.c0**2 * crit.mu**2, abs=1e-8)
@@ -106,33 +106,33 @@ class TestSolveScaling:
             crit = find_cusp(a, b, p)
             derivs = two_target_action_derivatives(a, b, p)
             for tau in (0.0, 1.0, -0.7):
-                co = solve_scaling(derivs, 2, tau=tau)
+                co = solve_scaling(derivs, tau=tau)
                 assert co.alpha_x == pytest.approx(crit.c0 * crit.bigA * tau, abs=1e-8)
 
     def test_quartic_toy(self):
         derivs = ActionDerivatives(x_c=0, y_c=0, t_c=0, S_y=0, S_yy=0, S_yyy=0,
                                    S_yyyy=6.0, S_xy=-1.0, S_ty=0.0, S_xyy=0.0,
                                    S_tyy=0.0)
-        co = solve_scaling(derivs, 2, tau=0.0)
+        co = solve_scaling(derivs, tau=0.0)
         assert abs(co.alpha_y) == pytest.approx(1.0, abs=1e-14)
         assert co.beta_x == pytest.approx(1.0, abs=1e-14)
         assert math.isnan(co.alpha_t) and co.alpha_x == 0.0
         with pytest.raises(DegenerateActionError):
-            solve_scaling(derivs, 2, tau=1.0)
+            solve_scaling(derivs, tau=1.0)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau):
         # a NaN or infinite tau gave NaN coefficients and residuals
         derivs = two_target_action_derivatives(1.0, 0.0, 0.5)
         with pytest.raises(ValueError, match="tau must be finite"):
-            solve_scaling(derivs, 2, tau=tau)
+            solve_scaling(derivs, tau=tau)
 
     def test_degenerate_sxy(self):
         derivs = ActionDerivatives(x_c=0, y_c=0, t_c=0, S_y=0, S_yy=0, S_yyy=0,
                                    S_yyyy=-6.0, S_xy=0.0, S_ty=1.0, S_xyy=0.0,
                                    S_tyy=1.0)
         with pytest.raises(DegenerateActionError):
-            solve_scaling(derivs, 2, tau=1.0)
+            solve_scaling(derivs, tau=1.0)
 
     def test_criticality_pattern(self, rng):
         a, b, p = random_abp(rng)

@@ -45,6 +45,15 @@ class TestTargetConfig:
         with pytest.raises(ValueError):
             TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=1.0)
 
+    @pytest.mark.parametrize("targets,fractions", [
+        ((-1.0, math.inf), (0.5, 0.5)), ((math.nan, 1.0), (0.5, 0.5)),
+        ((-1.0, 1.0), (math.nan, 0.5))])
+    def test_non_finite_rejected(self, targets, fractions):
+        # an infinite target reached the root finder ("Array must not contain
+        # infs or NaNs"), and NaN fractions passed the sum check
+        with pytest.raises(ValueError, match="must be finite"):
+            TargetConfig(targets=targets, fractions=fractions, time=0.5)
+
     def test_scaled_targets(self):
         bt = SYM.scaled_targets()
         assert bt[1] == pytest.approx(math.sqrt(2 * (1 / 3) / (2 / 3)))
@@ -154,6 +163,19 @@ class TestSupportEndpoints:
         assert sup.endpoints[1] == pytest.approx(0.0, abs=1e-7)
         assert sup.endpoints[-1] == pytest.approx(3 * math.sqrt(3) / 2, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 0.0), (1.0, -math.inf),
+                                            (math.nan, 0.0)])
+    def test_non_finite_rejected(self, alpha, beta):
+        # an infinite alpha ended in an AssertionError
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            support_endpoints(alpha, beta, 0.5)
+
+    def test_tiny_separation_is_a_numerical_failure(self):
+        # (alpha - beta)^2 underflows: the discriminant's leading-coefficient
+        # check raises ArithmeticError, not an AssertionError
+        with pytest.raises(ArithmeticError):
+            support_endpoints(1e-300, 0.0, 0.5)
+
     def test_q2_double_root_closed_form(self):
         # alpha = sqrt(3), beta = 0 at the q=2 cusp; z0 = beta + (2q-1)/r
         crit = find_cusp(1.0, 0.0, 1.0 / 9.0)
@@ -236,6 +258,12 @@ class TestFindCusp:
         with pytest.raises(ValueError):
             find_cusp(1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("a,b", [(math.inf, 0.0), (1.0, -math.inf), (math.nan, 0.0)])
+    def test_non_finite_rejected(self, a, b):
+        # an infinite a gave NaN critical data
+        with pytest.raises(ValueError, match="a and b must be finite"):
+            find_cusp(a, b, 0.5)
+
     def test_brute_force_double_root_over_t(self, rng):
         """(t0, z0) from closed forms against a double-root search over t.
 
@@ -314,6 +342,13 @@ class TestBranchPoints:
         cplx = roots[~flags]
         assert len(cplx) == 2
         assert cplx[0] == pytest.approx(np.conj(cplx[1]), abs=1e-10)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_T_must_be_positive_and_finite(self, T):
+        # a NaN T ended in an AssertionError
+        cfg = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.5)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            branch_points(cfg, T)
 
     def test_degree(self):
         cfg = TargetConfig(targets=(-2.0, 0.0, 2.0), fractions=(1 / 3, 1 / 3, 1 / 3),
