@@ -247,6 +247,8 @@ def multitime_gap(times, sets, m: int = 40,
     times, sets = [float(t) for t in times], list(sets)
     if len(times) != len(sets):
         raise ValueError(f"need one set per time, got {len(times)} times, {len(sets)} sets")
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"times must be finite, got {times}")
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
     times, sets = _merge_coincident(times, sets)

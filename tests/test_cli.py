@@ -105,6 +105,9 @@ class TestDispatch:
         ["support", "--alpha", "inf", "--beta=0", "--p", "0.5"],
         ["multigap", "--times=0", "--sets=-1,1|-2,2"],
         ["multigap", "--times=-1,0,1", "--sets=-1,1"],
+        ["kernel", "--s", "nan", "--t", "nan", "--xgrid=-1,1,3", "--ygrid=-1,1,3"],
+        ["kernel", "--s", "0", "--t", "0", "--xgrid=-1,nan,3", "--ygrid=-1,1,3"],
+        ["multigap", "--times=nan,1", "--sets=-1,1|-1,1"],
     ])
     def test_bad_step_order_or_threads_exit_2(self, args, capsys):
         assert dispatch(args) == 2

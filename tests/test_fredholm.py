@@ -199,6 +199,14 @@ class TestMultitimeGap:
         with pytest.raises(ValueError, match="one set per time"):
             multitime_gap(times, [IntervalUnion((-1.0, 1.0))] * count, 16, spec)
 
+    @pytest.mark.parametrize("times", [[math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]])
+    def test_non_finite_times_rejected(self, spec, pq_calls, times):
+        # a NaN time passed the ascending check and failed as a non-positive
+        # determinant
+        with pytest.raises(ValueError, match="finite"):
+            multitime_gap(times, [IntervalUnion((-1.0, 1.0))] * 2, 16, spec)
+        assert not pq_calls
+
     def test_more_than_four_distinct_times_rejected(self, spec, pq_calls):
         E = IntervalUnion((-1.0, 1.0))
         with pytest.raises(ValueError, match="limited to 4 distinct times"):

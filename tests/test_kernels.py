@@ -403,6 +403,18 @@ class TestPearceyKernel:
             pearcey_kernel_grid(0.0, 0.0, [0.0, 1.0], [0.0, 1.0], spec)
         assert info.value.achieved > 0
 
+    @pytest.mark.parametrize("s, t, xs, ys", [
+        (math.nan, math.nan, [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),
+        (math.nan, 0.0, [0.0], [0.0]),
+        (0.0, math.inf, [0.0], [0.0]),
+        (0.0, 0.0, [-1.0, math.nan, 1.0], [0.0]),
+        (0.0, 0.0, [0.0], [-math.inf, 1.0]),
+    ])
+    def test_non_finite_input_rejected(self, spec, s, t, xs, ys):
+        # a NaN s and t gave a grid of NaN values without an error
+        with pytest.raises(ValueError, match="finite"):
+            pearcey_kernel_grid(s, t, xs, ys, spec)
+
     def test_csv_dump_format(self, spec):
         xs = np.array([0.0, 1.0])
         vals = pearcey_kernel_grid(0.0, 0.0, xs, xs, spec)
@@ -807,22 +819,35 @@ def _dense_cauchy(A, kV, kU, B):
 
 
 def test_cauchy_contract_matches_dense_coupling():
-    # 200 V rows against 512 U nodes: three full blocks of 64 rows and a
-    # partial fourth of 8
+    # a grid, 200 V rows against 512 U nodes on the line Re = -0.5: three
+    # full blocks of 64 rows and a partial fourth of 8; and the adaptive
+    # tier's shape, one x and one y with U = kappa (sigma + i h) on a line off
+    # the axis: 200 rows against 352 nodes, two blocks of 93 and one of 14
     rng = np.random.default_rng(7)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    A, B = cplx(200, 3), cplx(512, 4)
-    kV = cplx(200) + 3.0
-    kU = 1j * np.linspace(-6.0, 6.0, 512) - 0.5
-    rows = kernels._CAUCHY_BLOCK // len(kU)
-    assert len(kV) > rows and len(kV) % rows != 0
-    vals, mass = kernels._cauchy_contract(A, kV, kU, B)
-    dvals, dmass = _dense_cauchy(A, kV, kU, B)
-    assert vals.shape == mass.shape == (3, 4)
-    assert (np.abs(vals - dvals) <= 1e-13 * dmass).all()
-    assert (np.abs(mass - dmass) <= 1e-12 * dmass).all()
+    for nx, ny, kU in ((3, 4, 1j * np.linspace(-6.0, 6.0, 512) - 0.5),
+                       (1, 1, 1.7 * (0.83 + 1j * np.linspace(-6.0, 6.0, 352)))):
+        A, B = cplx(200, nx), cplx(len(kU), ny)
+        kV = cplx(200) + 3.0
+        rows = kernels._CAUCHY_BLOCK // len(kU)
+        assert len(kV) > rows and len(kV) % rows != 0
+        vals, mass = kernels._cauchy_contract(A, kV, kU, B)
+        dvals, dmass = _dense_cauchy(A, kV, kU, B)
+        assert vals.shape == mass.shape == (nx, ny)
+        assert (np.abs(vals - dvals) <= 1e-13 * dmass).all()
+        assert (np.abs(mass - dmass) <= 1e-12 * dmass).all()
+
+
+def test_cauchy_contract_needs_one_vertical_u_line():
+    # a = Re(kU - kV) is taken once per V row, so U nodes off one vertical
+    # line would be coupled wrongly: they raise instead
+    kU = 1j * np.linspace(-6.0, 6.0, 64)
+    kU[5] += 1e-12
+    A, B = np.ones((8, 2), dtype=complex), np.ones((64, 3), dtype=complex)
+    with pytest.raises(ValueError, match="one vertical line"):
+        kernels._cauchy_contract(A, np.full(8, 3.0 + 0j), kU, B)
 
 
 SYM8 = FiniteKernelParams(n=8, a=1.0, b=-1.0, p=0.5, t_k=1.0 / 3.0, t_l=1.0 / 3.0)
