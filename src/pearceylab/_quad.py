@@ -5,7 +5,11 @@ segments, each carrying uniform composite Gauss-Legendre panels.  Panels
 converge geometrically wherever the integrand is analytic in a strip around
 them, so the callers size them by width to that strip.  Grading survives only
 toward a contour crossing, where the callers split a segment into single
-panels that double in width away from it.
+panels that double in width away from it.  A panel's node count can follow
+its Bernstein ratio rho, that of the largest ellipse with foci at its ends in
+which the integrand stays analytic: N nodes leave an error of order
+rho^{-2N}.  The adaptive finite-n tier sizes each panel so
+(kernels._adaptive_rules) and builds the rule with sized_panel_rule.
 """
 
 from __future__ import annotations
@@ -54,6 +58,31 @@ def _gl(n):
     for arr in rule:
         arr.flags.writeable = False
     return rule
+
+
+@lru_cache(maxsize=8)
+def _gl_table(nmax):
+    """The Gauss-Legendre rules of every order 1..nmax end to end, as
+    (nodes, weights, start) with order n at start[n]:start[n] + n.  Built
+    from _gl's uncached body, so that it leaves the rule cache as it was.
+    Read-only: cached across calls."""
+    rules = [_gl.__wrapped__(n) for n in range(1, nmax + 1)]
+    table = (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
+             np.concatenate([[0, 0], np.cumsum(np.arange(1, nmax))]))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def sized_panel_rule(mid, hv, nodes):
+    """Nodes and weights of Gauss-Legendre panels with centres mid, complex
+    half-width vectors hv (from centre to end) and nodes[k] nodes on panel k,
+    in panel order; the weights include the direction factor.  The orders
+    come from one table per multiple of 32."""
+    x, w, start = _gl_table(32 * -(-int(nodes.max()) // 32))
+    k = np.repeat(np.arange(len(nodes)), nodes)
+    idx = np.arange(nodes.sum()) + np.repeat(start[nodes] - np.cumsum(nodes) + nodes, nodes)
+    return mid[k] + hv[k] * x[idx], hv[k] * w[idx]
 
 
 def panel_rule(a, b, panels, nodes_per_panel):

@@ -179,7 +179,10 @@ def _cmd_pde_residual(args):
 
 def _cmd_lemma_checks(args):
     E = _parse_interval_union(args.E)
-    lhs, rhs, du = _pkg.fredholm.endpoint_identity_check(args.t, E, args.m)
+    lhs, rhs, du, gap = _pkg.fredholm._endpoint_identity(args.t, E, args.m, QuadratureSpec())
+    if not gap <= 1e-4 * abs(lhs):
+        raise QuadratureError(f"endpoint identity: the 5- and 3-point second differences "
+                              f"disagree by {gap:.3g}", achieved=gap)
     lines = _kv_block([("d2E_log_gap", lhs), ("sum_phat_qhat", rhs), ("dE_u", du),
                        ("rel_err_magnitude", abs(abs(lhs) - abs(rhs)) / abs(rhs))])
     rows, tgt1, tgt2 = _pkg.pde_lab.small_interval_checks(args.t, args.x,

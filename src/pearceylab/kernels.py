@@ -55,7 +55,7 @@ from itertools import groupby
 
 import numpy as np
 
-from ._quad import QuadratureError, QuadratureSpec, _gl, segment_rule
+from ._quad import QuadratureError, QuadratureSpec, _gl, segment_rule, sized_panel_rule
 from .spectral_curve import (CriticalData, find_cusp, group_sizes, solve_stieltjes,
                              TargetConfig)
 
@@ -187,6 +187,61 @@ def _legs_rule(legs, nodes_per_panel):
     concatenated in order."""
     rules = [segment_rule(a, b, panels, nodes_per_panel) for a, b, panels in legs]
     return np.concatenate([z for z, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def _panels(legs):
+    """Centres and half-width vectors (centre to end) of the uniform panels
+    of directed legs (a, b, panels), in order."""
+    a, b, p = (np.array(c) for c in zip(*legs))
+    step = (b - a) / p
+    k = np.repeat(np.arange(len(p)), p)
+    j = np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p)
+    return a[k] + (j + 0.5) * step[k], step[k] / 2
+
+
+def _bernstein_log_rho(mid, hv, p0, p1):
+    """log rho of the smallest Bernstein ellipse of panel k (centre mid[k],
+    half-width vector hv[k]) that reaches segment j from p0[j] to p1[j] (a
+    point where p0[j] == p1[j]), as a panels x segments array.
+
+    In a panel's own coordinate, which maps it onto [-1, 1], E_rho has foci
+    +-1 and semi-major axis A = (rho + 1/rho)/2, so rho = A + sqrt(A^2 - 1)
+    follows from the least |z - 1| + |z + 1| = 2 A over the segment.  That
+    sum is convex along the segment's line and least where the line crosses
+    the chord from one focus to the other or to its mirror image:
+    s = (s_- d_+ + s_+ d_-)/(d_- + d_+), with s_+- the foci's positions along
+    the line and d_+- their distances from it (where both are 0, the point
+    nearest the centre).  Clipped to the segment, s gives its least sum."""
+    z0 = (np.asarray(p0, dtype=complex)[None, :] - mid[:, None]) / hv[:, None]
+    e = (np.asarray(p1, dtype=complex) - p0)[None, :] / hv[:, None]
+    ce = e.conjugate()
+    up = (1.0 - z0) * ce        # position |e|^2 Re, and distance |e| |Im|, of +1
+    um = up - 2.0 * ce          # and of -1
+    dp, dm = np.abs(up.imag), np.abs(um.imag)
+    s = np.where(dp + dm > 0, (um.real * dp + up.real * dm) / np.maximum(dp + dm, 1e-300),
+                 (up.real + um.real) / 2) / np.maximum(e.real**2 + e.imag**2, 1e-300)
+    z = z0 + np.clip(s, 0.0, 1.0) * e
+    return np.arccosh(np.maximum((np.abs(z - 1.0) + np.abs(z + 1.0)) / 2, 1.0))
+
+
+def _gl_error_bound(log_rho, nodes):
+    """(64/15) rho^{-2N} / (rho^2 - 1): the error of an N-node Gauss-Legendre
+    panel on a function analytic and bounded by 1 inside its Bernstein
+    ellipse E_rho (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 19); infinite at rho = 1."""
+    if log_rho <= 0.0:
+        return math.inf
+    return 64.0 / 15.0 * math.exp(-2.0 * nodes * log_rho) / math.expm1(2.0 * log_rho)
+
+
+@lru_cache(maxsize=8)
+def _resolving_log_rho(nodes):
+    """The log rho below which N = nodes misses 1e-13 (_gl_error_bound)."""
+    lo, hi = 0.0, 50.0
+    for _ in range(60):
+        lo, hi = ((lo + hi) / 2, hi) if _gl_error_bound((lo + hi) / 2, nodes) > 1e-13 \
+            else (lo, (lo + hi) / 2)
+    return hi
 
 
 def _uniform_leg(a, b, width):
@@ -767,6 +822,11 @@ def _psi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
         + 1j * (n1 * np.arctan2(a.imag, a.real) + n2 * np.arctan2(b.imag, b.real))
 
 
+def _dpsi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
+    """d/du of _psi_cusp."""
+    return 2.0 * kap * (t * kap * u - coord) / (1.0 - t) + n1 / (u - alpha) + n2 / (u - beta)
+
+
 def _finite_prefactor(params):
     return -1.0 / (2.0 * math.pi**2 * math.sqrt((1.0 - params.t_k) * (1.0 - params.t_l)))
 
@@ -885,6 +945,95 @@ def _banded_uline(sig, L, band, fine, coarse, cross=None):
             + _crossing_legs(sig + 1j * band, hi, fine, inner, outward=True))
 
 
+def _panel_node_counts(log_rho, log_f, dlog_f, nodes_per_panel):
+    """The fewest nodes N in [6, nodes_per_panel] that meet each panel's
+    sizing target (_adaptive_rules), or nodes_per_panel where none does.
+    log_f is log |f| at the panel centres relative to the largest on the
+    panel's contour, and dlog_f the derivative of log f times the panel's
+    half-width vector."""
+    K = 30.0 * nodes_per_panel / 32.0
+    N = np.arange(6, nodes_per_panel + 1)
+    w = dlog_f[:, None]
+    # near-optimal rho' for N nodes, |w| sinh(log rho') = 2 N, capped at rho
+    sh = np.minimum(np.outer(1.0 / np.maximum(np.abs(dlog_f), 1e-300), 2.0 * N),
+                    np.sinh(log_rho)[:, None])
+    grow = np.hypot(w.real * np.sqrt(1.0 + sh * sh), w.imag * sh)
+    ok = log_f[:, None] + grow - 2.0 * N * np.arcsinh(sh) <= -2.0 * K
+    return np.where(ok.any(axis=1), N[ok.argmax(axis=1)], nodes_per_panel)
+
+
+def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, log_v, log_u,
+                    nodes_per_panel):
+    """The adaptive tier's V rule and U rule (in the U variable, r times the V
+    variable) on the uniform panels of legs_v and legs_u, each panel with only
+    the Gauss-Legendre nodes its Bernstein ellipse needs.
+
+    The V integrand is singular at the poles and, through 1/(U - V), on the
+    U line; the U integrand on the V lobes.  A panel's rho is that of the
+    smallest Bernstein ellipse reaching one of these (_bernstein_log_rho).
+    The integrand f = exp(log f) also grows off the panel: linearized at the
+    centre, log |f| rises on E_rho by at most |(log f)' hv| times the
+    ellipse's semi-axes.  log_v and log_u give log f and its derivative on
+    either side.  A panel gets the fewest N >= 6 nodes for which, on some
+    E_rho' with rho' <= rho, that rise plus log |f| at the centre, relative
+    to the largest over its contour's panel centres, minus 2 N log rho'
+    stays below -2 K, K = 30 nodes_per_panel / 32: the error bound
+    (64/15) M rho'^{-2N} / (rho'^2 - 1) (_gl_error_bound) is then about
+    e^{-2K} of the contour's scale.  It gets at most nodes_per_panel nodes.
+    Without the rise this is N = ceil(K / log rho), and a finer spec gives
+    a finer rule (_panel_node_counts).  A panel ending at one of the
+    `crossings` (points, in the V variable, where the contours meet) has
+    rho = 1 and keeps nodes_per_panel.
+
+    The rules are checked a priori, with nodes_per_panel nodes on every
+    panel.  A V panel must reach 1e-13 against the poles.  A V panel and a
+    U panel are coupled accurately when either panel's rule resolves the
+    other panel: the Cauchy sum over the resolving panel is then its
+    integral, smooth on the other.  Where neither bound reaches 1e-13,
+    QuadratureError carries the smaller; two panels that both end at a
+    crossing are graded toward it and exempt.
+    """
+    # both contours' panels in the V variable, V first; singular segments:
+    # the U line, the poles, then the lobes' edges
+    mid, hv = _panels(legs_v + [(a / r, b / r, p) for a, b, p in legs_u])
+    ends = np.array([leg[:2] for leg in legs_u]).ravel() / r
+    edges = [(x1 - 1j * h, x1 + 1j * h, x0 + 1j * h, x0 - 1j * h) for x0, x1, h in lobes]
+    lr = _bernstein_log_rho(
+        mid, hv, [ends[0].real + 1j * ends.imag.min(), *poles, *(c for e in edges for c in e)],
+        [ends[0].real + 1j * ends.imag.max(), *poles,
+         *(c for e in edges for c in e[1:] + e[:1])])
+    nv = sum(p for *_, p in legs_v)
+    line, pole = lr[:nv, 0], lr[:nv, 1:1 + len(poles)].min(axis=1)
+    lobe = lr[nv:, 1 + len(poles):].min(axis=1)
+    (fv, dfv), (fu, dfu) = log_v(mid[:nv]), log_u(mid[nv:] * r)
+    nodes = _panel_node_counts(
+        np.concatenate([np.minimum(line, pole), lobe]),
+        np.concatenate([fv.real - fv.real.max(), fu.real - fu.real.max()]),
+        np.concatenate([dfv, dfu * r]) * hv, nodes_per_panel)
+    # the a-priori check, in log rho: below `least`, 1e-13 needs more nodes
+    least, worst = _resolving_log_rho(nodes_per_panel), pole.min()
+    flag_v, flag_u = np.flatnonzero(line < least), nv + np.flatnonzero(lobe < least)
+    if len(flag_v) and len(flag_u):
+        # pairs of panels that resolve neither each other's contour
+        (mv, hvv), (mu, hu) = (mid[flag_v], hv[flag_v]), (mid[flag_u], hv[flag_u])
+        pair = np.maximum(_bernstein_log_rho(mv, hvv, mu - hu, mu + hu),
+                          _bernstein_log_rho(mu, hu, mv - hvv, mv + hvv).T)
+        if crossings:
+            # panels ending at a crossing, to rounding (distances in half-widths)
+            at = [(np.abs(zc - zc.real.clip(-1.0, 1.0)) < 1e-9).any(axis=1)
+                  for zc in ((np.array(crossings)[None, :] - c[:, None]) / h[:, None]
+                             for c, h in ((mv, hvv), (mu, hu)))]
+            pair[np.outer(*at)] = np.inf
+        worst = min(worst, pair.min())
+    if worst < least:
+        raise QuadratureError(f"adaptive-tier panels need more than {nodes_per_panel} "
+                              "Gauss-Legendre nodes for 1e-13",
+                              achieved=_gl_error_bound(float(worst), nodes_per_panel))
+    z, w = sized_panel_rule(mid, hv, nodes)
+    split = nodes[:nv].sum()
+    return (z[:split], w[:split]), (z[split:] * r, w[split:] * r)
+
+
 def _adaptive_side(params, t, coord):
     """(kappa, alpha, beta) of one side's action and its Stieltjes branch g."""
     c = math.sqrt(t * (1.0 - t) / 2.0)
@@ -912,12 +1061,23 @@ def _finite_adaptive(params, x, y, spec):
     the line 10 d.  A pierced lobe and the line keep these widths but are
     split at the two crossings, where 1/(U - V) is singular; toward each, the
     panels start d/4 wide and double (_crossing_legs).
-    Measured accuracy, at the points of the two benchmark profiles (n = 8, 9)
-    and at n = 50 on the cusp-vs-adaptive overlap (1, -1, 1/2), t = 1/3,
-    |z| <= 0.3 and at three pierced points of (1, 0, 1/9), t = 1/2: plain and
-    split up to 3.5e-13 against a rule with panels no wider than d/4, pierced
-    7e-16 against QuadratureSpec(8, 24, 64), and split lobes 0.127 high at
-    n = 50 on (1, -1, 1/2), t = 1/2, up to 2.1e-11 against the same rule.
+    Each panel then carries only the Gauss-Legendre nodes its Bernstein
+    ellipse needs, between 6 and spec.nodes_per_panel, and the rules are
+    checked a priori (_adaptive_rules): at n = 8, lambda = 3 (plain), 226 V
+    by 174 U nodes, and at lambda = 0.54132 (pierced) 602 by 482, where
+    nodes_per_panel on every panel took 512 by 352 and 960 by 704.  Over the
+    101 points of the two benchmark profiles that is 0.40 of the coupling
+    entries.
+    Measured accuracy, against a rule with panels no wider than d/4 at the
+    plain and split points of the two benchmark profiles (n = 8, 9) and at
+    n = 50 on the cusp-vs-adaptive overlap (1, -1, 1/2), t = 1/3, |z| <= 0.3,
+    and against the tier's rule at QuadratureSpec(8, 24, 64) with
+    nodes_per_panel nodes on every panel at the profiles' pierced points and
+    at n = 50, t = 1/2 over the supports of (1, 0, 1/9) and (1, -1, 1/2) in
+    steps of 0.5: the profiles up to 4.6e-13, the overlap 1e-14, the
+    sweeps up to 1.3e-11, except at two points of (1, 0, 1/9) where the
+    contraction's absolute mass is 3e6 and 4e7 times the value and rounding
+    leaves 1.3e-10 and 7.3e-9 (the references there scatter as much).
     Other points are unmeasured.
     """
     n, n1, n2 = params.n, params.n1, params.n2
@@ -986,11 +1146,15 @@ def _finite_adaptive(params, x, y, spec):
     cross_v = cross_u = None
     if pierced:     # crossings at sig_v +- ih, panels from d/4 at spec.panels = 8
         cross_v, cross_u = (sig_v, near / 10.0), (h * r, near * r / 10.0)
-    legs = [leg for x0_, x1_, hh in lobes
-            for leg in _rect_lobe_legs(x0_, x1_, hh, (near, min(2.0 * near, hh)), cross_v)]
-    rule_v = _legs_rule(legs, spec.nodes_per_panel)
-    rule_u = _legs_rule(_banded_uline(sig, L, (h + 3.0 * d) * r, near * r, 4.0 * near * r,
-                                      cross_u), spec.nodes_per_panel)
+    legs_v = [leg for x0_, x1_, hh in lobes
+              for leg in _rect_lobe_legs(x0_, x1_, hh, (near, min(2.0 * near, hh)), cross_v)]
+    legs_u = _banded_uline(sig, L, (h + 3.0 * d) * r, near * r, 4.0 * near * r, cross_u)
+    rule_v, rule_u = _adaptive_rules(
+        legs_v, legs_u, r, lobes, [alV, beV],
+        [sig_v - 1j * h, sig_v + 1j * h] if pierced else [],
+        lambda v: (-psiV(v), -_dpsi_cusp(v, kapV, params.t_k, x, n1, n2, alV, beV)),
+        lambda u: (psiU(u), _dpsi_cusp(u, kapU, params.t_l, y, n1, n2, alU, beU)),
+        spec.nodes_per_panel)
     vals, ls, mass = _finite_contraction(params, rule_u, sideU, rule_v, sideV, [x], [y])
     pref = _finite_prefactor(params)
     if abs(pref) * mass[0, 0] * math.exp(min(ls, 700.0)) < 1e-9:

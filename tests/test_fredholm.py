@@ -356,6 +356,20 @@ class TestEndpointIdentity:
         endpoint_identity_check(0.3, IntervalUnion((-0.8, 0.9)), 64, spec)
         assert len(pq_calls) == 1
 
+    @pytest.mark.parametrize("t, resolved", [(0.0, True), (1.0, True), (8.0, False),
+                                             (10.0, False)])
+    def test_second_difference_gap(self, spec, t, resolved):
+        # at large t the log gaps are near zero (-6.4e-9 at t = 8) and the
+        # 5-point second difference is rounding magnified by 1/h^2: it read
+        # -4.74e-8 against rhs 4.92e-8 at t = 8, and -1.72e-9 against 6.91e-12
+        # at t = 10.  The 3-point difference of the inner three log gaps is
+        # 7.4e-3 (t = 8) and 0.23 (t = 10) of lhs away, 6e-8 at t = 0; the
+        # returned sides are endpoint_identity_check's
+        E = IntervalUnion((-1.0, 1.0))
+        lhs, rhs, du, gap = fredholm._endpoint_identity(t, E, 64, spec)
+        assert (lhs, rhs, du) == endpoint_identity_check(t, E, 64, spec)
+        assert (gap <= 1e-4 * abs(lhs)) == resolved
+
     def test_identity_second_anchor(self, spec):
         lhs, rhs, du = endpoint_identity_check(1.0, IntervalUnion((0.0, 2.0)), m=64, spec=spec)
         assert lhs == pytest.approx(-rhs, rel=1e-5)
