@@ -8,7 +8,7 @@ or a layer module reached as `pearceylab.<layer>`, imports its layer on first
 use (PEP 562), and a layer loads only the layers it imports itself:
 
 - `spectral_curve`: no other layer;
-- `ensemble_mc`: `_quad` and `spectral_curve`;
+- `ensemble_mc`: `spectral_curve` only;
 - `kernels`: `_quad` and `spectral_curve`;
 - `fredholm`: `_quad`, `spectral_curve` and `kernels`;
 - `scaling`: `_quad`, `spectral_curve` and `kernels`;

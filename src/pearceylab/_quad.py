@@ -1,22 +1,27 @@
 """Composite Gauss-Legendre quadrature on real intervals and complex polylines.
 
-All contour integrals in this package reduce to sums over directed straight
-segments, each carrying uniform composite Gauss-Legendre panels.  Panels
-converge geometrically wherever the integrand is analytic in a strip around
-them, so the callers size them by width to that strip.  Grading survives only
-toward a contour crossing, where the callers split a segment into single
-panels that double in width away from it.  A panel's node count can follow
-its Bernstein ratio rho, that of the largest ellipse with foci at its ends in
-which the integrand stays analytic: N nodes leave an error of order
-rho^{-2N}.  The adaptive finite-n tier sizes each panel so
-(kernels._adaptive_rules) and builds the rule with sized_panel_rule.
+All integrals in this package reduce to sums over directed straight legs
+(a, b, panels), each carrying uniform composite Gauss-Legendre panels: the
+contour legs of the kernels and every interval of a Nystrom grid.  One
+builder serves them all: panels(legs) gives the panels' centres and
+half-width vectors, and panel_rule turns them into nodes and weights, with
+one order for every panel or one per panel.  Panels converge geometrically
+wherever the integrand is analytic in a strip around them, so the callers
+size them by width to that strip.  Grading survives only toward a contour
+crossing, where the callers split a segment into single panels that double
+in width away from it.  A panel's node count can follow its Bernstein ratio
+rho, that of the largest ellipse with foci at its ends in which the
+integrand stays analytic: N nodes leave an error of order rho^{-2N}.  The
+adaptive finite-n tier sizes each panel so (kernels._adaptive_rules).  The
+p/q tables keep their own panel arithmetic, which factors each node's
+exponentials into a panel and an in-panel part (kernels._pq_quadrature).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -29,7 +34,7 @@ def _legendre(n, x):
     return p1, n * (x * p1 - p0) / (x * x - 1)
 
 
-@lru_cache(maxsize=32)
+@cache
 def _gl(n):
     """Gauss-Legendre nodes and weights on [-1, 1].
 
@@ -60,13 +65,12 @@ def _gl(n):
     return rule
 
 
-@lru_cache(maxsize=8)
+@cache
 def _gl_table(nmax):
     """The Gauss-Legendre rules of every order 1..nmax end to end, as
-    (nodes, weights, start) with order n at start[n]:start[n] + n.  Built
-    from _gl's uncached body, so that it leaves the rule cache as it was.
+    (nodes, weights, start) with order n at start[n]:start[n] + n.
     Read-only: cached across calls."""
-    rules = [_gl.__wrapped__(n) for n in range(1, nmax + 1)]
+    rules = [_gl(n) for n in range(1, nmax + 1)]
     table = (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
              np.concatenate([[0, 0], np.cumsum(np.arange(1, nmax))]))
     for arr in table:
@@ -74,45 +78,31 @@ def _gl_table(nmax):
     return table
 
 
-def sized_panel_rule(mid, hv, nodes):
-    """Nodes and weights of Gauss-Legendre panels with centres mid, complex
-    half-width vectors hv (from centre to end) and nodes[k] nodes on panel k,
-    in panel order; the weights include the direction factor.  The orders
-    come from one table per multiple of 32."""
+def panels(legs):
+    """Centres and half-width vectors (centre to end) of the uniform panels
+    of directed legs (a, b, panels), in order; real legs give real panels."""
+    if not legs:
+        return np.empty(0), np.empty(0)
+    a, b, p = (np.array(c) for c in zip(*legs))
+    step = (b - a) / p
+    k = np.repeat(np.arange(len(p)), p)
+    j = np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p)
+    return a[k] + (j + 0.5) * step[k], step[k] / 2
+
+
+def panel_rule(mid, hv, nodes):
+    """Nodes and weights of Gauss-Legendre panels with centres mid and
+    half-width vectors hv (from panels), in panel order; the weights include
+    the direction factor.  nodes is one order for every panel, or an integer
+    array of one order per panel, whose rules come from one table per
+    multiple of 32."""
+    if np.ndim(nodes) == 0:
+        x, w = _gl(nodes)
+        return (mid[:, None] + hv[:, None] * x).ravel(), (hv[:, None] * w).ravel()
     x, w, start = _gl_table(32 * -(-int(nodes.max()) // 32))
     k = np.repeat(np.arange(len(nodes)), nodes)
     idx = np.arange(nodes.sum()) + np.repeat(start[nodes] - np.cumsum(nodes) + nodes, nodes)
     return mid[k] + hv[k] * x[idx], hv[k] * w[idx]
-
-
-def panel_rule(a, b, panels, nodes_per_panel):
-    """Composite GL nodes and weights on the real interval [a, b], uniform
-    panels."""
-    gx, gw = _gl(nodes_per_panel)
-    edges = np.linspace(a, b, panels + 1)
-    los, his = edges[:-1], edges[1:]
-    half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return x, w
-
-
-@lru_cache(maxsize=64)
-def _unit_panels(panels, nodes_per_panel):
-    """Uniform composite GL rule on [0, 1].  Read-only: cached across calls."""
-    rule = panel_rule(0.0, 1.0, panels, nodes_per_panel)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
-
-
-def segment_rule(z0, z1, panels, nodes_per_panel):
-    """Directed complex segment z0 -> z1 with uniform panels; weights include
-    the direction factor."""
-    s, w = _unit_panels(panels, nodes_per_panel)
-    dz = z1 - z0
-    return z0 + dz * s, dz * w
 
 
 @dataclass(frozen=True)
@@ -152,13 +142,3 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
 
-
-def thread_map(fn, items, threads=1):
-    """Map over independent work items with an optional thread cap; results
-    are ordered by index, so the output is thread-count independent."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -35,7 +35,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import thread_map
 from .spectral_curve import TargetConfig, find_cusp, group_sizes, sweep_density
 
 __all__ = [
@@ -119,11 +118,16 @@ def sample_spectrum(n: int, config: TargetConfig, seed: int,
 
 
 def _draws(draw, count, threads):
-    """draw(index) for index = 0 .. count - 1 through thread_map; an empty
-    request (count < 1) raises ValueError."""
+    """draw(index) for index = 0 .. count - 1 on up to `threads` threads, in
+    index order, so the output is thread-count independent; an empty request
+    (count < 1) raises ValueError."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return thread_map(draw, range(count), threads)
+    if threads <= 1 or count == 1:
+        return [draw(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(draw, range(count)))
 
 
 def sample_spectra(n, config, seed, count, threads=1):

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import QuadratureError, QuadratureSpec, panel_rule
+from ._quad import QuadratureError, QuadratureSpec, panel_rule, panels
 from .kernels import (_coincident, _pearcey_kernel_from_tables, _pq_checked, airy_kernel,
                       airy_kernel_matrix, pearcey_kernel_grid, pearcey_kernel_matrix)
 
@@ -72,7 +72,7 @@ class IntervalUnion:
 @dataclass(frozen=True)
 class NystromGrid:
     """Per-interval Gauss-Legendre nodes and weights, order m >= 8 per interval:
-    one panel of _quad.panel_rule on each interval."""
+    one _quad.panel_rule over one panel on each interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -81,9 +81,8 @@ class NystromGrid:
     def build(cls, E: IntervalUnion, m: int):
         if m < 8:
             raise ValueError("m must be >= 8")
-        rules = [panel_rule(a, b, 1, m) for a, b in E.intervals()] or [(np.empty(0),) * 2]
-        return cls(nodes=np.concatenate([x for x, _ in rules]),
-                   weights=np.concatenate([w for _, w in rules]))
+        nodes, weights = panel_rule(*panels([(a, b, 1) for a, b in E.intervals()]), m)
+        return cls(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -337,27 +336,28 @@ def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64,
 
     as (lhs, rhs, du): lhs the 5-point centered second difference of the log
     gaps of E + k h, k = -2..2, h = 1e-3, which are one _resolvents call, and
-    du = (u(E + h) - u(E - h)) / 2h.  Unchecked: _endpoint_identity also
-    says whether lhs is resolved.
+    du = (u(E + h) - u(E - h)) / 2h.
+
+    lhs is checked against the 3-point second difference of the inner three
+    log gaps.  Where the log gaps resolve their second difference the two
+    agree to O(h^2), within 3e-7 of lhs for |t| <= 1.5; where the log gaps
+    are near zero (on (-1, 1): t = 8, 10) or carry the p/q tables' error
+    (t = -8, -9), lhs is their error magnified by 1/h^2, and a gap above
+    1e-4 |lhs| raises QuadratureError carrying the gap.
     """
-    return _endpoint_identity(t, E, m, spec or QuadratureSpec())[:3]
-
-
-def _endpoint_identity(t, E, m, spec):
-    """endpoint_identity_check's (lhs, rhs, du), and the gap between lhs and
-    the 3-point second difference of the inner three of its log gaps.  Where
-    the log gaps resolve their second difference the two agree to O(h^2),
-    within 3e-7 of lhs for |t| <= 1.5; where the log gaps are near zero
-    (on (-1, 1): t = 8, 10) or carry the p/q tables' error (t = -8, -9), lhs
-    is their error magnified by 1/h^2, and the gap exceeds 1e-4 of it."""
     h = 1e-3
-    rds = _resolvents(t, [E.shifted(k * h) for k in (-2, -1, 0, 1, 2)], m, spec)
+    rds = _resolvents(t, [E.shifted(k * h) for k in (-2, -1, 0, 1, 2)], m,
+                      spec or QuadratureSpec())
     v = [rd.log_det for rd in rds]
     lhs = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+    gap = abs(lhs - (v[1] - 2 * v[2] + v[3]) / (h * h))
+    if not gap <= 1e-4 * abs(lhs):
+        raise QuadratureError(f"endpoint identity: the 5- and 3-point second differences "
+                              f"disagree by {gap:.3g}", achieved=gap)
     du = (rds[3].u - rds[1].u) / (2 * h)
     signs = np.array([(-1.0) ** (k + 1) for k in range(len(E.endpoints))])
     rhs = float(np.sum(signs * rds[2].p_hat_end * rds[2].q_hat_end))
-    return lhs, rhs, du, abs(lhs - (v[1] - 2 * v[2] + v[3]) / (h * h))
+    return lhs, rhs, du
 
 
 def airy_gap_on_ray(s: float, m: int = 48) -> GapResult:

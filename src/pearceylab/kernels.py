@@ -55,7 +55,7 @@ from itertools import groupby
 
 import numpy as np
 
-from ._quad import QuadratureError, QuadratureSpec, _gl, segment_rule, sized_panel_rule
+from ._quad import QuadratureError, QuadratureSpec, _gl, panel_rule, panels
 from .spectral_curve import (CriticalData, find_cusp, group_sizes, solve_stieltjes,
                              TargetConfig)
 
@@ -185,18 +185,7 @@ def _descent_rises(q, u, v, samples):
 def _legs_rule(legs, nodes_per_panel):
     """Nodes and weights over directed legs (a, b, panels) of uniform panels,
     concatenated in order."""
-    rules = [segment_rule(a, b, panels, nodes_per_panel) for a, b, panels in legs]
-    return np.concatenate([z for z, _ in rules]), np.concatenate([w for _, w in rules])
-
-
-def _panels(legs):
-    """Centres and half-width vectors (centre to end) of the uniform panels
-    of directed legs (a, b, panels), in order."""
-    a, b, p = (np.array(c) for c in zip(*legs))
-    step = (b - a) / p
-    k = np.repeat(np.arange(len(p)), p)
-    j = np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p)
-    return a[k] + (j + 0.5) * step[k], step[k] / 2
+    return panel_rule(*panels(legs), nodes_per_panel)
 
 
 def _bernstein_log_rho(mid, hv, p0, p1):
@@ -995,7 +984,7 @@ def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, log_v, log_u,
     """
     # both contours' panels in the V variable, V first; singular segments:
     # the U line, the poles, then the lobes' edges
-    mid, hv = _panels(legs_v + [(a / r, b / r, p) for a, b, p in legs_u])
+    mid, hv = panels(legs_v + [(a / r, b / r, p) for a, b, p in legs_u])
     ends = np.array([leg[:2] for leg in legs_u]).ravel() / r
     edges = [(x1 - 1j * h, x1 + 1j * h, x0 + 1j * h, x0 - 1j * h) for x0, x1, h in lobes]
     lr = _bernstein_log_rho(
@@ -1029,7 +1018,7 @@ def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, log_v, log_u,
         raise QuadratureError(f"adaptive-tier panels need more than {nodes_per_panel} "
                               "Gauss-Legendre nodes for 1e-13",
                               achieved=_gl_error_bound(float(worst), nodes_per_panel))
-    z, w = sized_panel_rule(mid, hv, nodes)
+    z, w = panel_rule(mid, hv, nodes)
     split = nodes[:nv].sum()
     return (z[:split], w[:split]), (z[split:] * r, w[split:] * r)
 

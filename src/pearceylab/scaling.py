@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._quad import QuadratureSpec
-from .kernels import (FiniteKernelParams, _descent_rises, build_contours, centered_action,
-                      finite_n_kernel_grid, pearcey_kernel_grid)
+from .kernels import (FiniteKernelParams, _descent_rises, build_contours, finite_n_kernel_grid,
+                      pearcey_kernel_grid)
 from .spectral_curve import CriticalData, find_cusp, group_sizes
 
 __all__ = [
@@ -277,8 +277,14 @@ def remainder_bound_check(q: float, delta: float, n: int):
     # keeps the fifth-derivative maximum finite
     if w > min(1.0, q) / (2.0 * r):
         raise ValueError("precondition delta/n^(1/4) <= min(1,q)/(2r) violated")
-    F4 = -6.0 * r * r / q
-    lhs = n * abs(complex(centered_action(w, q)) - F4 * w**4 / 24.0)
+    # the remainder is the Taylor tail of centered_action from order 5, whose
+    # terms shrink by at most r w / min(1, q) <= 1/2 each, so 55 of them reach
+    # rounding; centered_action minus its quartic term would leave its own
+    # rounding, about 1e-16, which n magnifies past the bound
+    p = 1.0 / (1.0 + q**3)
+    k = np.arange(5, 60)
+    lhs = n * abs(float(np.sum((-p * (r * w) ** k
+                                + (1.0 - p) * (-1.0) ** (k - 1) * (r * w / q) ** k) / k)))
     rhs = 64.0 * delta**5 / (5.0 * n**0.25) * (q + 1.0 / q) ** 5
     return lhs, rhs, lhs <= rhs
 

@@ -26,8 +26,10 @@ def pq_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh stream per test, so a test's draws do not depend on which
+    tests ran before it."""
     return np.random.default_rng(20260808)
 
 

@@ -302,12 +302,16 @@ class TestResolvent:
         # the gate's order-2m nodes share the tabulation but not the values:
         # each set's quantities are the gate-free one-set body's bit for bit,
         # and so are the identity's lhs and du; its rhs, read from the centre
-        # of the five-set stack, rounds differently, which the ill-conditioned
-        # resolvent at t = -9 amplifies to 1e-8
+        # of the five-set stack, rounds differently.  At t = -9 the identity's
+        # second-difference check raises (its gap is 1.83 |lhs|)
         E = IntervalUnion((-1.0, 1.0))
         rd, ref = resolvent_quantities(t, E, 40, spec), reference_resolvent(t, E, 40, spec)
         for field in FIELDS:
             assert np.array_equal(getattr(rd, field), ref[field]), field
+        if t == -9.0:
+            with pytest.raises(QuadratureError, match="second differences"):
+                endpoint_identity_check(t, E, 64, spec)
+            return
         h = 1e-3
         refs = [reference_resolvent(t, E.shifted(k * h), 64, spec) for k in (-2, -1, 0, 1, 2)]
         v = [r["log_det"] for r in refs]
@@ -357,18 +361,29 @@ class TestEndpointIdentity:
         assert len(pq_calls) == 1
 
     @pytest.mark.parametrize("t, resolved", [(0.0, True), (1.0, True), (8.0, False),
-                                             (10.0, False)])
+                                             (10.0, False), (-8.0, False), (-9.0, False)])
     def test_second_difference_gap(self, spec, t, resolved):
         # at large t the log gaps are near zero (-6.4e-9 at t = 8) and the
         # 5-point second difference is rounding magnified by 1/h^2: it read
         # -4.74e-8 against rhs 4.92e-8 at t = 8, and -1.72e-9 against 6.91e-12
-        # at t = 10.  The 3-point difference of the inner three log gaps is
-        # 7.4e-3 (t = 8) and 0.23 (t = 10) of lhs away, 6e-8 at t = 0; the
-        # returned sides are endpoint_identity_check's
-        E = IntervalUnion((-1.0, 1.0))
-        lhs, rhs, du, gap = fredholm._endpoint_identity(t, E, 64, spec)
-        assert (lhs, rhs, du) == endpoint_identity_check(t, E, 64, spec)
-        assert (gap <= 1e-4 * abs(lhs)) == resolved
+        # at t = 10; at t = -8 and -9 it magnifies the p/q tables' error.  The
+        # 3-point difference of the inner three log gaps is 7.4e-3 (t = 8),
+        # 0.23 (t = 10), 8.4e-4 (t = -8) and 1.83 (t = -9) of lhs away, which
+        # raises, and 6e-8 at t = 0, where the sides are returned unchanged
+        E, h = IntervalUnion((-1.0, 1.0)), 1e-3
+        rds = _resolvents(t, [E.shifted(k * h) for k in (-2, -1, 0, 1, 2)], 64, spec)
+        v = [rd.log_det for rd in rds]
+        lhs = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+        gap = abs(lhs - (v[1] - 2 * v[2] + v[3]) / (h * h))
+        if resolved:
+            assert gap <= 1e-4 * abs(lhs)
+            rhs = float(np.sum([-1.0, 1.0] * rds[2].p_hat_end * rds[2].q_hat_end))
+            assert endpoint_identity_check(t, E, 64, spec) == (
+                lhs, rhs, (rds[3].u - rds[1].u) / (2 * h))
+        else:
+            with pytest.raises(QuadratureError, match="second differences") as info:
+                endpoint_identity_check(t, E, 64, spec)
+            assert info.value.achieved == gap > 1e-4 * abs(lhs)
 
     def test_identity_second_anchor(self, spec):
         lhs, rhs, du = endpoint_identity_check(1.0, IntervalUnion((0.0, 2.0)), m=64, spec=spec)

@@ -12,7 +12,7 @@ import scipy.integrate as si
 import scipy.special
 
 from pearceylab import kernels
-from pearceylab._quad import QuadratureError, QuadratureSpec, _gl, panel_rule, segment_rule
+from pearceylab._quad import QuadratureError, QuadratureSpec, _gl
 from pearceylab.ensemble_mc import group_sizes
 from pearceylab.kernels import (ContourPath, FiniteKernelParams, airy_kernel,
                                 airy_kernel_matrix, build_contours,
@@ -32,12 +32,12 @@ def _pq_direct(t, xs, spec):
     L = kernels._pq_L(t, xmax)
     panels = kernels._pq_panels(t, xmax, L, spec)
     k = np.arange(4)[:, None]
-    v, wv = panel_rule(-L, L, 2 * panels, spec.nodes_per_panel)
+    v, wv = kernels._legs_rule([(-L, L, 2 * panels)], spec.nodes_per_panel)
     base = np.exp(-v**4 / 4.0 - t * v**2 / 2.0)
     Q = -((-1j) ** k) / (2.0 * math.pi) * ((v**k * (wv * base)) @ np.exp(-1j * np.outer(v, xs)))
     e = np.exp(1j * math.pi / 4.0)
-    s_neg, w_neg = panel_rule(-L, 0.0, panels, spec.nodes_per_panel)
-    s_pos, w_pos = panel_rule(0.0, L, panels, spec.nodes_per_panel)
+    s_neg, w_neg = kernels._legs_rule([(-L, 0.0, panels)], spec.nodes_per_panel)
+    s_pos, w_pos = kernels._legs_rule([(0.0, L, panels)], spec.nodes_per_panel)
     s = np.concatenate([s_neg, s_pos])
     ws = np.concatenate([w_neg, -w_pos])
     gbase = np.exp(-s**4 / 4.0 - 1j * t * s**2 / 2.0)
@@ -90,7 +90,7 @@ def _pearcey_grid_graded(s, t, xs, ys, spec):
     for c in (1.0, -1.0):
         arm = [c * L * (1 + 1j), c * d * (1 + 1j), c * d * (1 - 1j), c * L * (1 - 1j)]
         legs += [(_graded_leg(arm[0], arm[1], panels, npp, inner), 1.0),
-                 (segment_rule(arm[1], arm[2], max(2, panels // 2), npp), 1.0),
+                 (kernels._legs_rule([(arm[1], arm[2], max(2, panels // 2))], npp), 1.0),
                  (_graded_leg(arm[3], arm[2], panels, npp, inner), -1.0)]
     V = np.concatenate([z for (z, _), _ in legs])
     WV = np.concatenate([sign * w for (_, w), sign in legs])
@@ -428,7 +428,7 @@ def _airy_contour(x, prime):
     """Ai(x) or Ai'(x) by Gauss-Legendre quadrature over the rays
     arg w = +-pi/3, shifted through the saddle sqrt(x) for x > 0."""
     shift = math.sqrt(x) if x > 0 else 0.0
-    s, w = panel_rule(0.0, math.sqrt(3.0 * max(-x, 0.0)) + 8.0, 12, 32)
+    s, w = kernels._legs_rule([(0.0, math.sqrt(3.0 * max(-x, 0.0)) + 8.0, 12)], 32)
     e = np.exp(1j * math.pi / 3.0)
     wnod = shift + s * e
     base = np.exp(wnod**3 / 3.0 - x * wnod)
@@ -690,7 +690,7 @@ class TestFiniteN:
         c = math.sqrt(t * (1 - t) / 2)
         acc = 0.0
         for (zlo, zhi) in ((-3.6, -1e-4), (1e-4, 3.6)):
-            zs, zw = panel_rule(zlo, zhi, 24, 24)
+            zs, zw = kernels._legs_rule([(zlo, zhi, 24)], 24)
             lam = math.sqrt(n) * c * zs
             vals = finite_n_diagonal(n, 1.0, -1.0, 0.5, t, lam)
             assert (vals > -1e-9).all()

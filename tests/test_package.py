@@ -108,7 +108,7 @@ class TestLayerIsolation:
 
     @pytest.mark.parametrize("code,layers", [
         ("import pearceylab", set()),
-        ("import pearceylab.ensemble_mc", {"_quad", "spectral_curve", "ensemble_mc"}),
+        ("import pearceylab.ensemble_mc", {"spectral_curve", "ensemble_mc"}),
         ("import pearceylab.fredholm", {"_quad", "spectral_curve", "kernels", "fredholm"}),
         ("from pearceylab import cli; cli.dispatch(['cusp', '--a', '1', '--b', '-1', "
          "'--p', '0.5'])", {"cli", "_quad", "spectral_curve"}),
@@ -124,7 +124,7 @@ class TestLayerIsolation:
         ("pearcey-fredholm", {"_quad", "spectral_curve", "kernels", "fredholm"}),
         # the first finite-n value runs the descent check, which lives in kernels
         ("finite-n-spectral", {"_quad", "spectral_curve", "kernels"}),
-        ("bridge-mc", {"_quad", "spectral_curve", "ensemble_mc"}),
+        ("bridge-mc", {"spectral_curve", "ensemble_mc"}),
     ])
     def test_benchmark_first_call(self, workload, layers):
         loaded, scipy_loaded = _loaded(_first_calls()[workload])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from pearceylab._quad import (QuadratureSpec, _gl, _legendre, _unit_panels, panel_rule,
-                              segment_rule)
+from pearceylab._quad import QuadratureSpec, _gl, _gl_table, _legendre, panel_rule, panels
 
 # every Gauss-Legendre order the package, its tests and the README lines
 # build: nodes per panel 32 and 64, Nystrom m and 2m, and the tests' own
@@ -28,7 +27,8 @@ def _gl_oracle(n):
 
 
 def test_panel_rule_exact_on_polynomials():
-    x, w = panel_rule(-1.0, 3.0, 4, 8)
+    x, w = panel_rule(*panels([(-1.0, 3.0, 4)]), 8)
+    assert x.dtype == w.dtype == float
     for k in range(6):
         exact = (3.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert np.sum(w * x**k) == pytest.approx(exact, rel=1e-13)
@@ -67,26 +67,31 @@ def test_gauss_legendre_all_orders():
         assert n % 2 == 0 or x[n // 2] == 0.0, n
 
 
-def test_segment_rule_direction():
-    z, w = segment_rule(0.0, 1.0 + 1.0j, 3, 8)
+def test_panel_rule_direction():
+    z, w = panel_rule(*panels([(0.0, 1.0 + 1.0j, 3)]), 8)
     assert np.sum(w) == pytest.approx(1.0 + 1.0j, rel=1e-13)
-    # reversing the segment flips the integral
-    z2, w2 = segment_rule(1.0 + 1.0j, 0.0, 3, 8)
+    # reversing the leg flips the integral
+    z2, w2 = panel_rule(*panels([(1.0 + 1.0j, 0.0, 3)]), 8)
     assert np.sum(w2) == pytest.approx(-(1.0 + 1.0j), rel=1e-13)
 
 
-def test_uniform_segment_rule_cached_and_unchanged():
-    # segments share one read-only unit-interval rule per (panels,
-    # nodes_per_panel); the nodes and weights are those panel_rule builds
-    z0, z1 = 0.5 - 2.0j, -1.0 + 3.0j
-    z, w = segment_rule(z0, z1, 5, 32)
-    s, sw = panel_rule(0.0, 1.0, 5, 32)
-    assert np.array_equal(z, z0 + (z1 - z0) * s) and np.array_equal(w, (z1 - z0) * sw)
-    unit = _unit_panels(5, 32)
-    assert _unit_panels(5, 32) is unit and _unit_panels(5, 16) is not unit
-    assert all(not arr.flags.writeable for arr in unit)
-    with pytest.raises(ValueError):
-        unit[0][0] = 0.0
+def test_per_panel_orders():
+    # one order per panel gathers each panel's rule from one read-only table
+    # of orders, in panel order; a constant order gives the uniform rule bit
+    # for bit, and no legs give no nodes
+    mid, hv = panels([(0.5 - 2.0j, -1.0 + 3.0j, 2), (-1.0 + 3.0j, 2.0, 3)])
+    z, w = panel_rule(mid, hv, 32)
+    assert np.array_equal(panel_rule(mid, hv, np.full(5, 32)), (z, w))
+    nodes = np.array([6, 32, 7, 40, 6])
+    z, w = panel_rule(mid, hv, nodes)
+    ends = np.cumsum(nodes)
+    for k, n in enumerate(nodes):
+        x, wk = _gl(n)
+        assert np.array_equal(z[ends[k] - n:ends[k]], mid[k] + hv[k] * x)
+        assert np.array_equal(w[ends[k] - n:ends[k]], hv[k] * wk)
+    table = _gl_table(64)
+    assert _gl_table(64) is table and all(not arr.flags.writeable for arr in table)
+    assert all(arr.size == 0 for arr in panel_rule(*panels([]), 8))
 
 
 def test_quadrature_spec_validation():

@@ -233,6 +233,13 @@ class TestRemainderBound:
         lhs, rhs, ok = remainder_bound_check(2.0, 0.0, 100)
         assert lhs == 0.0 and rhs == 0.0 and ok
 
+    def test_remainder_above_rounding(self):
+        # n |remainder| is 4.1586255456861351e-19 here (mpmath, 50 digits);
+        # the quartic term subtracted from the centered action left 4.2e-10
+        # of rounding, which failed the bound 5.8e-15
+        lhs, rhs, ok = remainder_bound_check(0.8617450890313958, 0.000934677062511194, 7771524)
+        assert ok and lhs == pytest.approx(4.1586255456861351e-19, rel=1e-12)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             remainder_bound_check(1.0, 3.0, 16)  # delta > n^(1/20)
