@@ -11,8 +11,8 @@ import pathlib
 
 import numpy as np
 
-from pearceylab.spectral_curve import (TargetConfig, density_csv_lines,
-                                       find_cusp, support_endpoints,
+from pearceylab.cli import csv_lines
+from pearceylab.spectral_curve import (TargetConfig, find_cusp, support_endpoints,
                                        sweep_density, time_from_rescaled,
                                        track_merges)
 
@@ -28,7 +28,8 @@ for label, t in (("before", 0.2), ("critical", crit.t0), ("after", 0.6)):
     cfg = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=t)
     samples = sweep_density(cfg, zg)
     path = OUT / f"density_{label}.csv"
-    path.write_text("\n".join(density_csv_lines(samples)) + "\n")
+    rows = ((d.z, d.g.real, d.g.imag, d.density) for d in samples)
+    path.write_text("\n".join(csv_lines("z,re_g,im_g,density", rows)) + "\n")
     bt = cfg.scaled_targets()
     sup = support_endpoints(bt[1], bt[0], 0.5)
     print(f"t = {t:.4f} ({label}): support intervals "

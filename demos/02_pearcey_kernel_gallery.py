@@ -13,8 +13,8 @@ import pathlib
 import numpy as np
 
 from pearceylab import QuadratureSpec
-from pearceylab.kernels import (kernel_grid_csv_lines, pearcey_kernel_grid,
-                                pearcey_kernel_matrix, pearcey_pq)
+from pearceylab.cli import csv_lines
+from pearceylab.kernels import pearcey_kernel_grid, pearcey_kernel_matrix, pearcey_pq
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -25,7 +25,11 @@ for t in (-2.0, 0.0, 2.0):
     Kd = pearcey_kernel_grid(t, t, xs, xs, spec)
     Kq = pearcey_kernel_matrix(t, xs, xs, spec)
     path = OUT / f"pearcey_kernel_t{t:+.0f}.csv"
-    path.write_text("\n".join(kernel_grid_csv_lines(t, t, xs, xs, Kd, spec)) + "\n")
+    grid = (f"# s={t:.17g} t={t:.17g} L={spec.truncation_radius:.17g} "
+            f"panels={spec.panels} nodes={spec.nodes_per_panel}")
+    rows = zip(np.repeat(xs, len(xs)).tolist(), np.tile(xs, len(xs)).tolist(),
+               Kd.ravel().tolist())
+    path.write_text("\n".join([grid, *csv_lines("x,y,value", rows)]) + "\n")
     print(f"t = {t:+.0f}: grid -> {path.name}; "
           f"|double - pq| = {np.abs(Kd - Kq).max():.2e}; "
           f"diagonal at 0: {pearcey_kernel_matrix(t, [0.0], [0.0], spec)[0,0]:.6f}")

@@ -8,8 +8,8 @@ surface destroys that contraction. Both behaviors are demonstrated.
 
 import pathlib
 
-from pearceylab.pde_lab import (pearcey_pde_residual, q_surface,
-                                residual_csv_lines, wronskian_coefficient)
+from pearceylab.cli import csv_lines
+from pearceylab.pde_lab import pearcey_pde_residual, q_surface, wronskian_coefficient
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -20,8 +20,12 @@ for tc in (-0.5, 0.0, 0.5):
         surf = q_surface((tc - 2 * h, tc + 2 * h), 0.0, 1.0, h, h, m=m)
         rep = pearcey_pde_residual(surf)
         res.append(rep)
+    rep = res[1]
+    rows = ((t, rep.y1, rep.y2, r)
+            for t, r in zip(rep.t_values.tolist(), rep.residuals.tolist()))
+    tail = f"# max_abs={rep.max_abs:.17g} h_t={rep.h_t:.17g} h_y={rep.h_y:.17g}"
     (OUT / f"pde_residual_t{tc:+.1f}.csv").write_text(
-        "\n".join(residual_csv_lines(res[1])) + "\n")
+        "\n".join(csv_lines("t,y1,y2,residual", rows, tail)) + "\n")
     print(f"t = {tc:+.1f}: residual {res[0].max_abs:.3e} -> {res[1].max_abs:.3e} "
           f"(contraction {res[0].max_abs / res[1].max_abs:.2f})")
 

@@ -12,10 +12,10 @@ import pathlib
 
 import numpy as np
 
+from pearceylab.cli import csv_lines
 from pearceylab.ensemble_mc import (density_compare, fit_cusp_exponent,
-                                    paths_csv_lines, predicted_density_fn,
-                                    sample_bridge_paths, sample_bundles,
-                                    sample_spectra)
+                                    predicted_density_fn, sample_bridge_paths,
+                                    sample_bundles, sample_spectra)
 from pearceylab.kernels import finite_n_diagonal
 from pearceylab.spectral_curve import TargetConfig, find_cusp
 
@@ -27,7 +27,11 @@ crit = find_cusp(a, b, p)
 cfg = TargetConfig(targets=(b, a), fractions=(1 - p, p), time=0.5)
 
 bundle = sample_bridge_paths(60, cfg, 60, 1, t_max=0.97)
-(OUT / "bridge_paths.csv").write_text("\n".join(paths_csv_lines(bundle)) + "\n")
+n_paths, n_times = bundle.paths.shape
+rows = zip(np.repeat(bundle.times, n_paths).tolist(),
+           np.tile(np.arange(n_paths), n_times).tolist(), bundle.paths.T.ravel().tolist())
+(OUT / "bridge_paths.csv").write_text(
+    "\n".join(csv_lines("time,path_index,position", rows)) + "\n")
 print(f"one bundle of 60 paths -> bridge_paths.csv (cusp predicted at "
       f"t0 = {crit.t0:.3f}, x = {crit.x0:.3f} sqrt(n))")
 
@@ -35,9 +39,8 @@ n = 400
 bundles = sample_bundles(n, cfg, 60, 42, 16, t_max=0.97)
 slope, ts, widths = fit_cusp_exponent(bundles, a, b, p, n, t_lo_off=0.08,
                                       t_hi_off=0.30, quantile=0.25)
-(OUT / "cusp_widths.csv").write_text(
-    "dt,halfwidth\n" + "\n".join(f"{t - crit.t0:.17g},{w:.17g}"
-                                 for t, w in zip(ts, widths)) + "\n")
+(OUT / "cusp_widths.csv").write_text("\n".join(csv_lines(
+    "dt,halfwidth", zip((ts - crit.t0).tolist(), widths.tolist()))) + "\n")
 print(f"inner-gap width exponent over 16 bundles at n = {n}: {slope:.3f} "
       "(3/2 law) -> cusp_widths.csv")
 

@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Every output begins with one manifest comment line recording the tool
-version, the subcommand, its full flag set, and the seed, so identical
-manifests reproduce identical files for deterministic subcommands (wall time
-is reported on stderr, never in the output).  Numbers print with 17
-significant digits; interval unions parse as `y1,y2;y3,y4`.  Quadrature
-resolution is QuadratureSpec()'s default.  Exit codes: 2 for usage errors,
-which argparse and the library's own input checks (ValueError) decide, and 1
-for numerical failures (ArithmeticError, QuadratureError, LinAlgError).
+This module writes every output line; the layers return result objects and
+format nothing.  Every output begins with one manifest comment line recording
+the tool version, the subcommand, its full flag set, and the seed, so
+identical manifests reproduce identical files for deterministic subcommands
+(wall time is reported on stderr, never in the output).  Scalar results print
+as `key=value` lines and tables as CSV (csv_lines: a header, one row per
+line, then `# key=value` comment lines).  Floats print with 17 significant
+digits and integers as they are; interval unions parse as `y1,y2;y3,y4`.
+Quadrature resolution is QuadratureSpec()'s default.  Exit codes: 2 for
+usage errors, which argparse and the library's own input checks (ValueError)
+decide, and 1 for numerical failures (ArithmeticError, QuadratureError,
+LinAlgError).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +27,7 @@ import numpy as np
 from . import __version__
 from ._quad import QuadratureError, QuadratureSpec
 
-__all__ = ["RunManifest", "dispatch", "main"]
+__all__ = ["csv_lines", "dispatch", "main"]
 
 
 # handlers reach a layer as `_pkg.<layer>`: the package imports it on first
@@ -34,26 +37,34 @@ __all__ = ["RunManifest", "dispatch", "main"]
 _pkg = sys.modules[__package__]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    flags: str
-    seed: int | None
-    version: str
-    wall_time: float
-
-    def header(self):
-        seed = "none" if self.seed is None else str(self.seed)
-        return (f"# pearceylab={self.version} cmd={self.subcommand} "
-                f"seed={seed} flags=[{self.flags}]")
-
-
 def _fmt(v):
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
+def _row(values):
+    return ",".join(map(_fmt, values))
+
+
 def _kv_block(pairs):
     return [f"{k}={_fmt(v)}" for k, v in pairs]
+
+
+def _comment(pairs):
+    return "# " + " ".join(_kv_block(pairs))
+
+
+def csv_lines(header, rows, *comments):
+    """A CSV table as lines: `header`, one comma-separated line per row of
+    `rows` (floats at 17 significant digits, integers as they are), then the
+    `comments` lines.  Rows built from Python lists (ndarray.tolist()) format
+    faster than rows that index an array for every entry."""
+    return [header, *map(_row, rows), *comments]
+
+
+def _grid_rows(xs, ys, values):
+    """Rows (x, y, values[i, j]) over xs x ys, x outer."""
+    return zip(np.repeat(xs, len(ys)).tolist(), np.tile(ys, len(xs)).tolist(),
+               values.ravel().tolist())
 
 
 def _parse_floats(text):
@@ -107,27 +118,24 @@ def _cmd_density(args):
     cfg = _config_from(args)
     zg = _grid(args.zmin, args.zmax, args.num)
     samples = _pkg.spectral_curve.sweep_density(cfg, zg)
-    return _pkg.spectral_curve.density_csv_lines(samples)
+    return csv_lines("z,re_g,im_g,density",
+                     ((d.z, d.g.real, d.g.imag, d.density) for d in samples))
 
 
 def _cmd_support(args):
     s = _pkg.spectral_curve.support_endpoints(args.alpha, args.beta, args.p)
-    lines = _kv_block([("endpoints", ",".join(f"{v:.17g}" for v in s.endpoints))])
-    for i, (a, b) in enumerate(s.intervals):
-        lines.append(f"interval{i}={a:.17g},{b:.17g}")
-    return lines
+    return _kv_block([("endpoints", _row(s.endpoints)),
+                      *((f"interval{i}", _row(ab)) for i, ab in enumerate(s.intervals))])
 
 
 def _cmd_track(args):
     cfg = _pkg.spectral_curve.TargetConfig(targets=_parse_floats(args.targets),
                                            fractions=_parse_floats(args.fractions), time=0.5)
     events = _pkg.spectral_curve.track_merges(cfg, args.tmin, args.tmax)
-    lines = ["T_c,z_c,t_c,left_index,right_index"]
-    for e in events:
-        t_c = _pkg.spectral_curve.time_from_rescaled(e.T_c)
-        lines.append(f"{e.T_c:.17g},{e.z_c:.17g},{t_c:.17g},"
-                     f"{e.left_index},{e.right_index}")
-    return lines
+    t_c = _pkg.spectral_curve.time_from_rescaled
+    return csv_lines("T_c,z_c,t_c,left_index,right_index",
+                     ((e.T_c, e.z_c, t_c(e.T_c), e.left_index, e.right_index)
+                      for e in events))
 
 
 def _cmd_kernel(args):
@@ -139,7 +147,9 @@ def _cmd_kernel(args):
         raise ValueError("kernel --form pq requires --s equal to --t")
     else:
         vals = _pkg.kernels.pearcey_kernel_matrix(args.t, xs, ys, spec)
-    return _pkg.kernels.kernel_grid_csv_lines(args.s, args.t, xs, ys, vals, spec)
+    grid = _comment([("s", args.s), ("t", args.t), ("L", spec.truncation_radius),
+                     ("panels", spec.panels), ("nodes", spec.nodes_per_panel)])
+    return [grid, *csv_lines("x,y,value", _grid_rows(xs, ys, vals))]
 
 
 def _cmd_gap(args):
@@ -174,21 +184,23 @@ def _cmd_pde_residual(args):
     h = args.h
     surf = _pkg.pde_lab.q_surface((args.t0 - 2 * h, args.t0 + 2 * h), center, half, h, h,
                                   m=args.m)
-    return _pkg.pde_lab.residual_csv_lines(_pkg.pde_lab.pearcey_pde_residual(surf))
+    rep = _pkg.pde_lab.pearcey_pde_residual(surf)
+    return csv_lines("t,y1,y2,residual",
+                     ((t, rep.y1, rep.y2, r)
+                      for t, r in zip(rep.t_values.tolist(), rep.residuals.tolist())),
+                     _comment([("max_abs", rep.max_abs), ("h_t", rep.h_t), ("h_y", rep.h_y)]))
 
 
 def _cmd_lemma_checks(args):
     E = _parse_interval_union(args.E)
     lhs, rhs, du = _pkg.fredholm.endpoint_identity_check(args.t, E, args.m)
     lines = _kv_block([("d2E_log_gap", lhs), ("sum_phat_qhat", rhs), ("dE_u", du),
-                       ("rel_err_magnitude", abs(abs(lhs) - abs(rhs)) / abs(rhs))])
+                       # the identity holds as lhs = -rhs
+                       ("rel_err_magnitude", abs(lhs + rhs) / abs(rhs))])
     rows, tgt1, tgt2 = _pkg.pde_lab.small_interval_checks(args.t, args.x,
                                                           (1e-2, 5e-3, 2.5e-3), args.m)
-    lines.append("h,dEu_over_h,du_dt_over_h")
-    for h, c1, c2 in rows:
-        lines.append(f"{h:.17g},{c1:.17g},{c2:.17g}")
-    lines += _kv_block([("target_pq_prime", tgt1), ("target_heat", tgt2)])
-    return lines
+    return [*lines, *csv_lines("h,dEu_over_h,du_dt_over_h", rows),
+            *_kv_block([("target_pq_prime", tgt1), ("target_heat", tgt2)])]
 
 
 def _cmd_wronskian(args):
@@ -230,20 +242,24 @@ def _cmd_converge(args):
     n_list = [int(v) for v in args.n.split(",")]
     study = _pkg.scaling.convergence_study(args.a, args.b, args.p, n_list,
                                            _parse_floats(args.taus or "0"))
-    return _pkg.scaling.convergence_csv_lines(study)
+    return csv_lines("n,max_abs_error", ((r.n, r.max_abs_error) for r in study.rows),
+                     _comment([("fitted_slope", study.slope)]))
 
 
 def _cmd_sample_spectrum(args):
     cfg = _config_from(args)
     samples = _pkg.ensemble_mc.sample_spectra(args.n, cfg, args.seed, args.count,
                                               threads=args.threads)
-    return _pkg.ensemble_mc.spectra_csv_lines(samples)
+    return csv_lines("sample_index,eigenvalue_index,value",
+                     ((si, ei, v) for si, s in enumerate(samples)
+                      for ei, v in enumerate(s.eigenvalues.tolist())))
 
 
 def _cmd_sample_paths(args):
     cfg = _config_from(args)
     bundle = _pkg.ensemble_mc.sample_bridge_paths(args.n, cfg, args.steps, args.seed)
-    return _pkg.ensemble_mc.paths_csv_lines(bundle)
+    return csv_lines("time,path_index,position",
+                     _grid_rows(bundle.times, np.arange(len(bundle.paths)), bundle.paths.T))
 
 
 def _cmd_compare_density(args):
@@ -389,16 +405,16 @@ def dispatch(argv):
     except ValueError as exc:   # the library's input checks
         print(f"pearceylab {args.cmd}: usage error: {exc}", file=sys.stderr)
         return 2
-    manifest = RunManifest(subcommand=args.cmd, flags=flags,
-                           seed=getattr(args, "seed", None),
-                           version=__version__, wall_time=time.time() - started)
-    text = "\n".join([manifest.header()] + list(lines)) + "\n"
+    seed = getattr(args, "seed", None)
+    manifest = (f"# pearceylab={__version__} cmd={args.cmd} "
+                f"seed={'none' if seed is None else seed} flags=[{flags}]")
+    text = "\n".join([manifest, *lines]) + "\n"
     if args.out:
         with open(args.out, "w") as fh_:
             fh_.write(text)
     else:
         sys.stdout.write(text)
-    print(f"pearceylab {args.cmd}: wall_time={manifest.wall_time:.3f}s", file=sys.stderr)
+    print(f"pearceylab {args.cmd}: wall_time={time.time() - started:.3f}s", file=sys.stderr)
     return 0
 
 

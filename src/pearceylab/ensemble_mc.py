@@ -41,7 +41,7 @@ __all__ = [
     "SpectrumSample", "PathBundle", "group_sizes", "sample_spectrum",
     "sample_spectra", "density_compare", "predicted_density_fn",
     "sample_bridge_paths", "sample_bundles", "endpoint_fractions",
-    "fit_cusp_exponent", "paths_csv_lines", "spectra_csv_lines",
+    "fit_cusp_exponent",
 ]
 
 
@@ -254,19 +254,3 @@ def fit_cusp_exponent(bundles, a: float, b: float, p: float, n: int,
     dt = times[sel] - t0
     slope = np.polyfit(np.log(dt), np.log(width), 1)[0]
     return float(slope), times[sel], width
-
-
-def paths_csv_lines(bundle: PathBundle):
-    lines = ["time,path_index,position"]
-    for j, t in enumerate(bundle.times):
-        for i in range(bundle.paths.shape[0]):
-            lines.append(f"{t:.17g},{i},{bundle.paths[i, j]:.17g}")
-    return lines
-
-
-def spectra_csv_lines(samples):
-    lines = ["sample_index,eigenvalue_index,value"]
-    for si, s in enumerate(samples):
-        for ei, v in enumerate(s.eigenvalues):
-            lines.append(f"{si},{ei},{v:.17g}")
-    return lines

@@ -27,7 +27,7 @@ __all__ = [
     "IntervalUnion", "NystromGrid", "GapResult", "ResolventData",
     "pearcey_kernel_handle",
     "gap_probability", "multitime_gap", "resolvent_quantities",
-    "airy_gap_on_ray", "endpoint_identity_check", "gap_csv_lines",
+    "airy_gap_on_ray", "endpoint_identity_check",
 ]
 
 
@@ -332,11 +332,12 @@ def endpoint_identity_check(t: float, E: IntervalUnion, m: int = 64,
                             spec: QuadratureSpec | None = None):
     """Both sides of the endpoint identity
 
-        d^2/de^2 log det(I - K_{E+e}) |_{e=0} = sum_k (-1)^k p_hat(a_k) q_hat(a_k),
+        d^2/de^2 log det(I - K_{E+e}) |_{e=0} = -sum_k (-1)^k p_hat(a_k) q_hat(a_k)
 
-    as (lhs, rhs, du): lhs the 5-point centered second difference of the log
-    gaps of E + k h, k = -2..2, h = 1e-3, which are one _resolvents call, and
-    du = (u(E + h) - u(E - h)) / 2h.
+    over the endpoints a_1 < ... < a_2r, as (lhs, rhs, du): lhs the 5-point
+    centered second difference of the log gaps of E + k h, k = -2..2,
+    h = 1e-3, which are one _resolvents call, rhs the sum itself, so that
+    the identity reads lhs = -rhs, and du = (u(E + h) - u(E - h)) / 2h.
 
     lhs is checked against the 3-point second difference of the inner three
     log gaps.  Where the log gaps resolve their second difference the two
@@ -370,13 +371,3 @@ def airy_gap_on_ray(s: float, m: int = 48) -> GapResult:
     res = gap_probability(airy_kernel_matrix, IntervalUnion((s, hi)), m)
     return GapResult(value=res.value, log_value=res.log_value,
                      error_estimate=res.error_estimate + airy_kernel(hi, hi) * (hi - s))
-
-
-def gap_csv_lines(rows):
-    """CSV `t,y1,...,y2r,log_gap,err` for (t, IntervalUnion, GapResult) rows."""
-    width = max(len(E.endpoints) for _, E, _ in rows)
-    out = ["t," + ",".join(f"y{i+1}" for i in range(width)) + ",log_gap,err"]
-    for t, E, res in rows:
-        ys = ",".join(f"{y:.17g}" for y in E.endpoints)
-        out.append(f"{t:.17g},{ys},{res.log_value:.17g},{res.error_estimate:.17g}")
-    return out

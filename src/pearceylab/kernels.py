@@ -65,7 +65,7 @@ __all__ = [
     "pearcey_kernel", "pearcey_kernel_grid", "pearcey_kernel_pq_form",
     "airy_kernel",
     "finite_n_kernel", "finite_n_kernel_scaled", "finite_n_kernel_grid",
-    "finite_n_diagonal", "kernel_grid_csv_lines",
+    "finite_n_diagonal",
 ]
 
 
@@ -769,21 +769,53 @@ def _descent_checked(q, L):
                               f"{max(r[3] for r in rises)}")
 
 
-def _cusp_rules(crit: CriticalData, n, spec, dz_max=0.0):
-    """Contour rules through the quartic saddle.  For probe points with
+def _cusp_L(spec, dz_max):
+    """Truncation radius of the cusp-tier contours.  For probe points with
     z != z0 the action acquires a linear tilt n (z - z0) Re(v - u0) that beats
-    the |v|^{-n} tail decay at large radius, so the truncation radius is
-    capped at 1/dz, which maximizes the edge decay rate, and floored at 4:
-    L = max(4, min(spec.truncation_radius, 1/dz)).
+    the |v|^{-n} tail decay at large radius, so the radius is capped at 1/dz,
+    which maximizes the edge decay rate, and floored at 4:
+    L = max(4, min(spec.truncation_radius, 1/dz))."""
+    if dz_max > 0:
+        return max(min(spec.truncation_radius, 1.0 / dz_max), 4.0)
+    return spec.truncation_radius
+
+
+# the largest open-branch tail (_open_tail) the cusp tier accepts: the
+# adaptive tier's per-panel target
+_OPEN_TAIL_TOL = 1e-13
+
+
+def _open_tail(params, crit, L, xs):
+    """Size of the V integrand where the cusp-tier X's open branch stops,
+    relative to its size at the saddle u0, largest over the V coordinates xs.
+
+    Where the corner parameter s < L (q != 1), build_contours continues one
+    X branch horizontally and stops the other, the open one (left for q > 1,
+    right for q < 1), at its corners u0 -+ s(1 +- i), whose integrands are
+    conjugate in size.  At the cusp point the ratio is e^{-n dF}, dF the real
+    part of centered_action at the corners (0.944 at q = 1.913, 0.809 at
+    q = 2), and the tail left out measured 2% of it or less at n = 8 and 16.
+    0 where no branch is open."""
+    s = _corner(crit.q)
+    if s >= L:
+        return 0.0
+    ends = np.array([[crit.u0 + math.copysign(s, 1.0 - crit.q) * (1 + 1j)], [crit.u0]])
+    psi = _psi_cusp(ends, crit.c0 * math.sqrt(params.n) / crit.t0, params.t_k,
+                    np.asarray(xs, dtype=float), params.n1, params.n2,
+                    crit.alpha, crit.beta).real
+    # the V integrand is exp(-psi)
+    return math.exp(min(float((psi[1] - psi[0]).max()), 700.0))
+
+
+def _cusp_rules(crit: CriticalData, n, spec, L):
+    """Contour rules through the quartic saddle, truncated at radius L
+    (_cusp_L).
 
     The X's chords keep it a distance d from the U line, d no larger than the
     n^{-1/4}/mu width of the integrand's peak, so every leg carries uniform
     panels sized by width: at most 3 d within 10 d of u0 and 1.5 beyond, at
     spec.panels = 8 and in proportion to 1/spec.panels."""
     q, u0, mu = crit.q, crit.u0, crit.mu
-    L = spec.truncation_radius
-    if dz_max > 0:
-        L = max(min(L, 1.0 / dz_max), 4.0)
     d = min(0.5, 0.8 / (mu * n ** 0.25), min(_corner(q), L) / 3.0)
     fine, coarse = 24.0 * d / spec.panels, 12.0 / spec.panels
     _, v_path = build_contours(q, L, center=u0, pinch_gap=d)
@@ -878,14 +910,21 @@ def _check_mantissas(vals, mass, ls, tier):
 
 
 def _finite_cusp_grid(params, xs, ys, spec):
-    """Cusp-tier finite-n kernel on a grid; returns (values, log_scale)."""
+    """Cusp-tier finite-n kernel on a grid; returns (values, log_scale).
+    Raises QuadratureError, carrying the bound, where the X's open branch
+    stops at a non-negligible integrand (_open_tail)."""
     crit = params.critical()
     _descent_checked(round(crit.q, 12), spec.truncation_radius)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     dz_max = max(float(np.abs(_spectral_z(params, t, coords) - crit.z0).max())
                  for t, coords in ((params.t_k, xs), (params.t_l, ys)))
-    rule_u, rule_v = _cusp_rules(crit, params.n, spec, dz_max)
+    L = _cusp_L(spec, dz_max)
+    tail = _open_tail(params, crit, L, xs)
+    if tail > _OPEN_TAIL_TOL:
+        raise QuadratureError(f"cusp-tier contour's open branch stops where the integrand "
+                              f"is {tail:.3g} of its saddle value", achieved=tail)
+    rule_u, rule_v = _cusp_rules(crit, params.n, spec, L)
     # geometric enclosure check: poles must lie strictly inside the V wedges
     reach = min(_corner(crit.q), spec.truncation_radius) + spec.truncation_radius
     if not (0 < crit.alpha - crit.u0 < reach and 0 < crit.u0 - crit.beta < reach):
@@ -1164,10 +1203,11 @@ def _finite_adaptive(params, x, y, spec):
     return complex(vals[0, 0].real), ls
 
 
-def _in_cusp_window(params, x, y):
+def _in_cusp_window(params, x, y, spec):
     """Cusp-tier contours keep full precision only where the action's linear
-    tilt n (z - z0) stays moderate along the truncated contour; beyond that
-    the saddle-adapted tier takes over."""
+    tilt n (z - z0) stays moderate along the truncated contour and the X's
+    open branch stops at a negligible integrand (_open_tail); elsewhere the
+    saddle-adapted tier takes over."""
     crit = params.critical()
     t0, z0 = crit.t0, crit.z0
     n = params.n
@@ -1176,11 +1216,13 @@ def _in_cusp_window(params, x, y):
     # two validity limits: cancellation grows like n dz^2, and the truncated
     # contour tail decays no faster than exp(-n(log(sqrt(2)/dz) - 1))
     w_tail = math.sqrt(2.0) * math.exp(-1.0 - 12.0 / n)
+    dz_max = 0.0
     for t, coord in ((params.t_k, x), (params.t_l, y)):
         dz = abs(_spectral_z(params, t, coord) - z0)
         if dz > 0.6 or n * dz * dz > 4.5 or dz > w_tail:
             return False
-    return True
+        dz_max = max(dz_max, dz)
+    return _open_tail(params, crit, _cusp_L(spec, dz_max), [x]) <= _OPEN_TAIL_TOL
 
 
 def finite_n_kernel_scaled(params: FiniteKernelParams, x: float, y: float,
@@ -1194,7 +1236,8 @@ def finite_n_kernel_scaled(params: FiniteKernelParams, x: float, y: float,
     spec = spec or QuadratureSpec()
     if contours not in ("auto", "cusp", "adaptive"):
         raise ValueError("contours must be auto|cusp|adaptive")
-    use_cusp = contours == "cusp" or (contours == "auto" and _in_cusp_window(params, x, y))
+    use_cusp = contours == "cusp" or (contours == "auto"
+                                      and _in_cusp_window(params, x, y, spec))
     if use_cusp:
         vals, ls = _finite_cusp_grid(params, [x], [y], spec)
         return complex(vals[0, 0]), ls
@@ -1239,14 +1282,3 @@ def finite_n_diagonal(n: int, a: float, b: float, p: float, t: float, lams,
     params = FiniteKernelParams(n=n, a=a, b=b, p=p, t_k=t, t_l=t)
     return np.array([finite_n_kernel(params, lam, lam, spec)
                      for lam in np.asarray(lams, dtype=float)])
-
-
-def kernel_grid_csv_lines(s, t, xs, ys, values, spec):
-    """CSV dump `x,y,value` with the grid metadata comment line."""
-    lines = [f"# s={s:.17g} t={t:.17g} L={spec.truncation_radius:.17g} "
-             f"panels={spec.panels} nodes={spec.nodes_per_panel}"]
-    lines.append("x,y,value")
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            lines.append(f"{xv:.17g},{yv:.17g},{values[i, j]:.17g}")
-    return lines

@@ -29,7 +29,7 @@ from .kernels import pearcey_pq
 
 __all__ = [
     "QSurface", "ResidualReport", "q_surface", "pearcey_pde_residual",
-    "small_interval_checks", "wronskian_coefficient", "residual_csv_lines",
+    "small_interval_checks", "wronskian_coefficient",
 ]
 
 
@@ -177,11 +177,3 @@ def wronskian_coefficient(t: float, x: float,
     pq_dd = d2p * qv + 2 * dp * dq + p * d2q    # (pq)''
     pdqd_d = d2p * dq + dp * d2q                # (p'q')'
     return 2 * p * qv * pq_dd - 3 * pdqd_d * (dp * d2q - d2p * dq)
-
-
-def residual_csv_lines(report: ResidualReport):
-    lines = ["t,y1,y2,residual"]
-    for t, r in zip(report.t_values, report.residuals):
-        lines.append(f"{t:.17g},{report.y1:.17g},{report.y2:.17g},{r:.17g}")
-    lines.append(f"# max_abs={report.max_abs:.17g} h_t={report.h_t:.17g} h_y={report.h_y:.17g}")
-    return lines

@@ -33,7 +33,6 @@ __all__ = [
     "scaling_conditions_residuals", "two_target_action_derivatives",
     "rescale_map", "inverse_rescale_map", "conjugation_factor", "log_conjugation_factor",
     "convergence_study", "remainder_bound_check", "contour_descent_check",
-    "convergence_csv_lines",
 ]
 
 
@@ -351,11 +350,3 @@ def convergence_study(a: float, b: float, p: float, n_list, taus=(0.0,),
     ly = np.log([max(r.max_abs_error, 1e-300) for r in tail])
     slope = float(np.polyfit(lx, ly, 1)[0]) if len(tail) >= 2 else math.nan
     return ConvergenceStudy(rows=tuple(rows), slope=slope)
-
-
-def convergence_csv_lines(study: ConvergenceStudy):
-    lines = ["n,max_abs_error"]
-    for row in study.rows:
-        lines.append(f"{row.n},{row.max_abs_error:.17g}")
-    lines.append(f"# fitted_slope={study.slope:.17g}")
-    return lines

@@ -38,7 +38,6 @@ __all__ = [
     "TargetConfig", "DensitySample", "SupportSet", "CriticalData", "MergeEvent",
     "group_sizes", "solve_stieltjes", "sweep_density", "support_endpoints", "find_cusp",
     "branch_points", "track_merges", "time_from_rescaled",
-    "density_csv_lines",
 ]
 
 _REAL_TOL = 1e-9
@@ -409,11 +408,3 @@ def track_merges(config: TargetConfig, T_min: float, T_max: float):
                                  left_index=left, right_index=left + 1))
     events.sort(key=lambda e: -e.T_c)
     return events
-
-
-def density_csv_lines(samples):
-    """CSV serialization `z,re_g,im_g,density` with 17 significant digits."""
-    lines = ["z,re_g,im_g,density"]
-    for s in samples:
-        lines.append(",".join(f"{v:.17g}" for v in (s.z, s.g.real, s.g.imag, s.density)))
-    return lines

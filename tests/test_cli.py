@@ -5,10 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pearceylab import cli
-from pearceylab.cli import build_parser, dispatch
-from pearceylab.kernels import pearcey_kernel_matrix
+from pearceylab import cli, fredholm, pde_lab
+from pearceylab._quad import QuadratureSpec
+from pearceylab.cli import build_parser, csv_lines, dispatch
+from pearceylab.ensemble_mc import sample_bridge_paths, sample_spectra
+from pearceylab.kernels import pearcey_kernel_grid, pearcey_kernel_matrix
+from pearceylab.pde_lab import pearcey_pde_residual, q_surface
 from pearceylab.scaling import convergence_study
+from pearceylab.spectral_curve import (TargetConfig, sweep_density, time_from_rescaled,
+                                       track_merges)
 
 
 def run(tmp_path, args, name="out.txt"):
@@ -272,3 +277,124 @@ def test_readme_lines(tmp_path, monkeypatch, capsys):
         if "--out" in args:
             text = (tmp_path / args[args.index("--out") + 1]).read_text()
         assert text.startswith("# pearceylab="), line
+
+
+SYM03 = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.3)
+SYM_FLAGS = ["--targets=-1,1", "--fractions", "0.5,0.5"]
+
+
+def _kernel_case(form, library):
+    xs, ys = np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 3)
+    K = library(xs, ys, QuadratureSpec())
+    return (["kernel", "--form", form, "--s", "0.5", "--t", "0.5",
+             "--xgrid=-2,2,5", "--ygrid=-1,1,3"],
+            ["# s=0.5 t=0.5 L=6 panels=8 nodes=32"], "x,y,value",
+            [(x, y, K[i, j]) for i, x in enumerate(xs) for j, y in enumerate(ys)], [])
+
+
+def _pde_case():
+    h = 0.05
+    rep = pearcey_pde_residual(q_surface((-2 * h, 2 * h), 0.0, 1.0, h, h, m=16))
+    return (["pde-residual", "--t0", "0", "--E=-1,1", "--h", "0.05", "--m", "16"], [],
+            "t,y1,y2,residual", [(t, -1.0, 1.0, r) for t, r in zip(rep.t_values, rep.residuals)],
+            [[("max_abs", rep.max_abs), ("h_t", h), ("h_y", h)]])
+
+
+def _converge_case():
+    study = convergence_study(1.0, -1.0, 0.5, [64, 256], taus=(0.0,))
+    return (["converge", "--a", "1", "--b=-1", "--p", "0.5", "--n", "64,256"], [],
+            "n,max_abs_error", [(r.n, r.max_abs_error) for r in study.rows],
+            [[("fitted_slope", study.slope)]])
+
+
+def _density_case():
+    cfg = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.2)
+    samples = sweep_density(cfg, np.linspace(-3.0, 3.0, 11))
+    return (["density", *SYM_FLAGS, "--t", "0.2", "--zmin", "-3", "--zmax", "3", "--num", "11"],
+            [], "z,re_g,im_g,density",
+            [(d.z, d.g.real, d.g.imag, d.density) for d in samples], [])
+
+
+def _track_case():
+    cfg = TargetConfig(targets=(-2.0, 0.0, 1.5), fractions=(0.3, 0.3, 0.4), time=0.5)
+    events = track_merges(cfg, 0.05, 30.0)
+    assert len(events) == 2
+    return (["track", "--targets=-2,0,1.5", "--fractions", "0.3,0.3,0.4",
+             "--tmin", "0.05", "--tmax", "30"], [], "T_c,z_c,t_c,left_index,right_index",
+            [(e.T_c, e.z_c, time_from_rescaled(e.T_c), e.left_index, e.right_index)
+             for e in events], [])
+
+
+def _spectrum_case():
+    samples = sample_spectra(6, SYM03, 3, 2)
+    return (["sample-spectrum", "--n", "6", *SYM_FLAGS, "--t", "0.3", "--seed", "3",
+             "--count", "2"], [], "sample_index,eigenvalue_index,value",
+            [(si, ei, v) for si, s in enumerate(samples) for ei, v in enumerate(s.eigenvalues)],
+            [])
+
+
+def _paths_case():
+    b = sample_bridge_paths(6, SYM03, 10, 3)
+    return (["sample-paths", "--n", "6", *SYM_FLAGS, "--steps", "10", "--seed", "3"], [],
+            "time,path_index,position",
+            [(t, i, b.paths[i, j]) for j, t in enumerate(b.times) for i in range(6)], [])
+
+
+@pytest.mark.parametrize("case", {
+    "density": _density_case,
+    "kernel-double": lambda: _kernel_case(
+        "double", lambda xs, ys, spec: pearcey_kernel_grid(0.5, 0.5, xs, ys, spec)),
+    "kernel-pq": lambda: _kernel_case(
+        "pq", lambda xs, ys, spec: pearcey_kernel_matrix(0.5, xs, ys, spec)),
+    "pde-residual": _pde_case,
+    "converge": _converge_case,
+    "sample-spectrum": _spectrum_case,
+    "sample-paths": _paths_case,
+    "track": _track_case,
+}.items(), ids=lambda item: item[0])
+def test_csv_output(tmp_path, case):
+    # each CSV subcommand's table: the lines before its header, the header,
+    # one row per library result whose every value parses back exactly
+    # (integers as integers), and the trailing `# key=value` lines
+    args, leading, header, rows, comments = case[1]()
+    code, text = run(tmp_path, args)
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0].startswith("# pearceylab=")
+    lines = lines[1:]
+    assert lines[:len(leading)] == leading
+    lines = lines[len(leading):]
+    assert lines[0] == header
+    body, tail = lines[1:1 + len(rows)], lines[1 + len(rows):]
+    assert len(body) == len(rows) and len(tail) == len(comments)
+    for line, row in zip(body, rows):
+        fields = line.split(",")
+        assert len(fields) == len(row) == len(header.split(","))
+        assert [int(f) if isinstance(v, (int, np.integer)) else float(f)
+                for f, v in zip(fields, row)] == list(row), line
+    for line, pairs in zip(tail, comments):
+        assert line.startswith("# ")
+        kv = dict(item.split("=", 1) for item in line[2:].split(" "))
+        assert list(kv) == [k for k, _ in pairs]
+        assert [float(kv[k]) for k, _ in pairs] == [v for _, v in pairs]
+
+
+def test_csv_lines():
+    # floats at 17 significant digits, integers as they are, comments last
+    assert csv_lines("a,b", [(0.1, 3), (np.float64(2.0), np.int64(-4))], "# k=1") == [
+        "a,b", "0.10000000000000001,3", "2,-4", "# k=1"]
+    assert csv_lines("a", iter(())) == ["a"]
+
+
+def test_lemma_checks_relative_error_sees_the_sign(tmp_path, monkeypatch):
+    # the identity holds as lhs = -rhs: sides of one sign are 2 apart
+    monkeypatch.setattr(fredholm, "endpoint_identity_check", lambda t, E, m: (0.5, 0.5, 0.5))
+    monkeypatch.setattr(pde_lab, "small_interval_checks", lambda t, x, hs, m: ([], 0.0, 0.0))
+    code, text = run(tmp_path, ["lemma-checks", "--t", "0", "--E=-1,1"])
+    assert code == 0
+    kv = dict(line.split("=", 1) for line in text.splitlines()[1:] if "=" in line)
+    assert kv["rel_err_magnitude"] == "2"
+    monkeypatch.setattr(fredholm, "endpoint_identity_check", lambda t, E, m: (-0.5, 0.5, 0.5))
+    code, text = run(tmp_path, ["lemma-checks", "--t", "0", "--E=-1,1"], "b.txt")
+    kv = dict(line.split("=", 1) for line in text.splitlines()[1:] if "=" in line)
+    assert kv["rel_err_magnitude"] == "0"

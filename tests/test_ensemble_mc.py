@@ -6,12 +6,10 @@ import pytest
 from pearceylab import ensemble_mc
 from pearceylab.ensemble_mc import (_gue_parts, _rng, density_compare,
                                     endpoint_fractions, fit_cusp_exponent,
-                                    group_sizes,
-                                    paths_csv_lines, predicted_density_fn,
+                                    group_sizes, predicted_density_fn,
                                     sample_bridge_paths, sample_bundles,
                                     sample_spectra, sample_spectrum,
-                                    source_matrix_diag,
-                                    spectra_csv_lines)
+                                    source_matrix_diag)
 from pearceylab.spectral_curve import TargetConfig, find_cusp, support_endpoints
 
 SYM02 = TargetConfig(targets=(-1.0, 1.0), fractions=(0.5, 0.5), time=0.2)
@@ -258,14 +256,3 @@ class TestBridgePaths:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
-
-
-def test_csv_formats():
-    b = sample_bridge_paths(12, SYM02, 12, 0)
-    lines = paths_csv_lines(b)
-    assert lines[0] == "time,path_index,position"
-    assert len(lines) == 1 + 12 * 12
-    ss = sample_spectra(5, SYM02, 0, 2)
-    lines = spectra_csv_lines(ss)
-    assert lines[0] == "sample_index,eigenvalue_index,value"
-    assert len(lines) == 1 + 10

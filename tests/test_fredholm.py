@@ -7,8 +7,7 @@ import scipy.integrate as si
 from pearceylab import fredholm
 from pearceylab._quad import QuadratureError
 from pearceylab.fredholm import (IntervalUnion, NystromGrid, _block_logdet, _nystrom_logdet,
-                                 _resolvents, airy_gap_on_ray, gap_csv_lines,
-                                 endpoint_identity_check, gap_probability, multitime_gap,
+                                 _resolvents, airy_gap_on_ray, endpoint_identity_check, gap_probability, multitime_gap,
                                  pearcey_kernel_handle, resolvent_quantities)
 from pearceylab.kernels import (_pearcey_kernel_from_tables, airy_kernel_matrix,
                                 pearcey_kernel_grid, pearcey_kernel_matrix, pearcey_pq,
@@ -389,11 +388,3 @@ class TestEndpointIdentity:
         lhs, rhs, du = endpoint_identity_check(1.0, IntervalUnion((0.0, 2.0)), m=64, spec=spec)
         assert lhs == pytest.approx(-rhs, rel=1e-5)
         assert du == pytest.approx(rhs, rel=1e-5)
-
-
-def test_gap_csv_format(spec):
-    E = IntervalUnion((-1.0, 1.0))
-    res = gap_probability(pearcey_kernel_handle(0.0, spec), E, 16)
-    lines = gap_csv_lines([(0.0, E, res)])
-    assert lines[0] == "t,y1,y2,log_gap,err"
-    assert len(lines[1].split(",")) == 5

@@ -18,8 +18,7 @@ from pearceylab.kernels import (ContourPath, FiniteKernelParams, airy_kernel,
                                 airy_kernel_matrix, build_contours,
                                 finite_n_diagonal, finite_n_kernel,
                                 finite_n_kernel_grid, finite_n_kernel_scaled,
-                                kernel_grid_csv_lines, pearcey_kernel,
-                                pearcey_kernel_grid, pearcey_kernel_matrix,
+                                pearcey_kernel, pearcey_kernel_grid, pearcey_kernel_matrix,
                                 pearcey_kernel_pq_form, pearcey_pq, pq_tables)
 
 
@@ -415,14 +414,6 @@ class TestPearceyKernel:
         with pytest.raises(ValueError, match="finite"):
             pearcey_kernel_grid(s, t, xs, ys, spec)
 
-    def test_csv_dump_format(self, spec):
-        xs = np.array([0.0, 1.0])
-        vals = pearcey_kernel_grid(0.0, 0.0, xs, xs, spec)
-        lines = kernel_grid_csv_lines(0.0, 0.0, xs, xs, vals, spec)
-        assert lines[0].startswith("# s=0 t=0 L=6 panels=8 nodes=32")
-        assert lines[1] == "x,y,value"
-        assert len(lines) == 2 + 4
-
 
 def _airy_contour(x, prime):
     """Ai(x) or Ai'(x) by Gauss-Legendre quadrature over the rays
@@ -722,12 +713,39 @@ class TestFiniteN:
 
     def test_descent_check_gate(self):
         # the descent scan runs beside the contours; a valid q passes silently
-        params = FiniteKernelParams(n=16, a=1.0, b=0.0, p=1.0 / 9.0,
+        # (at n = 64, where the X's open branch stops at e^{-51} of the saddle)
+        params = FiniteKernelParams(n=64, a=1.0, b=0.0, p=1.0 / 9.0,
                                     t_k=0.6, t_l=0.6)
         crit = params.critical()
-        lam = crit.x0 * math.sqrt(16)
+        lam = crit.x0 * math.sqrt(64)
         val = finite_n_kernel(params, lam, lam, contours="cusp")
         assert np.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("n, a, b, p", [(8, 1.0, 0.0, 1.0 / 9.0), (9, 1.0, 0.0, 1.0 / 9.0),
+                                            (16, 1.0, 0.0, 1.0 / 9.0), (8, 0.0, -1.0, 0.8)])
+    def test_open_branch_tail(self, monkeypatch, n, a, b, p):
+        # at the cusp point, q != 1: the X branch that build_contours does not
+        # continue stops where the integrand is e^{-n dF} of the saddle's
+        # (5e-4 to 1e-7 here), and the default and refined cusp rules agree on
+        # the truncated value, which missed the adaptive tier's by 1e-10 to
+        # 1e-5.  auto takes the adaptive tier there, and the forced cusp tier
+        # raises with the bound
+        crit = FiniteKernelParams(n=n, a=a, b=b, p=p, t_k=0.5, t_l=0.5).critical()
+        params = FiniteKernelParams(n=n, a=a, b=b, p=p, t_k=crit.t0, t_l=crit.t0)
+        lam = crit.x0 * math.sqrt(n)
+        tail = math.exp(-n * kernels.centered_action(
+            math.copysign(kernels._corner(crit.q), 1.0 - crit.q) * (1 + 1j), crit.q).real)
+        spec = QuadratureSpec()
+        assert not kernels._in_cusp_window(params, lam, lam, spec)
+        monkeypatch.setattr(kernels, "_OPEN_TAIL_TOL", math.inf)
+        assert kernels._in_cusp_window(params, lam, lam, spec)
+        monkeypatch.undo()
+        adaptive = finite_n_kernel(params, lam, lam, contours="adaptive")
+        assert finite_n_kernel(params, lam, lam) == pytest.approx(adaptive, abs=1e-10)
+        with pytest.raises(QuadratureError, match="open branch") as exc:
+            finite_n_kernel(params, lam, lam, contours="cusp")
+        assert exc.value.achieved == pytest.approx(tail, rel=1e-9)
+        assert exc.value.achieved > 1e-8
 
     def test_descent_check_gate_fires(self, monkeypatch):
         # a rise anywhere on the contours stops the cusp tier before any sum

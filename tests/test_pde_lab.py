@@ -8,8 +8,7 @@ from pearceylab.fredholm import (IntervalUnion, NystromGrid, _nystrom_logdet,
                                  gap_probability, pearcey_kernel_handle,
                                  resolvent_quantities)
 from pearceylab.pde_lab import (QSurface, pearcey_pde_residual, q_surface,
-                                residual_csv_lines, small_interval_checks,
-                                wronskian_coefficient)
+                                small_interval_checks, wronskian_coefficient)
 from pearceylab.kernels import _pearcey_kernel_from_tables, pq_tables
 
 
@@ -187,12 +186,6 @@ class TestResidual:
         expect = (6 * c + 28 * t[2:-2] - 3 * k * (-0.75 + 1.25)
                   + m * (11.25 * -0.75 - 12 * 1.25))
         assert np.abs(rep.residuals - expect).max() < 6e-12
-
-    def test_csv_format(self, surface_pair):
-        rep = pearcey_pde_residual(surface_pair[0])
-        lines = residual_csv_lines(rep)
-        assert lines[0] == "t,y1,y2,residual"
-        assert lines[-1].startswith("# max_abs=")
 
 
 class TestSmallInterval:

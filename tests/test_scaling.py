@@ -10,8 +10,7 @@ from pearceylab.fredholm import IntervalUnion, NystromGrid
 from pearceylab.kernels import (ContourPath, FiniteKernelParams, build_contours,
                                 centered_action, finite_n_kernel)
 from pearceylab.scaling import (ActionDerivatives, DegenerateActionError,
-                                action_F, contour_descent_check,
-                                convergence_csv_lines, convergence_study,
+                                action_F, contour_descent_check, convergence_study,
                                 conjugation_factor, critical_exponents,
                                 inverse_rescale_map, log_conjugation_factor,
                                 remainder_bound_check, rescale_map,
@@ -307,12 +306,6 @@ class TestConvergence:
         study = convergence_study(1.0, -1.0, 0.5, [64, 256], spec=spec)
         errs = [r.max_abs_error for r in study.rows]
         assert errs[1] < errs[0]
-
-    def test_csv_format(self, spec):
-        study = convergence_study(1.0, -1.0, 0.5, [64, 256], spec=spec)
-        lines = convergence_csv_lines(study)
-        assert lines[0] == "n,max_abs_error"
-        assert lines[-1].startswith("# fitted_slope=")
 
     def test_nlist_validation(self, spec):
         with pytest.raises(ValueError):

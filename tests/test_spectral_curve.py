@@ -6,8 +6,7 @@ import scipy.integrate as si
 
 from conftest import random_abp
 from pearceylab import spectral_curve
-from pearceylab.spectral_curve import (TargetConfig, branch_points,
-                                       density_csv_lines, discriminant_quartic,
+from pearceylab.spectral_curve import (TargetConfig, branch_points, discriminant_quartic,
                                        find_cusp, solve_stieltjes,
                                        support_endpoints, sweep_density,
                                        time_from_rescaled, track_merges)
@@ -453,10 +452,3 @@ def test_mass_normalization_three_targets():
     total = si.quad(lambda z: solve_stieltjes(cfg, z).density, -6.0, 6.0,
                     limit=400, epsabs=1e-9)[0]
     assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_density_csv_format():
-    lines = density_csv_lines(sweep_density(SYM, [0.0, 1.0]))
-    assert lines[0] == "z,re_g,im_g,density"
-    assert len(lines) == 3
-    assert len(lines[1].split(",")) == 4
