@@ -84,10 +84,9 @@ def panels(legs):
     if not legs:
         return np.empty(0), np.empty(0)
     a, b, p = (np.array(c) for c in zip(*legs))
-    step = (b - a) / p
-    k = np.repeat(np.arange(len(p)), p)
-    j = np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p)
-    return a[k] + (j + 0.5) * step[k], step[k] / 2
+    step = ((b - a) / p).repeat(p)
+    j = np.arange(len(step)) - (p.cumsum() - p).repeat(p)
+    return a.repeat(p) + (j + 0.5) * step, step / 2
 
 
 def panel_rule(mid, hv, nodes):
@@ -100,9 +99,9 @@ def panel_rule(mid, hv, nodes):
         x, w = _gl(nodes)
         return (mid[:, None] + hv[:, None] * x).ravel(), (hv[:, None] * w).ravel()
     x, w, start = _gl_table(32 * -(-int(nodes.max()) // 32))
-    k = np.repeat(np.arange(len(nodes)), nodes)
-    idx = np.arange(nodes.sum()) + np.repeat(start[nodes] - np.cumsum(nodes) + nodes, nodes)
-    return mid[k] + hv[k] * x[idx], hv[k] * w[idx]
+    hv = hv.repeat(nodes)
+    idx = np.arange(len(hv)) + (start[nodes] - nodes.cumsum() + nodes).repeat(nodes)
+    return mid.repeat(nodes) + hv * x[idx], hv * w[idx]
 
 
 @dataclass(frozen=True)

@@ -189,9 +189,11 @@ def _legs_rule(legs, nodes_per_panel):
 
 
 def _bernstein_log_rho(mid, hv, p0, p1):
-    """log rho of the smallest Bernstein ellipse of panel k (centre mid[k],
-    half-width vector hv[k]) that reaches segment j from p0[j] to p1[j] (a
-    point where p0[j] == p1[j]), as a panels x segments array.
+    """log rho of the smallest Bernstein ellipse of the panel with centre mid
+    and half-width vector hv that reaches the segment from p0 to p1 (a point
+    where p0 == p1), over complex arrays that broadcast together: panels
+    mid[:, None], hv[:, None] against segments p0, p1 give a panels x
+    segments array.
 
     In a panel's own coordinate, which maps it onto [-1, 1], E_rho has foci
     +-1 and semi-major axis A = (rho + 1/rho)/2, so rho = A + sqrt(A^2 - 1)
@@ -201,15 +203,16 @@ def _bernstein_log_rho(mid, hv, p0, p1):
     s = (s_- d_+ + s_+ d_-)/(d_- + d_+), with s_+- the foci's positions along
     the line and d_+- their distances from it (where both are 0, the point
     nearest the centre).  Clipped to the segment, s gives its least sum."""
-    z0 = (np.asarray(p0, dtype=complex)[None, :] - mid[:, None]) / hv[:, None]
-    e = (np.asarray(p1, dtype=complex) - p0)[None, :] / hv[:, None]
+    z0 = (p0 - mid) / hv
+    e = (p1 - p0) / hv
     ce = e.conjugate()
     up = (1.0 - z0) * ce        # position |e|^2 Re, and distance |e| |Im|, of +1
     um = up - 2.0 * ce          # and of -1
     dp, dm = np.abs(up.imag), np.abs(um.imag)
-    s = np.where(dp + dm > 0, (um.real * dp + up.real * dm) / np.maximum(dp + dm, 1e-300),
+    d = dp + dm
+    s = np.where(d > 0, (um.real * dp + up.real * dm) / np.maximum(d, 1e-300),
                  (up.real + um.real) / 2) / np.maximum(e.real**2 + e.imag**2, 1e-300)
-    z = z0 + np.clip(s, 0.0, 1.0) * e
+    z = z0 + s.clip(0.0, 1.0) * e
     return np.arccosh(np.maximum((np.abs(z - 1.0) + np.abs(z + 1.0)) / 2, 1.0))
 
 
@@ -719,8 +722,8 @@ class FiniteKernelParams:
     t_l: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if not self.a > self.b:
             raise ValueError("requires a > b")
         for t in (self.t_k, self.t_l):
@@ -800,9 +803,9 @@ def _open_tail(params, crit, L, xs):
     if s >= L:
         return 0.0
     ends = np.array([[crit.u0 + math.copysign(s, 1.0 - crit.q) * (1 + 1j)], [crit.u0]])
-    psi = _psi_cusp(ends, crit.c0 * math.sqrt(params.n) / crit.t0, params.t_k,
-                    np.asarray(xs, dtype=float), params.n1, params.n2,
-                    crit.alpha, crit.beta).real
+    psi = _psi_cusp_real(ends, crit.c0 * math.sqrt(params.n) / crit.t0, params.t_k,
+                         np.asarray(xs, dtype=float), params.n1, params.n2,
+                         crit.alpha, crit.beta)
     # the V integrand is exp(-psi)
     return math.exp(min(float((psi[1] - psi[0]).max()), 700.0))
 
@@ -832,10 +835,12 @@ def _psi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
 
     The logarithms are taken as log|w| + i atan2(Im w, Re w), the same branch
     as numpy's complex log, which costs 100-240 ns an element (numpy 2.4,
-    x86-64) against about 14 ns for the two real ufuncs.  This function runs
-    on every lobe-scoring sample and rule node of a finite-n point, about
-    3,400 elements: over the 101 points of the benchmark's two diagonal
-    profiles it took 77 of 406 ms with the complex log and 32 ms without."""
+    x86-64) against about 14 ns for the two real ufuncs.  The finite-n tiers
+    call it once per point on both rules' nodes, where the integrand needs
+    its phase (400 nodes and 0.03 ms at the median benchmark profile point),
+    and on a pierced lobe's residue arc; what reads only the integrand's
+    size (the adaptive tier's lobe scoring and rule sizing, the cusp tier's
+    open-branch bound) calls _psi_cusp_real."""
     U = kap * u
     a, b = u - alpha, u - beta
     return (t * U * U - 2.0 * coord * U) / (1.0 - t) \
@@ -843,9 +848,27 @@ def _psi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
         + 1j * (n1 * np.arctan2(a.imag, a.real) + n2 * np.arctan2(b.imag, b.real))
 
 
-def _dpsi_cusp(u, kap, t, coord, n1, n2, alpha, beta):
-    """d/du of _psi_cusp."""
-    return 2.0 * kap * (t * kap * u - coord) / (1.0 - t) + n1 / (u - alpha) + n2 / (u - beta)
+def _psi_cusp_real(u, kap, t, coord, n1, n2, alpha, beta):
+    """Re _psi_cusp, the same bits in about half the time.
+
+    numpy divides a complex array by a real scalar s as x (1/s) in each part,
+    and a real factor multiplies each part exactly, so the real part of the
+    polynomial term is Re(t U U) - 2 coord Re U times 1/(1 - t); the
+    arguments' two arctan2 are left out.  At the 1,600 to 3,200 points of a
+    finite-n point's lobe scoring this takes 0.46 of _psi_cusp's time."""
+    U = kap * u
+    return ((t * U * U).real - 2.0 * coord * U.real) * (1.0 / (1.0 - t)) \
+        + (n1 * np.log(np.abs(u - alpha)) + n2 * np.log(np.abs(u - beta)))
+
+
+def _psi_cusp_slope(u, kap, t, coord, n1, n2, alpha, beta):
+    """(_psi_cusp_real, d/du _psi_cusp) at u in one pass that shares
+    u - alpha and u - beta."""
+    U = kap * u
+    a, b = u - alpha, u - beta
+    return (((t * U * U).real - 2.0 * coord * U.real) * (1.0 / (1.0 - t))
+            + (n1 * np.log(np.abs(a)) + n2 * np.log(np.abs(b))),
+            2.0 * kap * (t * kap * u - coord) / (1.0 - t) + n1 / a + n2 / b)
 
 
 def _finite_prefactor(params):
@@ -866,19 +889,23 @@ def _finite_contraction(params, rule_u, side_u, rule_v, side_v, xs, ys):
     (without the prefactor), the scale of the rounding noise in each mantissa.
     """
     (U, WU), (V, WV) = rule_u, rule_v
-    (kap_u, al_u, be_u), (kap_v, al_v, be_v) = side_u, side_v
+    kap_u, kap_v = side_u[0], side_v[0]
     t_k, t_l = params.t_k, params.t_l
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    psi_u = _psi_cusp(U, kap_u, t_l, 0.0, params.n1, params.n2, al_u, be_u)
-    psi_v = _psi_cusp(V, kap_v, t_k, 0.0, params.n1, params.n2, al_v, be_v)
-    tilt_u = 2.0 * kap_u * U / (1.0 - t_l)
-    tilt_v = 2.0 * kap_v * V / (1.0 - t_k)
+    # both actions and tilts in one pass over U's nodes, then V's, each
+    # side's kappa, time, alpha and beta repeated over its own nodes
+    kap, t, al, be = np.array([(kap_u, t_l, *side_u[1:]),
+                               (kap_v, t_k, *side_v[1:])]).T.repeat((len(U), len(V)), axis=1)
+    nodes = np.concatenate([U, V])
+    psi = _psi_cusp(nodes, kap, t, 0.0, params.n1, params.n2, al, be)
+    tilt = 2.0 * kap * nodes / (1.0 - t)
+    psi_u, psi_v, tilt_u, tilt_v = psi[:len(U)], psi[len(U):], tilt[:len(U)], tilt[len(U):]
     # common log magnitude taken at the mean coordinate of each side
-    cu = (psi_u.real - float(ys.mean()) * tilt_u.real).max()
-    cv = (-psi_v.real + float(xs.mean()) * tilt_v.real).max()
-    A = (WV * kap_v)[:, None] * np.exp(-psi_v[:, None] + np.outer(tilt_v, xs) - cv)
-    B = (WU * kap_u)[:, None] * np.exp(psi_u[:, None] - np.outer(tilt_u, ys) - cu)
+    cu = (psi_u.real - float(ys.sum() / ys.size) * tilt_u.real).max()
+    cv = (-psi_v.real + float(xs.sum() / xs.size) * tilt_v.real).max()
+    A = (WV * kap_v)[:, None] * np.exp(-psi_v[:, None] + tilt_v[:, None] * xs - cv)
+    B = (WU * kap_u)[:, None] * np.exp(psi_u[:, None] - tilt_u[:, None] * ys - cu)
     contraction, mass = _cauchy_contract(A, kap_v * V, kap_u * U, B)
     vals = _finite_prefactor(params) * contraction
     ls = cu + cv
@@ -980,18 +1007,18 @@ def _panel_node_counts(log_rho, log_f, dlog_f, nodes_per_panel):
     panel's contour, and dlog_f the derivative of log f times the panel's
     half-width vector."""
     K = 30.0 * nodes_per_panel / 32.0
-    N = np.arange(6, nodes_per_panel + 1)
+    N2 = 2.0 * np.arange(6, nodes_per_panel + 1)
     w = dlog_f[:, None]
     # near-optimal rho' for N nodes, |w| sinh(log rho') = 2 N, capped at rho
-    sh = np.minimum(np.outer(1.0 / np.maximum(np.abs(dlog_f), 1e-300), 2.0 * N),
+    sh = np.minimum((1.0 / np.maximum(np.abs(dlog_f), 1e-300))[:, None] * N2,
                     np.sinh(log_rho)[:, None])
     grow = np.hypot(w.real * np.sqrt(1.0 + sh * sh), w.imag * sh)
-    ok = log_f[:, None] + grow - 2.0 * N * np.arcsinh(sh) <= -2.0 * K
-    return np.where(ok.any(axis=1), N[ok.argmax(axis=1)], nodes_per_panel)
+    ok = log_f[:, None] + grow - N2 * np.arcsinh(sh) <= -2.0 * K
+    ok[:, -1] = True        # nodes_per_panel where no N meets the target
+    return 6 + ok.argmax(axis=1)
 
 
-def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, log_v, log_u,
-                    nodes_per_panel):
+def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, actions, nodes_per_panel):
     """The adaptive tier's V rule and U rule (in the U variable, r times the V
     variable) on the uniform panels of legs_v and legs_u, each panel with only
     the Gauss-Legendre nodes its Bernstein ellipse needs.
@@ -1001,8 +1028,9 @@ def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, log_v, log_u,
     smallest Bernstein ellipse reaching one of these (_bernstein_log_rho).
     The integrand f = exp(log f) also grows off the panel: linearized at the
     centre, log |f| rises on E_rho by at most |(log f)' hv| times the
-    ellipse's semi-axes.  log_v and log_u give log f and its derivative on
-    either side.  A panel gets the fewest N >= 6 nodes for which, on some
+    ellipse's semi-axes.  f is exp(-psi) on V and exp(psi) on U, actions
+    giving _psi_cusp's arguments after u for the V side and the U side.  A
+    panel gets the fewest N >= 6 nodes for which, on some
     E_rho' with rho' <= rho, that rise plus log |f| at the centre, relative
     to the largest over its contour's panel centres, minus 2 N log rho'
     stays below -2 K, K = 30 nodes_per_panel / 32: the error bound
@@ -1019,7 +1047,17 @@ def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, log_v, log_u,
     other panel: the Cauchy sum over the resolving panel is then its
     integral, smooth on the other.  Where neither bound reaches 1e-13,
     QuadratureError carries the smaller; two panels that both end at a
-    crossing are graded toward it and exempt.
+    crossing are graded toward it and exempt, and the pair bound is taken
+    only over the pairs that are not, so where every flagged panel ends at a
+    crossing (as at the pierced points of the benchmark profiles) it is not
+    formed.
+
+    Per point this is one pass of ellipse ratios over every panel and
+    singular segment, one pass of the action and its slope over both
+    contours' panel centres, and one node count per panel: replaying the
+    calls of the 100 adaptive points of the two benchmark profiles (in
+    process, one BLAS thread, median) takes 0.16 ms at a plain point and
+    0.24 ms at a pierced one.
     """
     # both contours' panels in the V variable, V first; singular segments:
     # the U line, the poles, then the lobes' edges
@@ -1027,32 +1065,42 @@ def _adaptive_rules(legs_v, legs_u, r, lobes, poles, crossings, log_v, log_u,
     ends = np.array([leg[:2] for leg in legs_u]).ravel() / r
     edges = [(x1 - 1j * h, x1 + 1j * h, x0 + 1j * h, x0 - 1j * h) for x0, x1, h in lobes]
     lr = _bernstein_log_rho(
-        mid, hv, [ends[0].real + 1j * ends.imag.min(), *poles, *(c for e in edges for c in e)],
-        [ends[0].real + 1j * ends.imag.max(), *poles,
-         *(c for e in edges for c in e[1:] + e[:1])])
+        mid[:, None], hv[:, None],
+        np.array([ends[0].real + 1j * ends.imag.min(), *poles, *(c for e in edges for c in e)]),
+        np.array([ends[0].real + 1j * ends.imag.max(), *poles,
+                  *(c for e in edges for c in e[1:] + e[:1])]))
     nv = sum(p for *_, p in legs_v)
     line, pole = lr[:nv, 0], lr[:nv, 1:1 + len(poles)].min(axis=1)
     lobe = lr[nv:, 1 + len(poles):].min(axis=1)
-    (fv, dfv), (fu, dfu) = log_v(mid[:nv]), log_u(mid[nv:] * r)
-    nodes = _panel_node_counts(
-        np.concatenate([np.minimum(line, pole), lobe]),
-        np.concatenate([fv.real - fv.real.max(), fu.real - fu.real.max()]),
-        np.concatenate([dfv, dfu * r]) * hv, nodes_per_panel)
+    # log f and its derivative at both contours' panel centres in one pass,
+    # each side's action arguments, sign and variable repeated over its panels
+    *action, sign, scale = np.array([(*actions[0], -1.0, 1.0),
+                                     (*actions[1], 1.0, r)]).T.repeat((nv, len(mid) - nv), axis=1)
+    f, df = _psi_cusp_slope(mid * scale, *action)
+    f = sign * f
+    f[:nv] -= f[:nv].max()
+    f[nv:] -= f[nv:].max()
+    nodes = _panel_node_counts(np.concatenate([np.minimum(line, pole), lobe]), f,
+                               sign * scale * df * hv, nodes_per_panel)
     # the a-priori check, in log rho: below `least`, 1e-13 needs more nodes
     least, worst = _resolving_log_rho(nodes_per_panel), pole.min()
-    flag_v, flag_u = np.flatnonzero(line < least), nv + np.flatnonzero(lobe < least)
+    flag_v, flag_u = (line < least).nonzero()[0], nv + (lobe < least).nonzero()[0]
     if len(flag_v) and len(flag_u):
-        # pairs of panels that resolve neither each other's contour
-        (mv, hvv), (mu, hu) = (mid[flag_v], hv[flag_v]), (mid[flag_u], hv[flag_u])
-        pair = np.maximum(_bernstein_log_rho(mv, hvv, mu - hu, mu + hu),
-                          _bernstein_log_rho(mu, hu, mv - hvv, mv + hvv).T)
-        if crossings:
-            # panels ending at a crossing, to rounding (distances in half-widths)
-            at = [(np.abs(zc - zc.real.clip(-1.0, 1.0)) < 1e-9).any(axis=1)
-                  for zc in ((np.array(crossings)[None, :] - c[:, None]) / h[:, None]
-                             for c, h in ((mv, hvv), (mu, hu)))]
-            pair[np.outer(*at)] = np.inf
-        worst = min(worst, pair.min())
+        # flagged panels ending at a crossing, to rounding (distances in
+        # half-widths): a pair of two such panels is graded toward it and
+        # exempt, and only panels in a pair that is not enter the bound
+        at_v, at_u = [(np.abs(zc - zc.real.clip(-1.0, 1.0)) < 1e-9).any(axis=1)
+                      for zc in ((np.array(crossings) - mid[flag, None]) / hv[flag, None]
+                                 for flag in (flag_v, flag_u))]
+        keep_v, keep_u = ~at_v | ~at_u.all(), ~at_u | ~at_v.all()
+        flag_v, at_v, flag_u, at_u = flag_v[keep_v], at_v[keep_v], flag_u[keep_u], at_u[keep_u]
+        if len(flag_v) and len(flag_u):
+            # pairs of panels that resolve neither each other's contour
+            (mv, hvv), (mu, hu) = (mid[flag_v], hv[flag_v]), (mid[flag_u], hv[flag_u])
+            pair = np.maximum(_bernstein_log_rho(mv[:, None], hvv[:, None], mu - hu, mu + hu),
+                              _bernstein_log_rho(mu[:, None], hu[:, None], mv - hvv, mv + hvv).T)
+            pair[np.outer(at_v, at_u)] = np.inf
+            worst = min(worst, pair.min())
     if worst < least:
         raise QuadratureError(f"adaptive-tier panels need more than {nodes_per_panel} "
                               "Gauss-Legendre nodes for 1e-13",
@@ -1107,6 +1155,13 @@ def _finite_adaptive(params, x, y, spec):
     contraction's absolute mass is 3e6 and 4e7 times the value and rounding
     leaves 1.3e-10 and 7.3e-9 (the references there scatter as much).
     Other points are unmeasured.
+    Cost at the median point of the two benchmark profiles (a plain one; in
+    process, one BLAS thread): 1.04 ms, of which 0.31 ms is the Cauchy
+    contraction.  The rest is the Stieltjes root (0.16 ms), the action and
+    exponentials around the contraction (0.11 ms), the rules (0.24 ms), and
+    lobe scoring, legs, residue arc and checks (0.18 ms): each distinct
+    candidate lobe is scored once, on its top edge and sides, by the real
+    part of the action alone.
     """
     n, n1, n2 = params.n, params.n1, params.n2
     sideU, gU = _adaptive_side(params, params.t_l, y)
@@ -1122,12 +1177,6 @@ def _finite_adaptive(params, x, y, spec):
     d = min(0.22, max(0.04, 1.1 / math.sqrt(n)))
     split_clear = max(2.0 * d, 0.55)
 
-    def psiU(u):
-        return _psi_cusp(u, kapU, params.t_l, y, n1, n2, alU, beU)
-
-    def psiV(v):
-        return _psi_cusp(v, kapV, params.t_k, x, n1, n2, alV, beV)
-
     # candidate V-loop geometries: one lobe around both poles (pierced by the
     # line when it falls inside), or two lobes split at the line; extents hug
     # the poles, heights trade the y^2/2 growth against the pole logarithm.
@@ -1140,31 +1189,45 @@ def _finite_adaptive(params, x, y, spec):
     # arc, so split lobes are preferred while their exponent excess stays
     # within the cancellation headroom: a penalty of ~ln(1e10) exponent units
     pierced_penalty = 22.0
-    candidates = []     # (lobes [(x0, x1, height)], pierced by the line)
+    distinct = {}       # lobe (x0, x1, height) -> its index, in order of first use
+    candidates = []     # (its lobe, its second lobe or again the first, pierced)
     for hh in h_opts:
         for mL in margins:
             for mR in margins:
                 x0_, x1_ = beV - mL, alV + mR
                 if split_ok:
-                    candidates.append(([(x0_, sig_v - d, hh), (sig_v + d, x1_, hh)], False))
+                    candidates.append((distinct.setdefault((x0_, sig_v - d, hh), len(distinct)),
+                                       distinct.setdefault((sig_v + d, x1_, hh), len(distinct)),
+                                       False))
                 if x0_ < sig_v < x1_:
-                    candidates.append(([(x0_, x1_, hh)], True))
+                    lobe, pierced = (x0_, x1_, hh), True
                 elif sig_v <= x0_:
-                    candidates.append(([(max(x0_, sig_v + d), x1_, hh)], False))
+                    lobe, pierced = (max(x0_, sig_v + d), x1_, hh), False
                 else:
-                    candidates.append(([(x0_, min(x1_, sig_v - d), hh)], False))
-    # score all candidates in one pass: each lobe's boundary is sampled at 60
-    # points along its top and bottom edges and 20 up each side, and a
-    # candidate's exponent excess is the largest -Re psiV over its lobes
-    x0s, x1s, hs = np.array([lobe for c in candidates for lobe in c[0]]).T
-    edge = np.linspace(x0s, x1s, 60, axis=1)
-    side = 1j * (hs[:, None] * np.linspace(-1, 1, 20))
-    pts = np.concatenate([edge + 1j * hs[:, None], edge - 1j * hs[:, None],
-                          x0s[:, None] + side, x1s[:, None] + side], axis=1)
-    starts = np.cumsum([0] + [len(c[0]) for c in candidates[:-1]])
-    excess = np.maximum.reduceat((-psiV(pts).real).max(axis=1), starts)
-    lobes, pierced = candidates[int(np.argmin(
-        excess + pierced_penalty * np.array([c[1] for c in candidates])))]
+                    lobe, pierced = (x0_, min(x1_, sig_v - d), hh), False
+                k = distinct.setdefault(lobe, len(distinct))
+                candidates.append((k, k, pierced))
+    # score each distinct lobe once (a split lobe depends on one margin, so
+    # the up to 48 lobes of the candidates hold at most 32) by the largest
+    # -Re psiV over its boundary, sampled at 60 points along its top edge
+    # and 20 up each side: Re psiV is even under conjugation to the bit, so
+    # the bottom edge would repeat the top's values.  A candidate's exponent
+    # excess is the largest over its lobes.
+    distinct = list(distinct)
+    x0s, x1s, hs = np.array(distinct).T
+    # the points of np.linspace(x0s, x1s, 60, axis=1), without its temporaries
+    edge = np.arange(60.0) * ((x1s - x0s) / 59)[:, None] + x0s[:, None]
+    edge[:, -1] = x1s
+    lin = np.arange(20.0) * (2.0 / 19) - 1.0     # np.linspace(-1, 1, 20)
+    lin[-1] = 1.0
+    side = 1j * (hs[:, None] * lin)
+    pts = np.concatenate([edge + 1j * hs[:, None], x0s[:, None] + side, x1s[:, None] + side],
+                         axis=1)
+    excess = -_psi_cusp_real(pts, kapV, params.t_k, x, n1, n2, alV, beV).min(axis=1)
+    first, second, pierced = np.array(candidates).T
+    best = candidates[int((np.maximum(excess[first], excess[second])
+                           + pierced_penalty * pierced).argmin())]
+    lobes, pierced = [distinct[k] for k in dict.fromkeys(best[:2])], best[2]
     h = lobes[0][2]
     # panel widths (see above): lobe sides and the U line beside them pass
     # each other at d; tops and bottoms meet it at a corner or a crossing,
@@ -1180,8 +1243,7 @@ def _finite_adaptive(params, x, y, spec):
     rule_v, rule_u = _adaptive_rules(
         legs_v, legs_u, r, lobes, [alV, beV],
         [sig_v - 1j * h, sig_v + 1j * h] if pierced else [],
-        lambda v: (-psiV(v), -_dpsi_cusp(v, kapV, params.t_k, x, n1, n2, alV, beV)),
-        lambda u: (psiU(u), _dpsi_cusp(u, kapU, params.t_l, y, n1, n2, alU, beU)),
+        ((kapV, params.t_k, x, n1, n2, alV, beV), (kapU, params.t_l, y, n1, n2, alU, beU)),
         spec.nodes_per_panel)
     vals, ls, mass = _finite_contraction(params, rule_u, sideU, rule_v, sideV, [x], [y])
     pref = _finite_prefactor(params)
@@ -1197,7 +1259,9 @@ def _finite_adaptive(params, x, y, spec):
     if pierced:
         V, WV = rule_v
         right = V.real > sig_v
-        arc = np.sum(WV[right] * np.exp(psiU(V[right] * r) - psiV(V[right]) - ls))
+        arc = np.sum(WV[right] * np.exp(
+            _psi_cusp(V[right] * r, kapU, params.t_l, y, n1, n2, alU, beU)
+            - _psi_cusp(V[right], kapV, params.t_k, x, n1, n2, alV, beV) - ls))
         vals = vals + pref * 2j * math.pi * kapV * arc
     _check_mantissas(vals, mass, ls, "adaptive")
     return complex(vals[0, 0].real), ls
@@ -1232,10 +1296,13 @@ def finite_n_kernel_scaled(params: FiniteKernelParams, x: float, y: float,
 
     contours: 'cusp' forces the critical-point contours (valid in the scaling
     window around the cusp), 'adaptive' the saddle-adapted ones, 'auto' picks.
+    A non-finite x or y raises ValueError.
     """
     spec = spec or QuadratureSpec()
     if contours not in ("auto", "cusp", "adaptive"):
         raise ValueError("contours must be auto|cusp|adaptive")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"finite-n kernel needs finite x and y, got {x}, {y}")
     use_cusp = contours == "cusp" or (contours == "auto"
                                       and _in_cusp_window(params, x, y, spec))
     if use_cusp:
@@ -1265,20 +1332,27 @@ def finite_n_kernel(params: FiniteKernelParams, x: float, y: float,
 def finite_n_kernel_grid(params: FiniteKernelParams, xs, ys,
                          spec: QuadratureSpec | None = None):
     """Cusp-tier kernel values on a grid; returns (values, log_scale).  The
-    mantissas carry the adaptive tier's digit-loss and imaginary-part checks."""
+    mantissas carry the adaptive tier's digit-loss and imaginary-part checks.
+    Non-finite xs or ys raise ValueError."""
     spec = spec or QuadratureSpec()
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("finite-n kernel grid needs finite xs and ys")
     vals, ls = _finite_cusp_grid(params, xs, ys, spec)
     return vals.real, ls
 
 
 def finite_n_diagonal(n: int, a: float, b: float, p: float, t: float, lams,
                       spec: QuadratureSpec | None = None):
-    """Diagonal profile H_n(lam, lam; t, t) over an array of positions.
+    """Diagonal profile H_n(lam, lam; t, t) over an array of positions (or
+    one position), shaped as lams.
 
     Far outside the equilibrium support the diagonal is exponentially small;
     a point reads 0 only where the adaptive tier's negligibility bound
     certifies it, and any QuadratureError propagates.
     """
     params = FiniteKernelParams(n=n, a=a, b=b, p=p, t_k=t, t_l=t)
+    lams = np.asarray(lams, dtype=float)
     return np.array([finite_n_kernel(params, lam, lam, spec)
-                     for lam in np.asarray(lams, dtype=float)])
+                     for lam in lams.ravel()]).reshape(lams.shape)

@@ -146,21 +146,28 @@ class MergeEvent:
 
 
 def _horner(c, x):
-    """Ascending coefficients c (last axis; one row per leading index of x)
-    evaluated at x by Horner's rule, the operation order of polyval."""
-    out = c[..., -1, None] + x * 0
-    for j in range(c.shape[-1] - 2, -1, -1):
+    """Ascending coefficients c (last axis, at least two; one row per leading
+    index of x) evaluated at x by Horner's rule, with the bits of polyval:
+    its first value c[-1] + x * 0 times a finite x has the bits of
+    c[-1] * x."""
+    out = c[..., -2, None] + c[..., -1, None] * x
+    for j in range(c.shape[-1] - 3, -1, -1):
         out = c[..., j, None] + out * x
     return out
 
 
 def _polish(rows, roots, iters):
     """Newton-polish roots (last axis) of the polynomials with ascending
-    coefficient rows; one row may serve all roots, or one row per root set."""
-    drows = rows[..., 1:] * np.arange(1, rows.shape[-1])
+    coefficient rows; one row may serve all roots, or one row per root set.
+    p and p' come from one Horner pass over the rows stacked on the
+    derivative's rows padded with a zero top coefficient, which leaves p'
+    the bits of its own pass."""
+    both = np.zeros((2,) + rows.shape, dtype=rows.dtype)
+    both[0] = rows
+    both[1, ..., :-1] = rows[..., 1:] * np.arange(1, rows.shape[-1])
     for _ in range(iters):
-        pv, dv = _horner(rows, roots), _horner(drows, roots)
-        roots = roots - np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
+        pv, dv = _horner(both, roots)
+        roots = roots - np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > 1e-300)
     return roots
 
 
@@ -180,7 +187,7 @@ def _companion_batch(coeff_rows):
     m, d1 = rows.shape
     d = d1 - 1
     C = np.zeros((m, d, d), dtype=complex)
-    C[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    C.reshape(m, d * d)[:, d::d + 1] = 1.0      # the subdiagonal
     C[:, :, d - 1] = -rows[:, :d] / rows[:, d:d + 1]
     return C
 
@@ -214,14 +221,14 @@ def _stieltjes_branch(config, zs):
     rows = R0 + zs[:, None] * R1
     roots = _polish(rows, np.linalg.eigvals(_companion_batch(rows)), 2)
     at = np.arange(len(zs))
-    upper = roots[at, np.argmax(roots.imag, axis=1)]
+    upper = roots[at, roots.imag.argmax(axis=1)]
     # off the support: the real root with f'(g) > 0 (see the module docstring)
     slope = (1.0 - (eps / (roots[..., None] - bt) ** 2).sum(axis=-1)).real
-    real = roots[at, np.argmax(slope, axis=1)].real
+    real = roots[at, slope.argmax(axis=1)].real
     pair = upper.imag > 1e-11 * (1.0 + np.abs(roots).max(axis=1))
     g = np.where(pair, upper, real + 0j)
     resid = np.abs(_horner(rows, g[:, None])[:, 0])
-    bad = np.nonzero(resid > 1e-8 * (1.0 + np.abs(zs) ** (config.k + 1)))[0]
+    bad = (resid > 1e-8 * (1.0 + np.abs(zs) ** (config.k + 1))).nonzero()[0]
     if len(bad):
         i = bad[0]
         raise ArithmeticError(f"stieltjes root did not converge at z={zs[i]!r}: "

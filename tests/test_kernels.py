@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -665,6 +666,37 @@ class TestFiniteN:
         with pytest.raises(QuadratureError, match="lost all significant digits"):
             finite_n_diagonal(8, 1.0, -1.0, 0.5, 1.0 / 3.0, [30.0])
 
+    @pytest.mark.parametrize("call", [
+        lambda: finite_n_kernel(SYM8, math.nan, math.nan),
+        lambda: finite_n_kernel_scaled(SYM8, 0.0, math.inf, contours="adaptive"),
+        lambda: finite_n_diagonal(8, 1.0, -1.0, 0.5, 1.0 / 3.0, [math.nan]),
+        lambda: finite_n_kernel_grid(SYM8, [0.0], [math.inf]),
+        lambda: finite_n_kernel_grid(SYM8, [0.0, math.nan], [0.0]),
+    ], ids=["kernel nan", "scaled inf", "diagonal nan", "grid inf", "grid nan"])
+    def test_non_finite_coordinates_rejected(self, call):
+        # at t = t0 = 1/3 the cusp window took a NaN point (every comparison
+        # with NaN is False) and returned nan; the grid's log scale, shared by
+        # all entries, turned its finite entries into nan too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    def test_integer_n_and_scalar_positions(self):
+        # a fractional n failed in group_sizes with a TypeError about slice
+        # indices, and a scalar position with "iteration over a 0-d array"
+        with pytest.raises(ValueError, match="n must be an integer"):
+            FiniteKernelParams(n=8.5, a=1.0, b=-1.0, p=0.5, t_k=1.0 / 3.0, t_l=1.0 / 3.0)
+        assert FiniteKernelParams(n=np.int64(8), a=1.0, b=-1.0, p=0.5,
+                                  t_k=1.0 / 3.0, t_l=1.0 / 3.0).n1 == 4
+        one = finite_n_diagonal(8, 1.0, -1.0, 0.5, 1.0 / 3.0, 2.0)
+        assert one.shape == ()
+        assert one == finite_n_diagonal(8, 1.0, -1.0, 0.5, 1.0 / 3.0, [2.0])[0]
+        grid = finite_n_diagonal(8, 1.0, -1.0, 0.5, 1.0 / 3.0, [[2.0, 2.2], [2.4, 2.6]])
+        assert grid.shape == (2, 2)
+        assert np.array_equal(grid.ravel(),
+                              finite_n_diagonal(8, 1.0, -1.0, 0.5, 1.0 / 3.0, [2.0, 2.2, 2.4, 2.6]))
+
     def test_tier_agreement_overlap(self):
         # the cusp tier against the adaptive tier's dense-rule values; with
         # legs graded by panel count it was 5.8e-10 off at z = +-0.3
@@ -829,6 +861,45 @@ def _psi_complex_log(u, kap, t, coord, n1, n2, alpha, beta):
         + n1 * np.log(u - alpha) + n2 * np.log(u - beta)
 
 
+def _full_boundary_lobes(params, x):
+    """The V lobes of the adaptive tier at the diagonal point (x, x), chosen
+    by scoring every lobe of every candidate on its whole boundary, 60 points
+    along its top and bottom edges and 20 up each side, with the complex
+    action: the oracle for the tier's scoring of each distinct lobe on its
+    top edge and sides with the real-part action."""
+    (kap, al, be), g = kernels._adaptive_side(params, params.t_k, x)
+    n = params.n
+    sig_v = g.real * kap / kap
+    h = abs(g.imag) + 0.9 / math.sqrt(n)
+    d = min(0.22, max(0.04, 1.1 / math.sqrt(n)))
+    split_clear = max(2.0 * d, 0.55)
+    candidates = []
+    for hh in sorted({round(h, 6), 0.45, 0.7, 1.0}):
+        for mL in (0.45, 1.0):
+            for mR in (0.45, 1.0):
+                x0, x1 = be - mL, al + mR
+                if be + split_clear < sig_v < al - split_clear:
+                    candidates.append(([(x0, sig_v - d, hh), (sig_v + d, x1, hh)], False))
+                if x0 < sig_v < x1:
+                    candidates.append(([(x0, x1, hh)], True))
+                elif sig_v <= x0:
+                    candidates.append(([(max(x0, sig_v + d), x1, hh)], False))
+                else:
+                    candidates.append(([(x0, min(x1, sig_v - d), hh)], False))
+
+    def excess(lobe):
+        x0, x1, hh = lobe
+        edge = np.linspace(x0, x1, 60)
+        side = 1j * (hh * np.linspace(-1, 1, 20))
+        pts = np.concatenate([edge + 1j * hh, edge - 1j * hh, x0 + side, x1 + side])
+        return (-kernels._psi_cusp(pts, kap, params.t_k, x, params.n1, params.n2,
+                                   al, be).real).max()
+
+    scores = [max(excess(lobe) for lobe in lobes) + 22.0 * pierced
+              for lobes, pierced in candidates]
+    return candidates[int(np.argmin(scores))][0]
+
+
 def _dense_cauchy(A, kV, kU, B):
     """A^T C B and |A|^T |C| |B| with the dense coupling C = 1/(kU - kV)
     formed: the oracle for the blocked kernels._cauchy_contract."""
@@ -960,6 +1031,98 @@ class TestFiniteContraction:
             assert np.array_equal(got.imag, math.copysign(math.pi, im)
                                   * np.array([n1 + n2, n1 + n2, n1, n1]))
             assert np.abs(got.real - want.real).max() <= 1e-14 * (n1 + n2)
+            assert np.array_equal(kernels._psi_cusp_real(u, 1.5, 1.0 / 3.0, 0.2, n1, n2, al, be),
+                                  got.real)
+
+    @pytest.mark.parametrize("case", ["plain", "split", "pierced", "cusp"])
+    def test_psi_real_and_slope_to_the_bit(self, monkeypatch, case):
+        # the real-part action is the complex action's real part bit for bit,
+        # and the slope's derivative that of its own formula, on both rules
+        # of each geometry; one pass with each side's arguments repeated over
+        # its nodes, as the adaptive rules and the contraction make it, gives
+        # the bits of one pass per side (the plain and cusp cases are
+        # two-time points, whose sides differ)
+        lam = math.sqrt(50) * math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / 2.0) * 0.1
+        params, x, contours = {"plain": (ORDERED12, 3.0, "adaptive"),
+                               "split": (SYM50, lam, "adaptive"),
+                               "pierced": (SYM8, 0.54132, "auto"),
+                               "cusp": (ORDERED12, 0.15, "cusp")}[case]
+        seen, _ = self._contractions(
+            monkeypatch, lambda: finite_n_kernel_scaled(params, x, x, contours=contours))
+        _, rule_u, side_u, rule_v, side_v, xs, ys = seen[0][0]
+        n1, n2 = params.n1, params.n2
+        sides = []
+        for (nodes, _), (kap, al, be), t, coord in ((rule_u, side_u, params.t_l, ys[0]),
+                                                    (rule_v, side_v, params.t_k, xs[0])):
+            args = (kap, t, coord, n1, n2, al, be)
+            real = kernels._psi_cusp_real(nodes, *args)
+            assert np.array_equal(real, kernels._psi_cusp(nodes, *args).real)
+            f, df = kernels._psi_cusp_slope(nodes, *args)
+            assert np.array_equal(f, real)
+            assert np.array_equal(df, 2.0 * kap * (t * kap * nodes - coord) / (1.0 - t)
+                                  + n1 / (nodes - al) + n2 / (nodes - be))
+            sides.append((nodes, args))
+        (U, args_u), (V, args_v) = sides
+        per_node = np.array([args_u, args_v]).T.repeat((len(U), len(V)), axis=1)
+        nodes = np.concatenate([U, V])
+        assert np.array_equal(kernels._psi_cusp(nodes, *per_node),
+                              np.concatenate([kernels._psi_cusp(U, *args_u),
+                                              kernels._psi_cusp(V, *args_v)]))
+        for got, want in zip(kernels._psi_cusp_slope(nodes, *per_node),
+                             zip(kernels._psi_cusp_slope(U, *args_u),
+                                 kernels._psi_cusp_slope(V, *args_v))):
+            assert np.array_equal(got, np.concatenate(want))
+
+    def test_lobes_match_full_boundary_scoring(self, monkeypatch):
+        # each distinct lobe is scored once, on its top edge and sides with
+        # the real-part action; the full boundary of every candidate lobe,
+        # bottom edge included, with the complex action picks the same lobes
+        # at the 101 points of the benchmark profiles and at SYM50's twelve
+        # tier-agreement points
+        lobes, legs = [], kernels._rect_lobe_legs
+
+        def record(x0, x1, h, *args):
+            lobes.append((x0, x1, h))
+            return legs(x0, x1, h, *args)
+        monkeypatch.setattr(kernels, "_rect_lobe_legs", record)
+        c = math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / 2.0)
+        points = [(FiniteKernelParams(n, a, b, p, t, t), lam)
+                  for (n, a, b, p, t, lam0), refs in DENSE_PROFILES.items()
+                  for lam in lam0 + 0.2 * np.array(sorted(refs))]
+        points += [(SYM50, math.sqrt(50) * c * z) for z in np.arange(-0.3, 0.31, 0.05)
+                   if abs(z) > 1e-9]
+        assert len(points) == 113
+        for params, lam in points:
+            lobes.clear()
+            finite_n_kernel_scaled(params, lam, lam, contours="adaptive")
+            assert lobes == _full_boundary_lobes(params, lam), (params.n, lam)
+
+    def test_pair_check_skips_exempt_pairs(self, monkeypatch):
+        # at this pierced point every flagged panel of either rule ends at a
+        # crossing: all flagged pairs are exempt, so sizing the rules takes
+        # one pass of ellipse ratios, where three were made and the pair
+        # bound discarded
+        calls, bernstein = [], kernels._bernstein_log_rho
+        monkeypatch.setattr(kernels, "_bernstein_log_rho",
+                            lambda *args: calls.append(1) or bernstein(*args))
+        finite_n_kernel_scaled(SYM8, 0.54132, 0.54132)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("panels, nodes, lam, achieved", [
+        (8, 8, 0.54132, 1.4700910428486094e-11),    # pierced, set by a pair not exempt
+        (8, 8, 0.0, 7.463467481368308e-07),         # split, set by a pair
+        (8, 8, 1.5, 4.214256880395342e-11),         # pierced, set by the poles
+        (8, 10, 1.5, 1.4899359391266245e-13),       # pierced, set by the poles
+        (6, 12, 0.0, 8.729406248243064e-10),        # split, set by a pair
+    ])
+    def test_a_priori_check_keeps_its_bound(self, panels, nodes, lam, achieved):
+        # the bounds the a-priori check raised with when every flagged pair
+        # was bounded and the exempt ones masked afterwards
+        with pytest.raises(QuadratureError, match="Gauss-Legendre nodes for 1e-13") as info:
+            finite_n_kernel_scaled(SYM8, lam, lam,
+                                   QuadratureSpec(panels=panels, nodes_per_panel=nodes),
+                                   contours="adaptive")
+        assert info.value.achieved == pytest.approx(achieved, rel=1e-9)
 
     def test_benchmark_profiles_keep_their_geometry(self, monkeypatch):
         # the V-lobes chosen on both benchmark profiles: per point, o for one
